@@ -62,7 +62,7 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite n (Brent's cycle variant).
+    """A nontrivial factor of composite n (Floyd's cycle detection).
 
     Deterministic: tries increasing polynomial offsets until one succeeds.
     """

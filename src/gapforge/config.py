@@ -6,13 +6,17 @@ Budget semantics: operations that materialize a whole window (``primes_up_to``,
 ``sieve_survivors``) require the window to fit in ``memory_budget`` bytes;
 segmented scans only allocate one segment at a time and are instead capped at
 ``memory_budget * 8`` scanned integers (the bit-array reading of the budget).
+
+``segment_size`` counts odd numbers per segment in the whole-line sieves and
+progression terms ``b + k*q`` per segment in ``prime_count_ap``, which sieves
+only the progression and so costs O(x/q) rather than O(x).
 """
 
 import os
 from dataclasses import dataclass
 
 DEFAULT_MEMORY_BUDGET = 1 << 30   # bytes
-DEFAULT_SEGMENT_SIZE = 1 << 20    # odd numbers per sieve segment
+DEFAULT_SEGMENT_SIZE = 1 << 20    # odd numbers (or progression terms) per segment
 DEFAULT_PERIOD_CAP = 250_000_000  # admits exact J(u) through u = 23
 
 ENV_PREFIX = "GAPFORGE_"

@@ -266,11 +266,17 @@ def build_certificate(
 
 
 def _coverage_gap(cert: CoveringCertificate, cfg: Config) -> Optional[int]:
-    """Smallest n in [0, y] covered by no class, or None if all covered."""
+    """Smallest n in [0, y] covered by no class, or None if all covered.
+
+    Classes with a modulus below 2 cover nothing here; the prime checks
+    report them.  Needs y >= 0.
+    """
     if cert.y + 1 > cfg.memory_budget:
         raise ResourceLimit("coverage check exceeds the memory budget")
     flags = bytearray(cert.y + 1)
     for cls in cert.classes:
+        if cls.p < 2:
+            continue
         start = cls.a % cls.p
         if start <= cert.y:
             flags[start :: cls.p] = b"\x01" * ((cert.y - start) // cls.p + 1)
@@ -317,7 +323,9 @@ def verify_certificate(
     )
     placement = ""
     for c in cert.classes:
-        if c.kind is ClassKind.MATCHED:
+        if c.p < 2:
+            placement = f"{c.kind.value} p={c.p} is below 2"
+        elif c.kind is ClassKind.MATCHED:
             if 2 * c.p <= cert.u:
                 placement = f"matched p={c.p} is not above u/2"
         elif 2 * c.p > cert.u:
@@ -337,15 +345,18 @@ def verify_certificate(
     )
     u_ok = cert.u * cert.u > 4 * cert.x
     report.add("u_exceeds_2sqrt", u_ok, "" if u_ok else f"u^2 <= 4x at u={cert.u}")
-    try:
-        gap = _coverage_gap(cert, cfg)
-        report.add(
-            "covers_range",
-            gap is None,
-            "" if gap is None else f"n={gap} is covered by no class",
-        )
-    except ResourceLimit as exc:
-        report.add("covers_range", False, str(exc))
+    if cert.y < 0:
+        report.add("covers_range", False, f"y={cert.y} is negative")
+    else:
+        try:
+            gap = _coverage_gap(cert, cfg)
+            report.add(
+                "covers_range",
+                gap is None,
+                "" if gap is None else f"n={gap} is covered by no class",
+            )
+        except ResourceLimit as exc:
+            report.add("covers_range", False, str(exc))
 
     if not strict:
         return report
@@ -357,7 +368,7 @@ def verify_certificate(
         (
             c
             for c in by_kind[ClassKind.FORCED]
-            if (cert.q * c.a + cert.b) % c.p != 0
+            if c.p < 2 or (cert.q * c.a + cert.b) % c.p != 0
         ),
         None,
     )
@@ -407,18 +418,21 @@ def verify_certificate(
         survivors = sieve_survivors(cert.y, expected_forced, config=cfg)
         init_ok = len(survivors) == cert.survivors_initial
         greedy_set = {(c.p, c.a) for c in by_kind[ClassKind.GREEDY]}
-        after = [
-            n
-            for n in survivors
-            if all(n % p != a for p, a in greedy_set)
-        ]
-        after_ok = len(after) == cert.survivors_after_greedy
-        report.add(
-            "survivor_accounting",
-            init_ok and after_ok,
-            f"|N|={len(survivors)} recorded {cert.survivors_initial}; "
-            f"|N'|={len(after)} recorded {cert.survivors_after_greedy}",
-        )
+        if any(p < 2 for p, _ in greedy_set):
+            report.add("survivor_accounting", False, "a greedy modulus is below 2")
+        else:
+            after = [
+                n
+                for n in survivors
+                if all(n % p != a for p, a in greedy_set)
+            ]
+            after_ok = len(after) == cert.survivors_after_greedy
+            report.add(
+                "survivor_accounting",
+                init_ok and after_ok,
+                f"|N|={len(survivors)} recorded {cert.survivors_initial}; "
+                f"|N'|={len(after)} recorded {cert.survivors_after_greedy}",
+            )
         expected_greedy, remaining = greedy_cover(survivors, cert.q, cert.u)
         g_ok = expected_greedy == by_kind[ClassKind.GREEDY]
         report.add(

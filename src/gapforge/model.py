@@ -2,8 +2,10 @@
 
 Arbitrary-precision integers (CRT witnesses, primorials) are plain Python
 ints; they serialize as decimal strings so consumers in other languages can
-parse them losslessly.  Everything else is 64-bit scale and serializes as a
-JSON number.
+parse them losslessly.  Those strings may run past the interpreter's
+int/str conversion limit (4300 digits by default), so they are converted in
+chunks of at most ``_DIGIT_CHUNK`` digits.  Everything else is 64-bit scale
+and serializes as a JSON number.
 """
 
 from __future__ import annotations
@@ -13,6 +15,42 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
+
+_DIGIT_CHUNK = 4000  # digits per int/str conversion, under the 4300 default
+
+
+def _int_to_decimal(n: int) -> str:
+    """Decimal text of n >= 0, split by squared powers of ten into short pieces."""
+    powers = [10**_DIGIT_CHUNK]  # powers[i] = 10 ** (_DIGIT_CHUNK * 2**i)
+    while powers[-1] <= n:
+        powers.append(powers[-1] * powers[-1])
+
+    def padded(m: int, i: int) -> str:  # m < powers[i], zero-padded
+        if i == 0:
+            return str(m).rjust(_DIGIT_CHUNK, "0")
+        hi, lo = divmod(m, powers[i - 1])
+        return padded(hi, i - 1) + padded(lo, i - 1)
+
+    return padded(n, len(powers) - 1).lstrip("0") or "0"
+
+
+def _decimal_to_int(text: str, max_digits: int) -> int:
+    """Parse a plain decimal string of at most max_digits digits."""
+    if not isinstance(text, str) or not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected a decimal digit string, got {text!r:.40}")
+    if len(text) > max_digits:
+        raise ValueError(f"{len(text)} digits, over the {max_digits} the class primes allow")
+    return _parse_digits(text)
+
+
+def _parse_digits(text: str) -> int:
+    if len(text) <= _DIGIT_CHUNK:
+        return int(text)
+    width = _DIGIT_CHUNK
+    while 2 * width < len(text):
+        width *= 2
+    # text[:-width] is at most width digits long, so the split halves it
+    return _parse_digits(text[:-width]) * 10**width + _parse_digits(text[-width:])
 
 
 @dataclass(frozen=True)
@@ -270,7 +308,10 @@ def certificate_to_dict(
         "classes": [c.to_json() for c in cert.classes],
     }
     if witness is not None:
-        out["witness"] = {"T": str(witness.T), "P": str(witness.P)}
+        out["witness"] = {
+            "T": _int_to_decimal(witness.T),
+            "P": _int_to_decimal(witness.P),
+        }
     out["bound"] = {
         "jacobsthal_u": cert.u,
         "gap_lower_rational": cert.bound_rational().to_json(),
@@ -304,6 +345,14 @@ def certificate_from_dict(obj: dict) -> tuple[CoveringCertificate, Optional[CrtW
     )
     witness = None
     if "witness" in obj:
+        # P is the product of the class primes and T <= P, so neither has
+        # more digits than the primes together; longer text is refused
+        # before any conversion work.
         w = obj["witness"]
-        witness = CrtWitness(T=int(w["T"]), P=int(w["P"]), y=cert.y)
+        digits = max(1, sum(len(str(c.p)) for c in cert.classes))
+        witness = CrtWitness(
+            T=_decimal_to_int(w["T"], digits),
+            P=_decimal_to_int(w["P"], digits),
+            y=cert.y,
+        )
     return cert, witness

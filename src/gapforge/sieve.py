@@ -83,15 +83,38 @@ def primes_in_range(lo: int, hi: int, *, config: Optional[Config] = None) -> lis
 def prime_count_ap(
     x: int, q: int, b: int, *, config: Optional[Config] = None
 ) -> ProgressionStats:
-    """Count primes p <= x with p == b (mod q); delta is exact."""
+    """Count primes p <= x with p == b (mod q); delta is exact.
+
+    Sieves only the terms n = b + k*q, 0 <= k <= (x - b) // q, in segments
+    of cfg.segment_size terms, so the work is O(x/q) plus one strike per
+    sieving prime and segment.  Each prime p <= sqrt(x) not dividing q hits
+    the progression exactly at k == -b/q (mod p), starting from the first
+    term >= p^2, so a prime p in the progression itself is never struck.
+    """
     _validate_progression(q, b)
     if not q < x:
         raise BadProgression(f"need q < x, got q={q}, x={x}")
     cfg = config or DEFAULT
+    terms = (x - b) // q + 1
+    strikes = [
+        (p, (-b * pow(q, -1, p)) % p, max(0, (p * p - b + q - 1) // q))
+        for p in small_primes_up_to(math.isqrt(x))
+        if q % p
+    ]
     count = 0
-    for p in _iter_primes_in(0, x, cfg):
-        if p % q == b:
-            count += 1
+    for k_lo in range(0, terms, cfg.segment_size):
+        k_hi = min(k_lo + cfg.segment_size, terms)  # exclusive
+        flags = bytearray(k_hi - k_lo)  # 0 = prime
+        if k_lo == 0 and b == 1:
+            flags[0] = 1
+        for p, k0, k_sq in strikes:
+            if k_sq >= k_hi:
+                break  # k_sq grows with p, so no later prime strikes here
+            first = max(k_lo, k_sq)
+            first += (k0 - first) % p
+            if first < k_hi:
+                flags[first - k_lo :: p] = b"\x01" * ((k_hi - 1 - first) // p + 1)
+        count += flags.count(0)
     delta = Rational(count * totient(q), x)
     return ProgressionStats(q=q, b=b, x=x, count=count, delta=delta)
 

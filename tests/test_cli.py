@@ -167,6 +167,51 @@ def test_verify_malformed_json(tmp_path, capsys):
     assert code == 6
 
 
+def _hostile_anchor_certificate(tmp_path, capsys, fault):
+    """The valid certificate of (1e7, 10007, 3), then one field broken."""
+    good = tmp_path / "anchor.json"
+    code, _, _ = run(capsys, "cover", "--x", "10000000", "--q", "10007",
+                     "--b", "3", "--out", str(good))
+    assert code == 0
+    obj = json.loads(good.read_text())
+    if fault == "p_zero":
+        obj["classes"][0]["p"] = 0
+    else:
+        obj["y"] = -5
+    bad = tmp_path / f"anchor.{fault}.json"
+    bad.write_text(json.dumps(obj, indent=2) + "\n")
+    return bad
+
+
+@pytest.mark.parametrize("fault, check", [("p_zero", "kind_placement"),
+                                          ("y_negative", "covers_range")])
+def test_verify_hostile_certificate_fails_closed(tmp_path, capsys, fault, check):
+    bad = _hostile_anchor_certificate(tmp_path, capsys, fault)
+    for extra in ((), ("--strict",)):
+        code, out, err = run(capsys, "verify", str(bad), *extra, "--format", "json")
+        assert code == 5, (extra, err)
+        failed = {e["check"] for e in json.loads(out) if not e["pass"]}
+        assert check in failed, (extra, failed)
+
+
+def test_cover_witness_beyond_int_str_digit_limit(tmp_path, capsys):
+    out_path = tmp_path / "cert.json"
+    code, _, err = run(capsys, "cover", "--x", "10000000", "--q", "1009",
+                       "--b", "1", "--witness", "--out", str(out_path))
+    assert code == 0, err
+    obj = json.loads(out_path.read_text())
+    assert len(obj["witness"]["P"]) > 4300
+    code, out, _ = run(capsys, "verify", str(out_path), "--witness")
+    assert code == 0
+    assert "[PASS] witness_matches_stored" in out
+    # a stored P longer than the class primes allow is refused unparsed
+    obj["witness"]["P"] += "0" * sum(len(str(c["p"])) for c in obj["classes"])
+    out_path.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "verify", str(out_path), "--witness")
+    assert code == 6
+    assert "digits" in err
+
+
 def test_verify_json_report_is_pure_json(tmp_path, capsys):
     out_path = tmp_path / "cert.json"
     run(capsys, "cover", "--x", "100", "--q", "25", "--b", "1",

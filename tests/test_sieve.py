@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 
@@ -93,6 +94,69 @@ def test_prime_count_ap_unit_sum_invariant():
             prime_count_ap(x, q, b).count for b in range(1, q) if math.gcd(b, q) == 1
         )
         assert total == len(table) - sum(1 for p in table if q % p == 0)
+
+
+def _whole_line_table(n):
+    """Primes <= n by plain Eratosthenes over the whole line [0, n]."""
+    flags = bytearray([1]) * (n + 1)
+    flags[0:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return [i for i in range(n + 1) if flags[i]]
+
+
+_ORACLE_LIMIT = 10**6
+_ORACLE_TABLE = _whole_line_table(_ORACLE_LIMIT)
+
+
+def _whole_line_count(x, q, b):
+    """pi(x; q, b) by filtering the whole-line prime table."""
+    assert x <= _ORACLE_LIMIT
+    return sum(1 for p in _ORACLE_TABLE[: bisect.bisect_right(_ORACLE_TABLE, x)]
+               if p % q == b)
+
+
+def test_prime_count_ap_matches_whole_line_oracle():
+    cases = []
+    # b = 1 (n = 1 is the first term and is not prime) and tiny moduli,
+    # where the progression holds most of the primes
+    for q in (2, 3, 6, 30):
+        for x in (q + 1, q + 2, 100, 1009, 65_537, 300_000):
+            if x > q:
+                cases.append((x, q, 1))
+    # progressions holding primes <= sqrt(x), which must not strike themselves
+    cases += [(x, 4, 3) for x in (5, 9, 10, 25, 26, 1000, 200_000)]
+    cases += [(x, 10, b) for x in (11, 50, 121, 10_000) for b in (3, 7)]
+    cases += [(10_000, 7, b) for b in range(1, 7)]
+    cases += [(961, 30, 1), (962, 30, 1), (49 * 49, 96, 1)]  # x a prime square
+    rng = random.Random(20140101)
+    while len(cases) < 500:
+        x = rng.randrange(3, 300_000)
+        q = rng.randrange(2, min(x, 5000))
+        b = rng.randrange(1, q)
+        if math.gcd(b, q) == 1:
+            cases.append((x, q, b))
+    for x, q, b in cases:
+        assert prime_count_ap(x, q, b).count == _whole_line_count(x, q, b), (x, q, b)
+
+
+def test_prime_count_ap_many_segments():
+    small = Config(segment_size=1 << 16)
+    for x, q, b in ((10**6, 6, 1), (10**6, 3, 2), (10**6, 2, 1), (10**6, 4, 3)):
+        assert (x - b) // q + 1 > 1 << 16
+        assert prime_count_ap(x, q, b, config=small).count == _whole_line_count(x, q, b)
+
+
+def test_prime_count_ap_segmentation_independent():
+    sizes = (Config(segment_size=1 << 16), Config(segment_size=(1 << 16) + 1),
+             Config(segment_size=1 << 22))
+    # (x - b) // q + 1 exactly 2^17 terms: the last segment ends on a boundary
+    exact = 1 + ((1 << 17) - 1) * 6
+    for x, q, b in ((10**6, 2, 1), (10**6, 30, 7), (exact, 6, 1), (exact + 5, 6, 1),
+                    (999_983, 5, 3)):
+        counts = {prime_count_ap(x, q, b, config=cfg).count for cfg in sizes}
+        assert len(counts) == 1, (x, q, b, counts)
 
 
 def test_max_prime_gap_examples():

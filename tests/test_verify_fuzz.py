@@ -1,0 +1,47 @@
+"""Seeded fuzz of the certificate loader, the verifier and the verify exit code.
+
+One class of a small valid certificate gets a hostile modulus and residue,
+and y moves around its true value.  Whatever the input, verification must
+report rather than raise, and ``gapforge verify`` must exit 0, 5 or 6.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gapforge.cli import main
+from gapforge.covering import build_certificate, verify_certificate
+from gapforge.model import certificate_from_dict, certificate_to_dict
+
+BASE = certificate_to_dict(build_certificate(10_000, 101, 100))
+U, Y, N_CLASSES = BASE["u"], BASE["y"], len(BASE["classes"])
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    index=st.integers(0, N_CLASSES - 1),
+    p=st.integers(-3, U + 3),
+    a=st.integers(-3, U + 3),
+    y=st.integers(Y - 10, Y + 10),
+)
+def test_verify_never_raises_and_exits_in_range(index, p, a, y):
+    obj = json.loads(json.dumps(BASE))
+    obj["classes"][index].update(p=p, a=a)
+    obj["y"] = y
+    cert, _ = certificate_from_dict(obj)
+    for strict in (False, True):
+        report = verify_certificate(cert, strict=strict)
+        assert report.entries
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cert.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = main(["verify", path, "--strict", "--witness"])
+    assert code in (0, 5, 6), sink.getvalue()
