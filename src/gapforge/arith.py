@@ -15,8 +15,12 @@ from .model import CrtWitness, ResidueClass
 # Small primes used both for trial division and to seed the factorizer.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Fixed witness set proving primality for every n < 2**64
-# (the classic seven-base set from miller-rabin.appspot.com).
+# Fixed Miller-Rabin witness sets.  (2, 7, 61) proves primality for every
+# n < 4,759,123,141, the least strong pseudoprime to all three bases
+# (Jaeschke, Math. Comp. 61, 1993); the classic seven-base set from
+# miller-rabin.appspot.com proves it for every n < 2**64.
+_MR_SMALL_LIMIT = 4_759_123_141
+_MR_SMALL_BASES = (2, 7, 61)
 _MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
@@ -34,7 +38,12 @@ def mod_inverse(a: int, m: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test, exact for all n < 2**64."""
+    """Deterministic primality test, exact for all n < 2**64.
+
+    Trial division by the primes up to 37, then strong probable-prime tests
+    to the bases (2, 7, 61) below 4,759,123,141 and to the seven-base set
+    from there up to 2**64.  At and above 2**64 a True is not a proof.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -45,7 +54,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_SMALL_BASES if n < _MR_SMALL_LIMIT else _MR_BASES:
         a %= n
         if a == 0:
             continue
@@ -190,11 +199,10 @@ def _normalize_classes(classes: Iterable) -> list[tuple[int, int]]:
 def crt_combine(classes: Iterable) -> CrtWitness:
     """Combine residue classes into T with T == -a_p (mod p) for each (p, a_p).
 
-    Accepts ResidueClass objects or bare (p, a) pairs; the moduli must be
-    distinct primes.  Returns T in [0, P) with P the product of the moduli.
-
-    Uses a product/remainder-tree CRT basis, so even tens of thousands of
-    classes combine in well under a second without any big-integer inverses.
+    Accepts ResidueClass objects or bare (p, a) pairs.  The moduli are checked
+    first: a repeated one raises DuplicateModulus, a composite one ValueError.
+    Returns T in [0, P) with P the product of the moduli, computed by _crt
+    from a single product tree of the primes.
     """
     pairs = _normalize_classes(classes)
     if not pairs:
@@ -206,31 +214,41 @@ def crt_combine(classes: Iterable) -> CrtWitness:
         seen.add(p)
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
+    return _crt([p for p, _ in pairs], [(-a) % p for p, a in pairs])
 
-    primes = [p for p, _ in pairs]
-    residues = [(-a) % p for p, a in pairs]
-    if len(pairs) == 1:
-        return CrtWitness(T=residues[0], P=primes[0])
 
+def _crt(primes: Sequence[int], residues: Sequence[int]) -> CrtWitness:
+    """T in [0, P) with T == residues[i] (mod primes[i]); primes distinct.
+
+    One product tree of the primes serves both passes, with no big-integer
+    inverse.  Downwards, each node N = L*R hands its children the scaled
+    remainders c_L = c_N*R mod L and c_R = c_N*L mod R from c_root = 1, so
+    every leaf receives (P/p) mod p (Bernstein's scaled remainder tree).
+    Upwards, the values v = sum(c_i * N/p_i) combine as v_L*R + v_R*L, with
+    the node products read from the tree.
+    """
     tree = _product_tree(primes)
     P = tree[-1][0]
-    # (P/p) mod p, extracted from P mod p^2: P = K*p^2 + s with p | s.
-    squares = [p * p for p in primes]
-    s_vals = multi_mod(P, squares)
-    coeffs = []
-    for p, r, s in zip(primes, residues, s_vals):
-        lam = pow(s // p, -1, p)  # inverse of (P/p) mod p
-        coeffs.append(r * lam % p)
-    # Combine sum(c_i * P/p_i) up the tree: each node tracks (value, product).
-    level = [(c, p) for c, p in zip(coeffs, primes)]
-    while len(level) > 1:
+    scaled = [1]
+    for level in reversed(tree[:-1]):
         nxt = []
         for i in range(0, len(level), 2):
+            c = scaled[i // 2]
             if i + 1 < len(level):
-                (v1, m1), (v2, m2) = level[i], level[i + 1]
-                nxt.append((v1 * m2 + v2 * m1, m1 * m2))
+                left, right = level[i], level[i + 1]
+                nxt.append(c * right % left)
+                nxt.append(c * left % right)
             else:
-                nxt.append(level[i])
-        level = nxt
-    T = level[0][0] % P
-    return CrtWitness(T=T, P=P)
+                nxt.append(c)
+        scaled = nxt
+    values = [
+        r * pow(s, -1, p) % p for p, r, s in zip(primes, residues, scaled)
+    ]
+    for level in tree[:-1]:
+        values = [
+            values[i] * level[i + 1] + values[i + 1] * level[i]
+            if i + 1 < len(level)
+            else values[i]
+            for i in range(0, len(level), 2)
+        ]
+    return CrtWitness(T=values[0] % P, P=P)

@@ -18,7 +18,12 @@ from fractions import Fraction
 
 from . import config as config_mod
 from .arith import totient
-from .covering import build_certificate, crt_witness, scenario_bound, verify_certificate
+from .covering import (
+    _witness_of_verified,
+    build_certificate,
+    scenario_bound,
+    verify_certificate,
+)
 from .errors import (
     BadProgression,
     DomainError,
@@ -117,8 +122,9 @@ def _parse_delta(text: str) -> Rational:
 
 def _cmd_cover(args, cfg) -> int:
     override = _parse_delta(args.delta) if args.delta is not None else None
+    # build_certificate has verified cert before returning it
     cert = build_certificate(args.x, args.q, args.b, override, config=cfg)
-    witness = crt_witness(cert, config=cfg) if args.witness else None
+    witness = _witness_of_verified(cert) if args.witness else None
     text = certificate_to_json(cert, witness)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -148,7 +154,7 @@ def _cmd_verify(args, cfg) -> int:
     if args.witness:
         if report.ok:
             try:
-                w = crt_witness(cert, config=cfg)
+                w = _witness_of_verified(cert)
                 report.add("witness_validates", True, f"T covers all {cert.y + 1} offsets")
                 if stored is not None:
                     same = stored.T == w.T and stored.P == w.P

@@ -17,7 +17,7 @@ import math
 from decimal import Decimal, localcontext
 from typing import Optional
 
-from .arith import crt_combine, factorize, is_prime, mod_inverse, multi_mod
+from .arith import _crt, factorize, is_prime, mod_inverse, multi_mod
 from .config import DEFAULT, Config
 from .errors import (
     BadProgression,
@@ -303,12 +303,17 @@ def verify_certificate(
         len(set(primes)) == len(primes),
         "" if len(set(primes)) == len(primes) else "a modulus repeats",
     )
-    bad_prime = next((p for p in primes if not is_prime(p)), None)
-    report.add(
-        "class_primes_prime",
-        bad_prime is None,
-        "" if bad_prime is None else f"p={bad_prime} is not prime",
-    )
+    # is_prime is a proof only up to _U64_MAX; larger moduli are not tested
+    bad_prime = next((p for p in primes if p > _U64_MAX or not is_prime(p)), None)
+    if bad_prime is None:
+        prime_detail = ""
+    elif bad_prime > _U64_MAX:
+        prime_detail = (
+            f"p={bad_prime} is at or above 2**64, where primality is unproven"
+        )
+    else:
+        prime_detail = f"p={bad_prime} is not prime"
+    report.add("class_primes_prime", bad_prime is None, prime_detail)
     over = next((p for p in primes if p > cert.u), None)
     report.add(
         "class_primes_at_most_u",
@@ -457,11 +462,9 @@ def crt_witness(
 ) -> CrtWitness:
     """Concrete T with T + n divisible by a class prime for all n in [0, y].
 
-    T solves T == -a_p (mod p) over every class; a T of 0 is shifted up by
-    one period so the witness run sits strictly inside the positive
-    integers.  Validation walks all y + 1 offsets through the actual
-    residues of T, which is the gcd(T + n, P) > 1 check evaluated without
-    materializing y big gcds.
+    Verifies the certificate once, raising InvalidCertificate on any failure,
+    then builds T with _witness_of_verified: one product tree of the class
+    primes for the combination, then a residue check that T covers [0, y].
     """
     cfg = config or DEFAULT
     report = verify_certificate(cert, config=cfg)
@@ -469,11 +472,24 @@ def crt_witness(
         raise InvalidCertificate(
             "; ".join(f"{e.check}: {e.detail}" for e in report.failures)
         )
-    combined = crt_combine(cert.classes)
+    return _witness_of_verified(cert)
+
+
+def _witness_of_verified(cert: CoveringCertificate) -> CrtWitness:
+    """The CRT witness of a certificate that verify_certificate has passed.
+
+    T solves T == -a_p (mod p) over every class, combined on one product tree
+    of the distinct class primes; a T of 0 is shifted up by one period so the
+    witness run sits strictly inside the positive integers.  Validation walks
+    all y + 1 offsets through the actual residues of T, which is the
+    gcd(T + n, P) > 1 check evaluated without materializing y big gcds, and
+    is independent of the combination.
+    """
+    primes = [c.p for c in cert.classes]
+    combined = _crt(primes, [(-c.a) % c.p for c in cert.classes])
     T, P = combined.T, combined.P
     if T == 0:
         T += P
-    primes = [c.p for c in cert.classes]
     residues = multi_mod(T, primes)
     flags = bytearray(cert.y + 1)
     for p, r in zip(primes, residues):
@@ -481,7 +497,7 @@ def crt_witness(
         if start <= cert.y:
             flags[start::p] = b"\x01" * ((cert.y - start) // p + 1)
     miss = flags.find(0)
-    if miss != -1:  # pragma: no cover - coverage check above rules this out
+    if miss != -1:  # pragma: no cover - the coverage check rules this out
         raise InvalidCertificate(f"gcd(T+{miss}, P) = 1; witness is not covered")
     return CrtWitness(T=T, P=P, y=cert.y)
 

@@ -199,3 +199,27 @@ def test_multi_mod_matches_direct_reduction():
     assert multi_mod(value, mods) == [value % m for m in mods]
     assert multi_mod(value, []) == []
     assert multi_mod(value, [7]) == [value % 7]
+
+
+# least strong pseudoprime to bases 2, 7 and 61: the end of their proven range
+SMALL_BASE_LIMIT = 4_759_123_141
+
+
+def test_is_prime_rejects_strong_pseudoprimes_near_base_limits():
+    assert SMALL_BASE_LIMIT == 48781 * 97561
+    for n in (
+        SMALL_BASE_LIMIT,
+        2152302898747,  # strong pseudoprime to 2, 3, 5, 7, 11
+        3474749660383,  # strong pseudoprime to 2, 3, 5, 7, 11, 13
+        341550071728321,  # strong pseudoprime to 2, ..., 17
+        3825123056546413051,  # strong pseudoprime to 2, ..., 23
+    ):
+        assert not is_prime(n), n
+
+
+def test_is_prime_matches_trial_division_around_base_limit():
+    rng = random.Random(47)
+    values = [SMALL_BASE_LIMIT + rng.randrange(-10**5, 10**5 + 1) for _ in range(200)]
+    assert min(values) < SMALL_BASE_LIMIT < max(values)
+    for n in values:
+        assert is_prime(n) == _trial_division(n), n

@@ -312,3 +312,21 @@ def test_resource_limit_exit(capsys):
                        "--period-cap", str(1 << 20))
     assert code == 2
     assert "resource" in err.lower()
+
+
+def test_verify_refuses_class_prime_above_64_bits(tmp_path, capsys):
+    out_path = tmp_path / "cert.json"
+    code, _, err = run(capsys, "cover", "--x", "10000", "--q", "101",
+                       "--b", "100", "--out", str(out_path))
+    assert code == 0, err
+    obj = json.loads(out_path.read_text())
+    for cls in obj["classes"]:
+        if cls["kind"] == "matched":
+            cls["kind"] = "forced"
+    obj["u"] = 2**89
+    obj["classes"].append({"p": 2**89 - 1, "a": 0, "kind": "matched"})
+    out_path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "verify", str(out_path), "--format", "json")
+    assert code == 5
+    failed = [e["check"] for e in json.loads(out) if not e["pass"]]
+    assert failed == ["class_primes_prime"]

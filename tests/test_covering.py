@@ -337,3 +337,34 @@ def test_greedy_contraction_and_derivation():
         assert [c.p for c in classes] == sorted(
             p for p in primes if 2 * p <= u
         )
+
+
+def _beyond_64_bit_certificate_dict():
+    """A certificate that is sound except for a class prime above 2**64.
+
+    Matched classes are relabelled forced so kind placement holds at the
+    raised u; the new matched class p = 2**89 - 1 is in fact prime, but no
+    test in the package proves a modulus that large.
+    """
+    obj = certificate_to_dict(build_certificate(10**4, 101, 100))
+    for cls in obj["classes"]:
+        if cls["kind"] == ClassKind.MATCHED.value:
+            cls["kind"] = ClassKind.FORCED.value
+    obj["u"] = 2**89
+    obj["classes"].append({"p": 2**89 - 1, "a": 0, "kind": ClassKind.MATCHED.value})
+    return obj
+
+
+def test_verify_fails_closed_above_64_bits(monkeypatch):
+    cert, _ = certificate_from_dict(_beyond_64_bit_certificate_dict())
+    tested = []
+
+    def recording_is_prime(n):
+        tested.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr("gapforge.covering.is_prime", recording_is_prime)
+    report = verify_certificate(cert)
+    assert [e.check for e in report.failures] == ["class_primes_prime"]
+    assert "2**64" in report.failures[0].detail
+    assert max(tested) < 2**64

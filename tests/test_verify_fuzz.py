@@ -1,7 +1,9 @@
 """Seeded fuzz of the certificate loader, the verifier and the verify exit code.
 
 One class of a small valid certificate gets a hostile modulus and residue,
-and y moves around its true value.  Whatever the input, verification must
+and y moves around its true value.  Moduli come from around the certificate's
+own range and from just below and above 2**64, where primality stops being
+proven.  Whatever the input, verification must
 report rather than raise, and ``gapforge verify`` must exit 0, 5 or 6.
 """
 
@@ -25,7 +27,7 @@ U, Y, N_CLASSES = BASE["u"], BASE["y"], len(BASE["classes"])
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(
     index=st.integers(0, N_CLASSES - 1),
-    p=st.integers(-3, U + 3),
+    p=st.one_of(st.integers(-3, U + 3), st.integers(2**64 - 3, 2**64 + 3)),
     a=st.integers(-3, U + 3),
     y=st.integers(Y - 10, Y + 10),
 )
@@ -37,6 +39,8 @@ def test_verify_never_raises_and_exits_in_range(index, p, a, y):
     for strict in (False, True):
         report = verify_certificate(cert, strict=strict)
         assert report.entries
+        if p >= 2**64:
+            assert "class_primes_prime" in {e.check for e in report.failures}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cert.json")
         with open(path, "w", encoding="utf-8") as fh:
