@@ -66,6 +66,7 @@ from .sieve import (
     primes_in_range,
     primes_up_to,
     rough_gap_scan,
+    scan_deficits,
 )
 
 __version__ = "0.1.0"

@@ -23,6 +23,9 @@ _MR_SMALL_LIMIT = 4_759_123_141
 _MR_SMALL_BASES = (2, 7, 61)
 _MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
+# is_prime is a proof below this bound and nothing at or above it.
+PROVEN_LIMIT = 2**64
+
 
 def mod_inverse(a: int, m: int) -> int:
     """Inverse of a modulo m, in [1, m).
@@ -200,7 +203,8 @@ def crt_combine(classes: Iterable) -> CrtWitness:
     """Combine residue classes into T with T == -a_p (mod p) for each (p, a_p).
 
     Accepts ResidueClass objects or bare (p, a) pairs.  The moduli are checked
-    first: a repeated one raises DuplicateModulus, a composite one ValueError.
+    first: a repeated one raises DuplicateModulus, a composite one, or one at
+    or above 2**64 where primality is unproven, ValueError.
     Returns T in [0, P) with P the product of the moduli, computed by _crt
     from a single product tree of the primes.
     """
@@ -212,6 +216,8 @@ def crt_combine(classes: Iterable) -> CrtWitness:
         if p in seen:
             raise DuplicateModulus(f"modulus {p} appears twice")
         seen.add(p)
+        if p >= PROVEN_LIMIT:
+            raise ValueError(f"modulus {p} >= 2**64: primality is unproven")
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
     return _crt([p for p, _ in pairs], [(-a) % p for p, a in pairs])

@@ -12,12 +12,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from fractions import Fraction
 
 from . import config as config_mod
-from .arith import totient
 from .covering import (
     _witness_of_verified,
     build_certificate,
@@ -35,7 +33,7 @@ from .errors import (
 )
 from .jacobsthal import jacobsthal_exact
 from .model import Rational, certificate_from_dict, certificate_to_json
-from .sieve import least_prime_ap, max_prime_gap, prime_count_ap, primes_up_to
+from .sieve import least_prime_ap, max_prime_gap, prime_count_ap, scan_deficits
 
 EXIT_OK = 0
 EXIT_ARGS = 1
@@ -182,35 +180,17 @@ def _cmd_verify(args, cfg) -> int:
 
 
 def _cmd_scan(args, cfg) -> int:
-    rows = []
-    if args.qmin <= args.qmax and args.qmin < args.x:
-        primes = primes_up_to(args.x, config=cfg)
-        for q in range(max(2, args.qmin), min(args.qmax, args.x - 1) + 1):
-            counts: dict[int, int] = {}
-            for p in primes:
-                r = p % q
-                counts[r] = counts.get(r, 0) + 1
-            phi = totient(q)
-            for b in range(1, q):
-                if math.gcd(b, q) != 1:
-                    continue
-                count = counts.get(b, 0)
-                delta = Rational(count * phi, args.x)
-                rows.append((Fraction(delta.num, delta.den), q, b, count, delta))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    rows = rows[: args.top]
+    rows = scan_deficits(args.x, args.qmin, args.qmax, args.top, config=cfg)
     table = [f"{'q':>6} {'b':>6} {'count':>8}  delta"]
-    table += [f"{q:>6} {b:>6} {count:>8}  {delta} ≈ {float(delta):.6g}"
-              for _, q, b, count, delta in rows]
+    table += [f"{r.q:>6} {r.b:>6} {r.count:>8}  {r.delta} ≈ {float(r.delta):.6g}"
+              for r in rows]
     _emit(
         cfg,
         table,
-        [
-            {"q": q, "b": b, "count": count, "delta": delta.to_json()}
-            for _, q, b, count, delta in rows
-        ],
+        [{"q": r.q, "b": r.b, "count": r.count, "delta": r.delta.to_json()}
+         for r in rows],
         ["q", "b", "count", "delta_num", "delta_den"],
-        [[q, b, count, delta.num, delta.den] for _, q, b, count, delta in rows],
+        [[r.q, r.b, r.count, r.delta.num, r.delta.den] for r in rows],
     )
     return EXIT_OK
 

@@ -7,9 +7,9 @@ Budget semantics: operations that materialize a whole window (``primes_up_to``,
 segmented scans only allocate one segment at a time and are instead capped at
 ``memory_budget * 8`` scanned integers (the bit-array reading of the budget).
 
-``segment_size`` counts odd numbers per segment in the whole-line sieves and
-progression terms ``b + k*q`` per segment in ``prime_count_ap``, which sieves
-only the progression and so costs O(x/q) rather than O(x).
+``segment_size`` counts odd numbers per segment of the sieve kernel, so it
+also sets the rough-scan segment (2 * segment_size integers), and progression
+terms ``b + k*q`` per segment in ``prime_count_ap``, which costs O(x/q).
 """
 
 import os

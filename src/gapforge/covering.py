@@ -17,7 +17,7 @@ import math
 from decimal import Decimal, localcontext
 from typing import Optional
 
-from .arith import _crt, factorize, is_prime, mod_inverse, multi_mod
+from .arith import PROVEN_LIMIT, _crt, factorize, is_prime, mod_inverse, multi_mod
 from .config import DEFAULT, Config
 from .errors import (
     BadProgression,
@@ -303,11 +303,11 @@ def verify_certificate(
         len(set(primes)) == len(primes),
         "" if len(set(primes)) == len(primes) else "a modulus repeats",
     )
-    # is_prime is a proof only up to _U64_MAX; larger moduli are not tested
-    bad_prime = next((p for p in primes if p > _U64_MAX or not is_prime(p)), None)
+    # is_prime is a proof only below PROVEN_LIMIT; larger moduli are not tested
+    bad_prime = next((p for p in primes if p >= PROVEN_LIMIT or not is_prime(p)), None)
     if bad_prime is None:
         prime_detail = ""
-    elif bad_prime > _U64_MAX:
+    elif bad_prime >= PROVEN_LIMIT:
         prime_detail = (
             f"p={bad_prime} is at or above 2**64, where primality is unproven"
         )

@@ -61,4 +61,5 @@ class InvalidCertificate(GapforgeError):
 
 
 class DomainError(GapforgeError):
-    """Scenario inputs outside the admissible domain."""
+    """Inputs outside the admissible domain: scenario parameters, or a prime
+    search that reaches 2**64, past which primality is unproven."""

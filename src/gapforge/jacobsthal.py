@@ -1,56 +1,21 @@
 """Exact maximal rough-number gaps over one full primorial period, and
 lower bounds on them extracted from covering certificates.
 
-The exact scan here is numpy-vectorized and deliberately shares no code
-with sieve.rough_gap_scan, which the tests use as an independent oracle.
+The exact scan is sieve.rough_gap_scan over the period, so it runs on the
+sieve module's numpy segment kernel; the tests check it against a
+pure-Python oracle of their own.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from . import covering
 from .arith import multi_mod, primorial, small_primes_up_to
 from .config import DEFAULT, Config
 from .errors import PeriodTooLarge
 from .model import CoveringCertificate, GapRecord, JacobsthalValue, Rational
-
-
-def _max_rough_gap(
-    primes: list[int], start: int, stop: int, seg_len: int
-) -> GapRecord:
-    """Largest gap between consecutive unstruck positions in [start, stop].
-
-    A position is struck when divisible by any of the primes.  First maximal
-    gap wins, so the record has the smallest left witness.
-    """
-    best_gap = 0
-    best_lo = best_hi = 0
-    prev = -1
-    for seg_lo in range(start, stop + 1, seg_len):
-        seg_hi = min(seg_lo + seg_len, stop + 1)  # exclusive
-        struck = np.zeros(seg_hi - seg_lo, dtype=bool)
-        for p in primes:
-            first = seg_lo + (-seg_lo) % p
-            if first < seg_hi:
-                struck[first - seg_lo :: p] = True
-        rough = np.flatnonzero(~struck)
-        if rough.size == 0:
-            continue
-        first_pos = int(rough[0]) + seg_lo
-        if prev >= 0 and first_pos - prev > best_gap:
-            best_gap, best_lo, best_hi = first_pos - prev, prev, first_pos
-        if rough.size > 1:
-            diffs = np.diff(rough)
-            i = int(np.argmax(diffs))  # first maximum
-            if int(diffs[i]) > best_gap:
-                best_gap = int(diffs[i])
-                best_lo = int(rough[i]) + seg_lo
-                best_hi = int(rough[i + 1]) + seg_lo
-        prev = int(rough[-1]) + seg_lo
-    return GapRecord(best_gap, best_lo, best_hi)
+from .sieve import rough_gap_scan
 
 
 def jacobsthal_exact(
@@ -61,7 +26,8 @@ def jacobsthal_exact(
     Scans the full period [1, P + 1], P = primorial(u), striking multiples
     of every prime <= u; both endpoints of the window are rough, so every
     gap class of the periodic pattern appears exactly once.  Refuses with
-    PeriodTooLarge when P exceeds the cap rather than approximating.
+    PeriodTooLarge when P exceeds the cap rather than approximating, and
+    with ResourceLimit when it exceeds the scan budget.
     """
     cfg = config or DEFAULT
     if u < 2:
@@ -70,8 +36,7 @@ def jacobsthal_exact(
     period = primorial(u)
     if period > cap:
         raise PeriodTooLarge(f"primorial({u}) = {period} exceeds the cap {cap}")
-    primes = small_primes_up_to(u)
-    witness = _max_rough_gap(primes, 1, period + 1, 2 * cfg.segment_size)
+    witness = rough_gap_scan(u, 1, period + 1, config=cfg)
     return JacobsthalValue(u=u, value=witness.gap, witness=witness, exact=True)
 
 

@@ -1,10 +1,11 @@
 """Segmented prime generation and scanning.
 
-Prime lists, prime counts in progressions, maximal prime gaps, least primes
-in progressions, and gap scans over rough numbers (integers free of small
-prime factors).  Scans are windowed: memory stays bounded by the configured
-segment size and results are independent of the segmentation, which the test
-suite checks explicitly.
+Prime lists, prime counts in progressions, deficit scans, maximal prime
+gaps, least primes in progressions, and gap scans over rough numbers
+(integers free of small prime factors).  Lists, gaps and scans share one
+numpy segment kernel over the odd numbers.  Memory stays bounded by the
+configured segment size and results are independent of the segmentation,
+which the test suite checks explicitly.
 """
 
 from __future__ import annotations
@@ -12,9 +13,11 @@ from __future__ import annotations
 import math
 from typing import Iterator, Optional
 
-from .arith import is_prime, small_primes_up_to, totient
+import numpy as np
+
+from .arith import PROVEN_LIMIT, is_prime, small_primes_up_to, totient
 from .config import DEFAULT, Config
-from .errors import BadProgression, EmptyRange, ResourceLimit
+from .errors import BadProgression, DomainError, EmptyRange, ResourceLimit
 from .model import GapRecord, ProgressionStats, Rational
 
 
@@ -25,50 +28,82 @@ def _check_window(span: int, cfg: Config, what: str) -> None:
         )
 
 
-def _iter_primes_in(lo: int, hi: int, cfg: Config) -> Iterator[int]:
-    """Yield primes p with lo < p <= hi, ascending, odd-only segments."""
-    if hi < 2 or hi <= lo:
-        return
-    if lo < 2:
-        yield 2
-    base = [p for p in small_primes_up_to(math.isqrt(hi)) if p != 2]
-    start = max(3, lo + 1)
-    if start % 2 == 0:
-        start += 1
+def _odd_survivors(
+    lo: int, hi: int, primes: list[int], span: int, *, from_square: bool
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The segment kernel: the odd n in [lo, hi] that no prime in primes strikes.
+
+    Each odd prime p strikes its odd multiples: every one of them for a
+    rough scan, or only those from p*p on (from_square) for a prime sieve,
+    where p itself survives.  Yields (base, offsets) per segment of span odd
+    numbers, offsets an ascending int64 array of n - base.  base stays a
+    Python int, so windows past 2**63 are exact.
+    """
+    start = lo | 1
     last = hi if hi % 2 else hi - 1
-    span = 2 * cfg.segment_size
-    seg_lo = start
-    while seg_lo <= last:
-        seg_hi = min(seg_lo + span - 2, last)  # inclusive, odd
-        count = (seg_hi - seg_lo) // 2 + 1
-        flags = bytearray(count)  # 0 = prime candidate
-        for p in base:
-            if p * p > seg_hi:
-                break
-            first = max(p * p, (seg_lo + p - 1) // p * p)
+    while start <= last:
+        stop = min(start + 2 * (span - 1), last)  # inclusive, odd
+        struck = np.zeros((stop - start) // 2 + 1, dtype=bool)
+        for p in primes:
+            first = max(-(-start // p) * p, p * p if from_square else start)
             if first % 2 == 0:
                 first += p
-            if first > seg_hi:
-                continue
-            idx = (first - seg_lo) // 2
-            flags[idx::p] = b"\x01" * ((seg_hi - first) // (2 * p) + 1)
-        pos = flags.find(0)
-        while pos != -1:
-            yield seg_lo + 2 * pos
-            pos = flags.find(0, pos + 1)
-        seg_lo = seg_hi + 2
+            if first <= stop:
+                struck[(first - start) // 2 :: p] = True
+        yield start, 2 * np.flatnonzero(~struck)
+        start = stop + 2
 
 
-def primes_up_to(n: int, *, config: Optional[Config] = None) -> list[int]:
-    """All primes <= n, ascending."""
-    cfg = config or DEFAULT
+def _odd_primes(lo: int, hi: int, cfg: Config) -> Iterator[tuple[int, np.ndarray]]:
+    """Kernel segments holding the odd primes p with lo <= p <= hi."""
+    base = small_primes_up_to(math.isqrt(max(hi, 0)))[1:]
+    return _odd_survivors(max(3, lo), hi, base, cfg.segment_size, from_square=True)
+
+
+def _max_gap(
+    segments: Iterator[tuple[int, np.ndarray]], prev: Optional[int] = None
+) -> tuple[GapRecord, int]:
+    """First maximal gap between consecutive kernel survivors, and their number.
+
+    prev, if given, is a survivor before the first segment.  Each boundary
+    gap is read before the segment's own, and only a strictly larger gap
+    replaces the record, so ties go to the smallest left witness.
+    """
+    best = GapRecord(0, 0, 0)
+    found = 0
+    for base, offs in segments:
+        if offs.size == 0:
+            continue
+        found += offs.size
+        first = base + int(offs[0])
+        if prev is not None and first - prev > best.gap:
+            best = GapRecord(first - prev, prev, first)
+        if offs.size > 1:
+            diffs = np.diff(offs)
+            i = int(np.argmax(diffs))  # first maximum
+            if int(diffs[i]) > best.gap:
+                lo = base + int(offs[i])
+                best = GapRecord(int(diffs[i]), lo, lo + int(diffs[i]))
+        prev = base + int(offs[-1])
+    return best, found
+
+
+def _prime_array(n: int, cfg: Config) -> np.ndarray:
+    """All primes <= n as an int64 array (n fits the memory budget, so int64)."""
     if n < 0:
         raise ValueError("n must be non-negative")
     if n + 1 > cfg.memory_budget:
         raise ResourceLimit(
             f"prime list up to {n} exceeds the {cfg.memory_budget}-byte budget"
         )
-    return list(_iter_primes_in(0, n, cfg))
+    parts = [np.array([2] if n >= 2 else [], dtype=np.int64)]
+    parts += [offs + base for base, offs in _odd_primes(3, n, cfg)]
+    return np.concatenate(parts)
+
+
+def primes_up_to(n: int, *, config: Optional[Config] = None) -> list[int]:
+    """All primes <= n, ascending."""
+    return _prime_array(n, config or DEFAULT).tolist()
 
 
 def primes_in_range(lo: int, hi: int, *, config: Optional[Config] = None) -> list[int]:
@@ -77,7 +112,10 @@ def primes_in_range(lo: int, hi: int, *, config: Optional[Config] = None) -> lis
     if lo > hi:
         raise ValueError("need lo <= hi")
     _check_window(hi - lo, cfg, "prime range scan")
-    return list(_iter_primes_in(lo, hi, cfg))
+    out = [2] if lo < 2 <= hi else []
+    for base, offs in _odd_primes(lo + 1, hi, cfg):
+        out += [base + o for o in offs.tolist()]
+    return out
 
 
 def prime_count_ap(
@@ -128,22 +166,22 @@ def max_prime_gap(x: int, *, config: Optional[Config] = None) -> GapRecord:
     if x < 5:
         raise ValueError("need x >= 5 so at least one gap exists")
     _check_window(x, cfg, "prime gap scan")
-    best = GapRecord(0, 0, 0)
-    prev = None
-    for p in _iter_primes_in(0, x, cfg):
-        if prev is not None and p - prev > best.gap:
-            best = GapRecord(p - prev, prev, p)
-        prev = p
-    return best
+    return _max_gap(_odd_primes(3, x, cfg), prev=2)[0]
 
 
 def least_prime_ap(q: int, b: int, limit: int) -> Optional[int]:
-    """Smallest prime p == b (mod q) with p <= limit, or None if none exists."""
+    """Smallest prime p == b (mod q) with p <= limit, or None if none exists.
+
+    Raises DomainError when the search reaches 2**64 before finding a
+    prime, since primality is unproven there.
+    """
     _validate_progression(q, b)
     if limit < q:
         raise BadProgression(f"need limit >= q, got limit={limit}, q={q}")
     k = b
     while k <= limit:
+        if k >= PROVEN_LIMIT:
+            raise DomainError(f"candidate {k} >= 2**64: primality is unproven")
         if k > 1 and is_prime(k):
             return k
         k += q
@@ -155,9 +193,10 @@ def rough_gap_scan(
 ) -> GapRecord:
     """Largest gap between consecutive u-rough integers found in [lo, hi].
 
-    An integer is u-rough when it has no prime factor <= u; 1 qualifies.
-    Ties go to the smallest left witness.  Raises EmptyRange when the window
-    holds fewer than two rough integers.
+    An integer is u-rough when it has no prime factor <= u; 1 qualifies,
+    and since u >= 2 every rough integer is odd.  Ties go to the smallest
+    left witness.  Raises EmptyRange when the window holds fewer than two
+    rough integers.
     """
     cfg = config or DEFAULT
     if u < 2:
@@ -165,35 +204,43 @@ def rough_gap_scan(
     if lo >= hi:
         raise ValueError("need lo < hi")
     _check_window(hi - lo, cfg, "rough gap scan")
-    primes = small_primes_up_to(u)
-    span = 2 * cfg.segment_size
-    best = GapRecord(0, 0, 0)
-    prev = None
-    found = 0
-    seg_lo = lo
-    while seg_lo <= hi:
-        seg_hi = min(seg_lo + span - 1, hi)  # inclusive
-        flags = bytearray(seg_hi - seg_lo + 1)  # 0 = rough
-        for p in primes:
-            first = (seg_lo + p - 1) // p * p
-            if first > seg_hi:
-                continue
-            idx = first - seg_lo
-            flags[idx::p] = b"\x01" * ((seg_hi - first) // p + 1)
-        pos = flags.find(0)
-        while pos != -1:
-            n = seg_lo + pos
-            if prev is not None and n - prev > best.gap:
-                best = GapRecord(n - prev, prev, n)
-            prev = n
-            found += 1
-            pos = flags.find(0, pos + 1)
-        seg_lo = seg_hi + 1
+    odd_primes = small_primes_up_to(u)[1:]
+    segments = _odd_survivors(lo, hi, odd_primes, cfg.segment_size, from_square=False)
+    best, found = _max_gap(segments)
     if found < 2:
         raise EmptyRange(
             f"only {found} {u}-rough integer(s) in [{lo}, {hi}]; no gap to report"
         )
     return best
+
+
+def scan_deficits(
+    x: int, qmin: int, qmax: int, top: int, *, config: Optional[Config] = None
+) -> list[ProgressionStats]:
+    """The progressions b mod q, qmin <= q <= qmax, q < x, with the fewest primes.
+
+    Every unit b mod q is a row, empty progressions included.  Rows rank by
+    delta = count * phi(q) / x, then q, then b; x is the same for every row,
+    so the exact integer count * phi(q) orders them as delta does.  Returns
+    ranking[:top] (a Python slice), building each delta only for those rows.
+    """
+    cfg = config or DEFAULT
+    ranking = []
+    if qmin <= qmax and qmin < x:
+        primes = _prime_array(x, cfg)
+        for q in range(max(2, qmin), min(qmax, x - 1) + 1):
+            phi = totient(q)
+            counts = np.bincount(primes % q, minlength=q)
+            units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
+            ranking += [
+                (count * phi, q, b, count)
+                for b, count in zip(units.tolist(), counts[units].tolist())
+            ]
+    ranking.sort()
+    return [
+        ProgressionStats(q=q, b=b, x=x, count=count, delta=Rational(key, x))
+        for key, q, b, count in ranking[:top]
+    ]
 
 
 def _validate_progression(q: int, b: int) -> None:

@@ -1,0 +1,28 @@
+import pytest
+
+
+def _rough_gap_oracle(u, lo, hi):
+    """(gap, lo, hi) of the first maximal gap between u-rough integers in [lo, hi].
+
+    Plain trial-division primes and a bytearray sieve over the window; it
+    shares no code with gapforge, so it can check the numpy segment kernel.
+    """
+    primes = [k for k in range(2, u + 1) if all(k % d for d in range(2, k))]
+    flags = bytearray(hi - lo + 1)  # 0 = rough
+    for p in primes:
+        first = -(-lo // p) * p - lo
+        flags[first::p] = b"\x01" * len(range(first, hi - lo + 1, p))
+    best = (0, 0, 0)
+    prev = None
+    i = flags.find(0)
+    while i != -1:
+        if prev is not None and lo + i - prev > best[0]:
+            best = (lo + i - prev, prev, lo + i)
+        prev = lo + i
+        i = flags.find(0, i + 1)
+    return best
+
+
+@pytest.fixture
+def rough_gap_oracle():
+    return _rough_gap_oracle

@@ -166,6 +166,17 @@ def test_crt_combine_rejects_composite_modulus():
         crt_combine([(4, 1)])
 
 
+def test_crt_combine_refuses_modulus_past_proven_range():
+    # 2**89 - 1 is prime, but no test here proves a modulus that large
+    with pytest.raises(ValueError, match="unproven"):
+        crt_combine([(2**89 - 1, 5)])
+    with pytest.raises(ValueError, match="unproven"):
+        crt_combine([(3, 1), (2**64 + 13, 0)])
+    largest = 2**64 - 59  # the largest prime below 2**64
+    w = crt_combine([(largest, 5)])
+    assert (w.T, w.P) == (largest - 5, largest)
+
+
 def test_crt_combine_recheck_property():
     rng = random.Random(23)
     primes = small_primes_up_to(500)

@@ -65,6 +65,14 @@ def test_pi_ap(capsys):
     assert obj["delta"] == {"num": 13, "den": 50}
 
 
+def test_least_prime_refuses_past_proven_range(capsys):
+    code, out, err = run(capsys, "least-prime", "--q", str(2**64), "--b", "1",
+                         "--limit", str(2**70))
+    assert code == 1
+    assert out == ""
+    assert "unproven" in err
+
+
 def test_least_prime(capsys):
     code, out, _ = run(capsys, "least-prime", "--q", "25", "--b", "1",
                        "--limit", "200")
@@ -314,7 +322,7 @@ def test_resource_limit_exit(capsys):
     assert "resource" in err.lower()
 
 
-def test_verify_refuses_class_prime_above_64_bits(tmp_path, capsys):
+def test_verify_refuses_class_prime_above_64_bits(tmp_path, capsys, monkeypatch):
     out_path = tmp_path / "cert.json"
     code, _, err = run(capsys, "cover", "--x", "10000", "--q", "101",
                        "--b", "100", "--out", str(out_path))
@@ -330,3 +338,15 @@ def test_verify_refuses_class_prime_above_64_bits(tmp_path, capsys):
     assert code == 5
     failed = [e["check"] for e in json.loads(out) if not e["pass"]]
     assert failed == ["class_primes_prime"]
+
+    # --witness never reaches the CRT with that modulus
+    def no_crt(*_):
+        raise AssertionError("combined a modulus of unproven primality")
+
+    monkeypatch.setattr("gapforge.covering._crt", no_crt)
+    code, out, _ = run(capsys, "verify", str(out_path), "--witness", "--format", "json")
+    assert code == 5
+    entries = {e["check"]: e for e in json.loads(out)}
+    assert not entries["class_primes_prime"]["pass"]
+    assert entries["witness_validates"]["detail"].startswith("skipped")
+

@@ -37,14 +37,15 @@ def test_exact_flags_and_witnesses():
         )
 
 
-def test_exact_agrees_with_rough_scan_oracle():
-    # the sieve module's scanner is an independently coded second route
+def test_exact_agrees_with_rough_scan_oracle(rough_gap_oracle):
+    # a pure-Python bytearray scan, since jacobsthal_exact runs on the
+    # sieve module's segment kernel
     for u in range(2, 14):
         period = primorial(u)
-        oracle = rough_gap_scan(u, 1, period + 2)
+        gap, lo, hi = rough_gap_oracle(u, 1, period + 2)
         val = jacobsthal_exact(u)
-        assert val.value == oracle.gap, u
-        assert (val.witness.lo, val.witness.hi) == (oracle.lo, oracle.hi), u
+        assert val.value == gap, u
+        assert (val.witness.lo, val.witness.hi) == (lo, hi), u
 
 
 def test_exact_monotone_in_u():

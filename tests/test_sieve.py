@@ -1,12 +1,13 @@
 import bisect
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from gapforge.arith import is_prime, primorial
 from gapforge.config import Config
-from gapforge.errors import BadProgression, EmptyRange, ResourceLimit
+from gapforge.errors import BadProgression, DomainError, EmptyRange, ResourceLimit
 from gapforge.model import Rational
 from gapforge.sieve import (
     least_prime_ap,
@@ -15,6 +16,7 @@ from gapforge.sieve import (
     primes_in_range,
     primes_up_to,
     rough_gap_scan,
+    scan_deficits,
 )
 
 TINY = Config(memory_budget=1 << 16, segment_size=1 << 16, period_cap=1 << 19)
@@ -259,3 +261,106 @@ def test_resource_limits():
         rough_gap_scan(5, 1, 10**7, config=TINY)
     # within budget still works
     assert primes_up_to(30_000, config=TINY)[-1] == 29989
+
+
+def test_least_prime_ap_refuses_past_proven_range():
+    # the first candidate past 1 is 2**64 + 1, where is_prime proves nothing
+    with pytest.raises(DomainError, match="unproven"):
+        least_prime_ap(2**64, 1, 2**70)
+    # a prime found below 2**64 is still reported under a larger limit
+    assert least_prime_ap(25, 1, 2**70) == 101
+    assert least_prime_ap(2**64 - 58, 2**64 - 59, 2**70) == 2**64 - 59
+
+
+def _record_straddles(rec, boundary):
+    return rec.lo < boundary <= rec.hi
+
+
+def test_max_prime_gap_record_across_segment_boundary():
+    # odd-only segments of s numbers start at 3 + 2*s*k; at the minimum size
+    # no boundary falls inside the record below 5e5, so two sizes put the
+    # boundary just past its left end and exactly on its right end
+    x = 500_000
+    rec = max_prime_gap(x)
+    assert (rec.gap, rec.lo, rec.hi) == (114, 492113, 492227)
+    sizes = {1 << 16: None, (rec.lo - 1) // 2: rec.lo + 2, (rec.hi - 3) // 2: rec.hi}
+    for size, boundary in sizes.items():
+        if boundary is not None:
+            assert 3 + 2 * size == boundary and _record_straddles(rec, boundary)
+        assert max_prime_gap(x, config=Config(segment_size=size)) == rec, size
+
+
+def test_rough_gap_scan_record_across_segment_boundary():
+    # a sub-window holding the record keeps it; start it so the first
+    # boundary at the minimum size (start + 2**17) lands inside the record
+    # gap, then exactly on its right end
+    small = Config(segment_size=1 << 16)
+    for u, lo, hi in ((50, 10**6, 2 * 10**6), (300, 10**7, 10**7 + 600_000)):
+        rec = rough_gap_scan(u, lo, hi)
+        for start in (rec.lo + 2 - (1 << 17), rec.hi - (1 << 17)):
+            assert start >= lo and start % 2 == 1
+            assert _record_straddles(rec, start + (1 << 17))
+            assert rough_gap_scan(u, start, hi) == rec
+            assert rough_gap_scan(u, start, hi, config=small) == rec, (u, start)
+
+
+def test_rough_gap_scan_tie_across_segment_boundary(rough_gap_oracle):
+    # J(13) = 22 recurs every period, so a window can hold an earlier
+    # 22-gap and a later one straddling the first boundary at the minimum
+    # size (start + 2**17); the earlier one must keep the record
+    period = primorial(13)
+    later = rough_gap_scan(13, 1, period + 1).lo + 5 * period
+    start = later + 2 - (1 << 17)
+    expect = rough_gap_oracle(13, start, later + 100)
+    assert expect[0] == 22 and expect[1] < later
+    for cfg in (Config(segment_size=1 << 16), Config()):
+        rec = rough_gap_scan(13, start, later + 100, config=cfg)
+        assert (rec.gap, rec.lo, rec.hi) == expect
+
+
+def test_rough_gap_scan_exact_past_int64(rough_gap_oracle):
+    lo = 2**70
+    for u in (19, 23, 97):
+        rec = rough_gap_scan(u, lo, lo + 10**5, config=Config(segment_size=1 << 16))
+        assert (rec.gap, rec.lo, rec.hi) == rough_gap_oracle(u, lo, lo + 10**5), u
+
+
+def _scan_oracle(x, qmin, qmax):
+    """The whole scan ranking by trial division and an exact Fraction sort."""
+    primes = [n for n in range(2, x + 1)
+              if all(n % d for d in range(2, math.isqrt(n) + 1))]
+    rows = []
+    for q in range(max(2, qmin), min(qmax, x - 1) + 1):
+        units = [b for b in range(1, q) if math.gcd(b, q) == 1]
+        residues = [p % q for p in primes]
+        for b in units:
+            count = residues.count(b)
+            rows.append((Fraction(count * len(units), x), q, b, count))
+    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    return [(q, b, count, delta) for delta, q, b, count in rows]
+
+
+def test_scan_deficits_matches_brute_force_oracle():
+    empty_seen = False
+    # qmax >= x, moduli just below x (empty progressions), an inverted
+    # range, and the whole range
+    windows = [(x, qmin, qmax) for x in (3, 4, 10, 100, 101)
+               for qmin, qmax in ((2, x + 10), (x - 3, x - 1), (x, x + 5),
+                                  (10, 3), (-5, 7), (1, x))]
+    windows += [(997, 2, 40), (997, 980, 1010)]
+    for x, qmin, qmax in windows:
+        ranking = _scan_oracle(x, qmin, qmax)
+        for top in (0, 1, 7, 10**6, -2):
+            got = scan_deficits(x, qmin, qmax, top)
+            assert all(r.x == x for r in got)
+            rows = [(r.q, r.b, r.count, Fraction(r.delta.num, r.delta.den))
+                    for r in got]
+            assert rows == ranking[:top], (x, qmin, qmax, top)
+            empty_seen |= any(r.count == 0 for r in got)
+    assert empty_seen
+
+
+def test_scan_deficits_budget_and_domain():
+    with pytest.raises(ResourceLimit):
+        scan_deficits(10**6, 3, 5, 10, config=TINY)
+    assert scan_deficits(10**6, 50, 10, 10, config=TINY) == []
