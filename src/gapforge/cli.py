@@ -17,10 +17,10 @@ from fractions import Fraction
 
 from . import config as config_mod
 from .covering import (
-    _witness_of_verified,
     build_certificate,
     scenario_bound,
     verify_certificate,
+    witness_of_verified,
 )
 from .errors import (
     BadProgression,
@@ -122,7 +122,7 @@ def _cmd_cover(args, cfg) -> int:
     override = _parse_delta(args.delta) if args.delta is not None else None
     # build_certificate has verified cert before returning it
     cert = build_certificate(args.x, args.q, args.b, override, config=cfg)
-    witness = _witness_of_verified(cert) if args.witness else None
+    witness = witness_of_verified(cert)[0] if args.witness else None
     text = certificate_to_json(cert, witness)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -152,7 +152,7 @@ def _cmd_verify(args, cfg) -> int:
     if args.witness:
         if report.ok:
             try:
-                w = _witness_of_verified(cert)
+                w = witness_of_verified(cert)[0]
                 report.add("witness_validates", True, f"T covers all {cert.y + 1} offsets")
                 if stored is not None:
                     same = stored.T == w.T and stored.P == w.P

@@ -15,9 +15,9 @@ from __future__ import annotations
 import logging
 import math
 from decimal import Decimal, localcontext
-from typing import Optional
+from typing import Optional, Sequence
 
-from .arith import PROVEN_LIMIT, _crt, factorize, is_prime, mod_inverse, multi_mod
+from .arith import PROVEN_LIMIT, _crt, factorize, mod_inverse, multi_mod
 from .config import DEFAULT, Config
 from .errors import (
     BadProgression,
@@ -37,7 +37,7 @@ from .model import (
     ScenarioResult,
     VerificationReport,
 )
-from .sieve import prime_count_ap, primes_in_range, primes_up_to
+from .sieve import first_non_prime, prime_count_ap, primes_in_range, primes_up_to
 
 logger = logging.getLogger(__name__)
 
@@ -303,8 +303,8 @@ def verify_certificate(
         len(set(primes)) == len(primes),
         "" if len(set(primes)) == len(primes) else "a modulus repeats",
     )
-    # is_prime is a proof only below PROVEN_LIMIT; larger moduli are not tested
-    bad_prime = next((p for p in primes if p >= PROVEN_LIMIT or not is_prime(p)), None)
+    # one sieve of the verifier's own proves the moduli when it fits the budget
+    bad_prime = first_non_prime(primes, config=cfg)
     if bad_prime is None:
         prime_detail = ""
     elif bad_prime >= PROVEN_LIMIT:
@@ -463,43 +463,57 @@ def crt_witness(
     """Concrete T with T + n divisible by a class prime for all n in [0, y].
 
     Verifies the certificate once, raising InvalidCertificate on any failure,
-    then builds T with _witness_of_verified: one product tree of the class
-    primes for the combination, then a residue check that T covers [0, y].
+    then builds T with witness_of_verified.
     """
     cfg = config or DEFAULT
-    report = verify_certificate(cert, config=cfg)
+    require_verified(cert, config=cfg)
+    return witness_of_verified(cert)[0]
+
+
+def require_verified(
+    cert: CoveringCertificate, *, config: Optional[Config] = None
+) -> None:
+    """Run verify_certificate once and raise InvalidCertificate on any failure."""
+    report = verify_certificate(cert, config=config)
     if not report.ok:
         raise InvalidCertificate(
             "; ".join(f"{e.check}: {e.detail}" for e in report.failures)
         )
-    return _witness_of_verified(cert)
 
 
-def _witness_of_verified(cert: CoveringCertificate) -> CrtWitness:
-    """The CRT witness of a certificate that verify_certificate has passed.
+def witness_of_verified(
+    cert: CoveringCertificate, moduli: Optional[Sequence[int]] = None
+) -> tuple[CrtWitness, list[int]]:
+    """The CRT witness of a verified certificate, and T mod each modulus.
 
-    T solves T == -a_p (mod p) over every class, combined on one product tree
-    of the distinct class primes; a T of 0 is shifted up by one period so the
-    witness run sits strictly inside the positive integers.  Validation walks
-    all y + 1 offsets through the actual residues of T, which is the
-    gcd(T + n, P) > 1 check evaluated without materializing y big gcds, and
-    is independent of the combination.
+    The certificate must have passed verify_certificate.  moduli default to
+    the class primes; any list holding every class prime will do.  T solves
+    T == -a_p (mod p) over every class, combined on one product tree of the
+    distinct class primes; a T of 0 is shifted up by one period so the
+    witness run sits strictly inside the positive integers.  One remainder
+    tree reduces T by the moduli.  Validation walks all y + 1 offsets
+    through the class primes' residues, which is the gcd(T + n, P) > 1
+    check evaluated without materializing y big gcds, and is independent of
+    the combination.
     """
     primes = [c.p for c in cert.classes]
     combined = _crt(primes, [(-c.a) % c.p for c in cert.classes])
     T, P = combined.T, combined.P
     if T == 0:
         T += P
-    residues = multi_mod(T, primes)
+    if moduli is None:
+        moduli = primes
+    residues = multi_mod(T, moduli)
+    residue_of = dict(zip(moduli, residues))
     flags = bytearray(cert.y + 1)
-    for p, r in zip(primes, residues):
-        start = (-r) % p
+    for p in primes:
+        start = (-residue_of[p]) % p
         if start <= cert.y:
             flags[start::p] = b"\x01" * ((cert.y - start) // p + 1)
     miss = flags.find(0)
     if miss != -1:  # pragma: no cover - the coverage check rules this out
         raise InvalidCertificate(f"gcd(T+{miss}, P) = 1; witness is not covered")
-    return CrtWitness(T=T, P=P, y=cert.y)
+    return CrtWitness(T=T, P=P, y=cert.y), residues
 
 
 def scenario_bound(log_q: float, delta: float, B: float) -> ScenarioResult:

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from . import covering
-from .arith import multi_mod, primorial, small_primes_up_to
+from .arith import primorial
 from .config import DEFAULT, Config
 from .errors import PeriodTooLarge
 from .model import CoveringCertificate, GapRecord, JacobsthalValue, Rational
-from .sieve import rough_gap_scan
+from .sieve import primes_up_to, rough_gap_scan
 
 
 def jacobsthal_exact(
@@ -40,9 +42,16 @@ def jacobsthal_exact(
     return JacobsthalValue(u=u, value=witness.gap, witness=witness, exact=True)
 
 
-def _is_rough_offset(offset: int, primes: list[int], residues: list[int]) -> bool:
-    """Whether T + offset is u-rough, given residues[i] = T mod primes[i]."""
-    return all((r + offset) % p for p, r in zip(primes, residues))
+def _next_rough(
+    residues: np.ndarray, primes: np.ndarray, offset: int, step: int
+) -> int:
+    """First offset from offset on, moving by step, with T + offset u-rough.
+
+    residues[i] is T mod primes[i], over every prime <= u.
+    """
+    while not np.all((residues + offset) % primes):
+        offset += step
+    return offset
 
 
 def jacobsthal_bound_from_certificate(
@@ -54,26 +63,23 @@ def jacobsthal_bound_from_certificate(
     covered run [T, T + y] of the CRT witness; the reported rational form
     (x - b)/q of the bound rides along as gap_lower_rational.
 
-    Raises InvalidCertificate when the certificate fails verification
-    (crt_witness re-checks it before combining).
+    Verifies the certificate once, raising InvalidCertificate on any
+    failure, then reduces T once modulo every prime <= u: the class primes'
+    residues validate the witness and all of them locate the flanks.
+    Raises ResourceLimit when the primes up to u exceed the memory budget.
     """
     cfg = config or DEFAULT
-    w = covering.crt_witness(cert, config=cfg)
-    primes = small_primes_up_to(cert.u)
-    residues = multi_mod(w.T, primes)
-    below = -1
-    while not _is_rough_offset(below, primes, residues):
-        below -= 1
-    above = cert.y + 1
-    while not _is_rough_offset(above, primes, residues):
-        above += 1
-    lo = w.T + below
-    hi = w.T + above
-    witness = GapRecord(hi - lo, lo, hi)
+    covering.require_verified(cert, config=cfg)
+    primes = primes_up_to(cert.u, config=cfg)
+    w, residues = covering.witness_of_verified(cert, primes)
+    rems = np.array(residues, dtype=np.int64)
+    mods = np.array(primes, dtype=np.int64)
+    lo = w.T + _next_rough(rems, mods, -1, -1)
+    hi = w.T + _next_rough(rems, mods, cert.y + 1, 1)
     return JacobsthalValue(
         u=cert.u,
         value=cert.y + 2,
-        witness=witness,
+        witness=GapRecord(hi - lo, lo, hi),
         exact=False,
         gap_lower_rational=Rational(cert.x - cert.b, cert.q),
     )

@@ -208,8 +208,9 @@ class CrtWitness:
     """Integer T with every T + n, 0 <= n <= y, divisible by a class prime.
 
     P is the product of the class primes.  y is meaningful only for
-    witnesses produced and validated by covering.crt_witness; the raw
-    combiner arith.crt_combine leaves it at 0 and claims nothing about runs.
+    witnesses built and validated by covering.witness_of_verified (which
+    covering.crt_witness and the gap bound call); the raw combiner
+    arith.crt_combine leaves it at 0 and claims nothing about runs.
     """
 
     T: int

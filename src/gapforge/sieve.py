@@ -11,7 +11,7 @@ which the test suite checks explicitly.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -54,9 +54,19 @@ def _odd_survivors(
         start = stop + 2
 
 
+def _odd_base_primes(n: int, cfg: Config, what: str) -> list[int]:
+    """The odd primes <= n, for the kernel to strike with; n + 1 must fit the budget."""
+    if n + 1 > cfg.memory_budget:
+        raise ResourceLimit(
+            f"{what} needs the primes up to {n}, "
+            f"over the {cfg.memory_budget}-byte budget"
+        )
+    return small_primes_up_to(n)[1:]
+
+
 def _odd_primes(lo: int, hi: int, cfg: Config) -> Iterator[tuple[int, np.ndarray]]:
     """Kernel segments holding the odd primes p with lo <= p <= hi."""
-    base = small_primes_up_to(math.isqrt(max(hi, 0)))[1:]
+    base = _odd_base_primes(math.isqrt(max(hi, 0)), cfg, "prime sieve")
     return _odd_survivors(max(3, lo), hi, base, cfg.segment_size, from_square=True)
 
 
@@ -107,7 +117,11 @@ def primes_up_to(n: int, *, config: Optional[Config] = None) -> list[int]:
 
 
 def primes_in_range(lo: int, hi: int, *, config: Optional[Config] = None) -> list[int]:
-    """All primes p with lo < p <= hi, ascending (segmented sieve)."""
+    """All primes p with lo < p <= hi, ascending (segmented sieve).
+
+    Raises ResourceLimit when the window or the sieve of its base primes,
+    those up to isqrt(hi), exceeds the budget.
+    """
     cfg = config or DEFAULT
     if lo > hi:
         raise ValueError("need lo <= hi")
@@ -116,6 +130,26 @@ def primes_in_range(lo: int, hi: int, *, config: Optional[Config] = None) -> lis
     for base, offs in _odd_primes(lo + 1, hi, cfg):
         out += [base + o for o in offs.tolist()]
     return out
+
+
+def first_non_prime(
+    values: Sequence[int], *, config: Optional[Config] = None
+) -> Optional[int]:
+    """The first value, in order, below 2, at or above 2**64 or composite.
+
+    None when every value is a proven prime.  When the largest value in
+    [2, 2**64) fits the memory budget as primes_up_to requires, one sieve up
+    to it decides every value; otherwise each goes through is_prime, which
+    is a proof below 2**64.  At and above 2**64 nothing is tested.
+    """
+    cfg = config or DEFAULT
+    top = max((v for v in values if 2 <= v < PROVEN_LIMIT), default=1)
+    if top + 1 > cfg.memory_budget:
+        return next((v for v in values if v >= PROVEN_LIMIT or not is_prime(v)), None)
+    # values outside [2, top] become 0, which no prime table holds
+    arr = np.array([v if 2 <= v <= top else 0 for v in values], dtype=np.int64)
+    bad = np.flatnonzero(~np.isin(arr, _prime_array(top, cfg)))
+    return values[int(bad[0])] if bad.size else None
 
 
 def prime_count_ap(
@@ -196,7 +230,8 @@ def rough_gap_scan(
     An integer is u-rough when it has no prime factor <= u; 1 qualifies,
     and since u >= 2 every rough integer is odd.  Ties go to the smallest
     left witness.  Raises EmptyRange when the window holds fewer than two
-    rough integers.
+    rough integers, and ResourceLimit when the window or the sieve of the
+    primes up to u exceeds the budget.
     """
     cfg = config or DEFAULT
     if u < 2:
@@ -204,7 +239,7 @@ def rough_gap_scan(
     if lo >= hi:
         raise ValueError("need lo < hi")
     _check_window(hi - lo, cfg, "rough gap scan")
-    odd_primes = small_primes_up_to(u)[1:]
+    odd_primes = _odd_base_primes(u, cfg, "rough gap scan")
     segments = _odd_survivors(lo, hi, odd_primes, cfg.segment_size, from_square=False)
     best, found = _max_gap(segments)
     if found < 2:

@@ -5,6 +5,7 @@ from decimal import Decimal, localcontext
 
 import pytest
 
+from gapforge import sieve
 from gapforge.arith import is_prime
 from gapforge.config import Config
 from gapforge.covering import (
@@ -363,8 +364,29 @@ def test_verify_fails_closed_above_64_bits(monkeypatch):
         tested.append(n)
         return is_prime(n)
 
-    monkeypatch.setattr("gapforge.covering.is_prime", recording_is_prime)
+    monkeypatch.setattr("gapforge.sieve.is_prime", recording_is_prime)
     report = verify_certificate(cert)
     assert [e.check for e in report.failures] == ["class_primes_prime"]
     assert "2**64" in report.failures[0].detail
-    assert max(tested) < 2**64
+    # the other moduli fit one sieve, so is_prime may see none of them
+    assert all(n < 2**64 for n in tested)
+
+
+def test_verify_keeps_its_prime_table_within_budget(monkeypatch):
+    cert = build_certificate(10**4, 101, 100)
+    top = max(c.p for c in cert.classes)
+    tables = []
+    prime_array = sieve._prime_array
+
+    def recording_prime_array(n, cfg):
+        tables.append(n)
+        return prime_array(n, cfg)
+
+    monkeypatch.setattr(sieve, "_prime_array", recording_prime_array)
+    # a budget of top + 1 bytes holds the table; one byte less and the
+    # verifier proves each modulus with is_prime instead
+    for budget, expected in ((top + 1, [top]), (top, [])):
+        tables.clear()
+        cfg = Config(memory_budget=budget, period_cap=budget)
+        assert verify_certificate(cert, config=cfg).ok
+        assert tables == expected

@@ -1,14 +1,19 @@
+import math
+
 import pytest
 
 from gapforge.arith import primorial, small_primes_up_to
-from gapforge.covering import build_certificate, crt_witness
-from gapforge.errors import InvalidCertificate, PeriodTooLarge
+from gapforge.config import Config
+from gapforge.covering import build_certificate, crt_witness, verify_certificate
+from gapforge.errors import InvalidCertificate, PeriodTooLarge, ResourceLimit
 from gapforge.jacobsthal import jacobsthal_bound_from_certificate, jacobsthal_exact
 from gapforge.model import (
     ClassKind,
     CoveringCertificate,
     Rational,
     ResidueClass,
+    certificate_from_dict,
+    certificate_to_dict,
 )
 from gapforge.sieve import rough_gap_scan
 
@@ -140,3 +145,60 @@ def test_bound_rejects_broken_certificate():
     )
     with pytest.raises(InvalidCertificate):
         jacobsthal_bound_from_certificate(broken)
+
+
+def _oracle_flanks(T, y, u):
+    """Nearest u-rough integers below T and above T + y, by trial division.
+
+    Also checks that no integer of the run [T, T + y] is u-rough.
+    """
+    primes = [k for k in range(2, u + 1)
+              if all(k % d for d in range(2, math.isqrt(k) + 1))]
+
+    def rough(n):
+        return all(n % p for p in primes)
+
+    assert not any(rough(T + n) for n in range(y + 1))
+    lo = T - 1
+    while not rough(lo):
+        lo -= 1
+    hi = T + y + 1
+    while not rough(hi):
+        hi += 1
+    return lo, hi
+
+
+@pytest.mark.parametrize("x, q, b", [(10**3, 7, 2), (10**4, 101, 100),
+                                     (10**4, 64, 63), (10**5, 113, 87),
+                                     (10**5, 97, 5)])
+def test_bound_flanks_match_trial_division_oracle(x, q, b):
+    cert = build_certificate(x, q, b)
+    val = jacobsthal_bound_from_certificate(cert)
+    lo, hi = _oracle_flanks(crt_witness(cert).T, cert.y, cert.u)
+    assert (val.witness.gap, val.witness.lo, val.witness.hi) == (hi - lo, lo, hi)
+    assert val.value == cert.y + 2 <= val.witness.gap
+
+
+def _with_u(u):
+    """A sound certificate whose u is raised; matched classes become forced
+    so the kind placement still holds at the new u."""
+    obj = certificate_to_dict(build_certificate(10**4, 101, 100))
+    for cls in obj["classes"]:
+        if cls["kind"] == ClassKind.MATCHED.value:
+            cls["kind"] = ClassKind.FORCED.value
+    obj["u"] = u
+    return certificate_from_dict(obj)[0]
+
+
+def test_bound_refuses_primes_past_budget():
+    # the bound lists the primes up to u, which needs u + 1 bytes of budget
+    cfg = Config(memory_budget=1 << 16, period_cap=1 << 16)
+    fits = _with_u((1 << 16) - 1)
+    val = jacobsthal_bound_from_certificate(fits, config=cfg)
+    lo, hi = _oracle_flanks(crt_witness(fits).T, fits.y, fits.u)
+    assert (val.witness.lo, val.witness.hi) == (lo, hi)
+    for u, config in ((1 << 16, cfg), (2**40, None)):
+        cert = _with_u(u)
+        assert verify_certificate(cert, config=config).ok
+        with pytest.raises(ResourceLimit):
+            jacobsthal_bound_from_certificate(cert, config=config)

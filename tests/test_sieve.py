@@ -9,7 +9,9 @@ from gapforge.arith import is_prime, primorial
 from gapforge.config import Config
 from gapforge.errors import BadProgression, DomainError, EmptyRange, ResourceLimit
 from gapforge.model import Rational
+from gapforge import sieve
 from gapforge.sieve import (
+    first_non_prime,
     least_prime_ap,
     max_prime_gap,
     prime_count_ap,
@@ -261,6 +263,87 @@ def test_resource_limits():
         rough_gap_scan(5, 1, 10**7, config=TINY)
     # within budget still works
     assert primes_up_to(30_000, config=TINY)[-1] == 29989
+
+
+def _trial_division_prime(n):
+    """Whether n is a prime below 2**64, by trial division (n small or composite)."""
+    if n < 2 or n >= 2**64:
+        return False
+    return all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+# squares of primes and Carmichael numbers fool naive tests; 3215031751 and
+# 4759123141 are strong pseudoprimes to small base sets; the last three sit
+# at and past 2**64, where no value counts as a proven prime
+HOSTILE = ([-5, 0, 1] + [p * p for p in (2, 3, 5, 7, 31, 97, 997)]
+           + [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265]
+           + [3215031751, 4759123141, 2**64 - 1, 2**64, 2**89 - 1])
+
+
+def test_base_prime_sieve_refuses_past_budget(rough_gap_oracle):
+    # primes_in_range strikes with the primes up to isqrt(hi), rough_gap_scan
+    # with those up to u; each list needs its bound + 1 bytes of the budget
+    cfg = Config(memory_budget=1000, period_cap=1000)
+    hi = 1000**2 - 1  # isqrt(hi) = 999 fits
+    expected = [n for n in range(hi - 99, hi + 1) if _trial_division_prime(n)]
+    assert primes_in_range(hi - 100, hi, config=cfg) == expected
+    with pytest.raises(ResourceLimit, match="primes up to 1000,"):
+        primes_in_range(hi - 99, hi + 1, config=cfg)
+    rec = rough_gap_scan(999, 1, 5000, config=cfg)
+    assert (rec.gap, rec.lo, rec.hi) == rough_gap_oracle(999, 1, 5000)
+    with pytest.raises(ResourceLimit, match="primes up to 1000,"):
+        rough_gap_scan(1000, 1, 5000, config=cfg)
+    # far past the default budget they refuse at once instead of allocating
+    with pytest.raises(ResourceLimit):
+        primes_in_range(2**70, 2**70 + 2000)
+    with pytest.raises(ResourceLimit):
+        rough_gap_scan(10**10, 1, 1000)
+
+
+def test_first_non_prime_matches_trial_division():
+    rng = random.Random(2029)
+    pool = HOSTILE + [rng.randrange(-10, 10**5) for _ in range(400)]
+    primes = [n for n in pool if _trial_division_prime(n)]
+    assert len(primes) > 20
+    for v in pool:
+        assert first_non_prime([v]) == (None if _trial_division_prime(v) else v), v
+    assert first_non_prime([]) is None
+    assert first_non_prime(primes) is None
+    for _ in range(200):
+        values = rng.sample(primes, rng.randrange(1, 15))
+        values[rng.randrange(len(values)):rng.randrange(len(values))] = \
+            rng.sample(pool, rng.randrange(3))
+        expected = next((v for v in values if not _trial_division_prime(v)), None)
+        assert first_non_prime(values) == expected, values
+
+
+def test_first_non_prime_sieves_while_the_table_fits(monkeypatch):
+    tables, tested = [], []
+    prime_array, is_prime_ = sieve._prime_array, sieve.is_prime
+
+    def recording_prime_array(n, cfg):
+        tables.append(n)
+        return prime_array(n, cfg)
+
+    def recording_is_prime(n):
+        tested.append(n)
+        return is_prime_(n)
+
+    monkeypatch.setattr(sieve, "_prime_array", recording_prime_array)
+    monkeypatch.setattr(sieve, "is_prime", recording_is_prime)
+    primes = [n for n in range(5000) if _trial_division_prime(n)]
+    top = primes[-1]
+    # budget top + 1 admits the table up to top, as primes_up_to(top) needs
+    for budget, table, proven in ((top + 1, [top], []), (top, [], primes + [1729])):
+        cfg = Config(memory_budget=budget, period_cap=budget)
+        tables.clear()
+        tested.clear()
+        assert first_non_prime(primes + [1729, 2**64], config=cfg) == 1729
+        assert (tables, tested) == (table, proven)
+        # a value at or past 2**64 is reported before any is tested
+        tested.clear()
+        assert first_non_prime([2**64] + primes, config=cfg) == 2**64
+        assert tested == []
 
 
 def test_least_prime_ap_refuses_past_proven_range():

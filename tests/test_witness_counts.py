@@ -1,7 +1,9 @@
-"""Each witness path verifies a certificate once and tests each class prime once.
+"""Each witness path verifies a certificate once and proves its class primes
+with one sieve table, never with is_prime.
 
-verify_certificate and is_prime are replaced, in every gapforge module that
-binds them, by wrappers that count their calls.
+verify_certificate, is_prime and the prime-table builder sieve._prime_array
+are replaced, in every gapforge module that binds them, by wrappers that
+record their calls.
 """
 
 import collections
@@ -11,7 +13,7 @@ import json
 
 import pytest
 
-from gapforge import arith, cli, covering, sieve
+from gapforge import arith, cli, covering, jacobsthal, sieve
 from gapforge.cli import main
 from gapforge.covering import build_certificate, crt_witness
 from gapforge.errors import InvalidCertificate
@@ -23,10 +25,14 @@ from gapforge.model import certificate_from_dict, certificate_to_dict
 X, Q, B = 10**4, 100, 1
 
 
+MODULES = (arith, cli, covering, jacobsthal, sieve)
+
+
 @pytest.fixture
 def counts(monkeypatch):
-    calls = {"verify": 0, "is_prime": collections.Counter()}
+    calls = {"verify": 0, "is_prime": collections.Counter(), "tables": []}
     verify, is_prime = covering.verify_certificate, arith.is_prime
+    prime_array = sieve._prime_array
 
     def counting_verify(*args, **kwargs):
         calls["verify"] += 1
@@ -36,11 +42,24 @@ def counts(monkeypatch):
         calls["is_prime"][n] += 1
         return is_prime(n)
 
-    for module in (covering, cli):
-        monkeypatch.setattr(module, "verify_certificate", counting_verify)
-    for module in (arith, covering, sieve):
-        monkeypatch.setattr(module, "is_prime", counting_is_prime)
+    def recording_prime_array(n, cfg):
+        calls["tables"].append(n)
+        return prime_array(n, cfg)
+
+    for name, original, wrapper in (
+        ("verify_certificate", verify, counting_verify),
+        ("is_prime", is_prime, counting_is_prime),
+        ("_prime_array", prime_array, recording_prime_array),
+    ):
+        bound = [m for m in MODULES if getattr(m, name, None) is original]
+        assert bound, name
+        for module in bound:
+            monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+def _reset(calls):
+    calls.update(verify=0, is_prime=collections.Counter(), tables=[])
 
 
 def _run(*argv):
@@ -49,20 +68,30 @@ def _run(*argv):
         return main(list(argv)), sink.getvalue()
 
 
-def _assert_once_each(calls, cert):
+def _top(cert):
+    return max(c.p for c in cert.classes)
+
+
+def _assert_one_proof(calls, tables):
+    """One verification, no is_prime call, and exactly these prime tables.
+
+    The verifier's own table runs up to the largest class prime; it is the
+    one primality proof of the class primes.
+    """
     assert calls["verify"] == 1
-    assert calls["is_prime"] == collections.Counter(c.p for c in cert.classes)
+    assert calls["is_prime"] == collections.Counter()
+    assert calls["tables"] == tables
 
 
 def test_verify_witness_checks_once(tmp_path, counts):
     cert = build_certificate(X, Q, B)
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(certificate_to_dict(cert)))
-    counts["verify"], counts["is_prime"] = 0, collections.Counter()
+    _reset(counts)
     code, out = _run("verify", str(path), "--witness")
     assert code == 0, out
     assert "[PASS] witness_validates" in out
-    _assert_once_each(counts, cert)
+    _assert_one_proof(counts, [_top(cert)])
 
 
 def test_cover_witness_checks_once(tmp_path, counts):
@@ -72,14 +101,16 @@ def test_cover_witness_checks_once(tmp_path, counts):
     assert code == 0, out
     cert, stored = certificate_from_dict(json.loads(path.read_text()))
     assert stored is not None
-    _assert_once_each(counts, cert)
+    # the builder lists the forced primes up to u/2; the verifier sieves on its own
+    _assert_one_proof(counts, [cert.u // 2, _top(cert)])
 
 
 def test_bound_from_certificate_checks_once(counts):
     cert = build_certificate(X, Q, B)
-    counts["verify"], counts["is_prime"] = 0, collections.Counter()
+    _reset(counts)
     jacobsthal_bound_from_certificate(cert)
-    _assert_once_each(counts, cert)
+    # the verifier's table, then the bound's one list of the primes up to u
+    _assert_one_proof(counts, [_top(cert), cert.u])
 
 
 def test_crt_witness_still_verifies():
