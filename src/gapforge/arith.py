@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DuplicateModulus, NotInvertible, ZeroModulus
 from .model import CrtWitness, ResidueClass
 
@@ -26,6 +28,14 @@ _MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 # is_prime is a proof below this bound and nothing at or above it.
 PROVEN_LIMIT = 2**64
 
+# _divmod hands a division to the builtin once the divisor or the quotient
+# has at most this many bits; tree levels whose nodes are that small skip it.
+_BZ_CUTOFF = 4000
+
+# _prime_inverses runs Fermat in int64 for moduli below this bound, where
+# every product of two residues stays below 2**62.
+_FERMAT_LIMIT = 2**31
+
 
 def mod_inverse(a: int, m: int) -> int:
     """Inverse of a modulo m, in [1, m).
@@ -38,6 +48,36 @@ def mod_inverse(a: int, m: int) -> int:
         return pow(a, -1, m)
     except ValueError:
         raise NotInvertible(f"{a} is not invertible modulo {m}") from None
+
+
+def _prime_inverses(values: Sequence[int], primes: Sequence[int]) -> list[int]:
+    """values[i]**-1 mod primes[i] for each i; every modulus must be prime.
+
+    Moduli below 2**31 take values[i]**(p-2) mod p, by square-and-multiply
+    in numpy int64 over the whole batch (their values must fit in int64);
+    larger moduli take pow(v, -1, p).  A value divisible by its prime raises
+    ValueError, as pow does.
+    """
+    if primes and max(primes) >= _FERMAT_LIMIT:
+        small = [i for i, p in enumerate(primes) if p < _FERMAT_LIMIT]
+        out = [pow(v, -1, p) if p >= _FERMAT_LIMIT else 0
+               for v, p in zip(values, primes)]
+        found = _prime_inverses([values[i] for i in small], [primes[i] for i in small])
+        for i, inv in zip(small, found):
+            out[i] = inv
+        return out
+    mods = np.array(primes, dtype=np.int64)
+    base = np.array(values, dtype=np.int64) % mods
+    if not base.all():
+        i = int(np.argmin(base))
+        raise ValueError(f"{values[i]} is not invertible modulo {primes[i]}")
+    inv = np.ones_like(base)
+    exp = mods - 2
+    while exp.any():
+        inv = np.where(exp & 1, inv * base % mods, inv)
+        base = base * base % mods
+        exp >>= 1
+    return inv.tolist()
 
 
 def is_prime(n: int) -> bool:
@@ -159,6 +199,71 @@ def primorial(u: int) -> int:
     return out
 
 
+def _divmod(a: int, b: int) -> tuple[int, int]:
+    """divmod(a, b) for b > 0, by Burnikel-Ziegler recursive division.
+
+    CPython 3.11 divides big integers by schoolbook, in time quadratic in
+    the divisor; this splits each 2n-by-n step into two 3n/2-by-n steps, so
+    the work goes to Karatsuba products (C. Burnikel and J. Ziegler, "Fast
+    recursive division", MPI-I-98-1-022, 1998).  A negative a, or a divisor
+    or quotient of at most _BZ_CUTOFF bits, goes to the builtin.
+    """
+    n = b.bit_length()
+    if a < 0 or n <= _BZ_CUTOFF or a.bit_length() - n <= _BZ_CUTOFF:
+        return divmod(a, b)
+    # long division in base 2**n: each n-bit digit of a, from the top,
+    # extends the running remainder r < b, and one 2n-by-n step divides it
+    mask = (1 << n) - 1
+    quot = rem = 0
+    for shift in range((a.bit_length() - 1) // n * n, -1, -n):
+        digit, rem = _div_2n_by_n((rem << n) | ((a >> shift) & mask), b, n)
+        quot = (quot << n) | digit
+    return quot, rem
+
+
+def _div_2n_by_n(a: int, b: int, n: int) -> tuple[int, int]:
+    """divmod(a, b) where b has exactly n bits and a < b * 2**n."""
+    if n <= _BZ_CUTOFF or a.bit_length() - n <= _BZ_CUTOFF:
+        return divmod(a, b)
+    odd = n & 1
+    if odd:  # the halves must be equal: scale both by 2, unscale the remainder
+        a, b, n = a << 1, b << 1, n + 1
+    half = n >> 1
+    mask = (1 << half) - 1
+    b_hi, b_lo = b >> half, b & mask
+    # a in four half-digits [a1 a2 a3 a4]: divide [a1 a2 a3], then [r a4]
+    q_hi, rem = _div_3h_by_2h(a >> n, (a >> half) & mask, b, b_hi, b_lo, half)
+    q_lo, rem = _div_3h_by_2h(rem, a & mask, b, b_hi, b_lo, half)
+    return (q_hi << half) | q_lo, rem >> odd
+
+
+def _div_3h_by_2h(
+    top: int, low: int, b: int, b_hi: int, b_lo: int, h: int
+) -> tuple[int, int]:
+    """divmod(top * 2**h + low, b) for b = b_hi * 2**h + b_lo of 2h bits.
+
+    Needs low < 2**h and top < b.  The quotient is estimated from the top
+    against b_hi alone, which overshoots by at most 2.
+    """
+    if top >> h == b_hi:
+        quot = (1 << h) - 1
+        rem = top - (b_hi << h) + b_hi  # top - quot * b_hi
+    else:
+        quot, rem = _div_2n_by_n(top, b_hi, h)
+    rem = ((rem << h) | low) - quot * b_lo
+    while rem < 0:
+        quot -= 1
+        rem += b
+    return quot, rem
+
+
+def _reduce_level(values: Sequence[int], level: Sequence[int]) -> list[int]:
+    """values[i] mod level[i]; recursive division only on levels of big nodes."""
+    if level[0].bit_length() > _BZ_CUTOFF:
+        return [_divmod(v, m)[1] for v, m in zip(values, level)]
+    return [v % m for v, m in zip(values, level)]
+
+
 def _product_tree(values: Sequence[int]) -> list[list[int]]:
     """Levels of pairwise products; level 0 is the input, the last is [prod]."""
     tree = [list(values)]
@@ -173,19 +278,24 @@ def _product_tree(values: Sequence[int]) -> list[list[int]]:
     return tree
 
 
+def _tree_mod(value: int, tree: list[list[int]]) -> list[int]:
+    """value mod each leaf of a product tree, reduced from the root down."""
+    rems = [value]
+    for level in reversed(tree):
+        rems = _reduce_level([rems[i // 2] for i in range(len(level))], level)
+    return rems
+
+
 def multi_mod(value: int, mods: Sequence[int]) -> list[int]:
     """value mod m for each m, via a remainder tree.
 
     Much faster than a loop of big-by-small divisions when value is huge
-    and there are many moduli.
+    and there are many moduli.  Each node reduces its parent's remainder;
+    the levels of big nodes divide with _divmod.
     """
     if not mods:
         return []
-    tree = _product_tree(mods)
-    rems = [value % tree[-1][0]]
-    for level in reversed(tree[:-1]):
-        rems = [rems[i // 2] % m for i, m in enumerate(level)]
-    return rems
+    return _tree_mod(value, _product_tree(mods))
 
 
 def _normalize_classes(classes: Iterable) -> list[tuple[int, int]]:
@@ -220,35 +330,38 @@ def crt_combine(classes: Iterable) -> CrtWitness:
             raise ValueError(f"modulus {p} >= 2**64: primality is unproven")
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
-    return _crt([p for p, _ in pairs], [(-a) % p for p, a in pairs])
+    return _crt([p for p, _ in pairs], [(-a) % p for p, a in pairs])[0]
 
 
-def _crt(primes: Sequence[int], residues: Sequence[int]) -> CrtWitness:
+def _crt(
+    primes: Sequence[int], residues: Sequence[int]
+) -> tuple[CrtWitness, list[list[int]]]:
     """T in [0, P) with T == residues[i] (mod primes[i]); primes distinct.
 
-    One product tree of the primes serves both passes, with no big-integer
-    inverse.  Downwards, each node N = L*R hands its children the scaled
-    remainders c_L = c_N*R mod L and c_R = c_N*L mod R from c_root = 1, so
-    every leaf receives (P/p) mod p (Bernstein's scaled remainder tree).
-    Upwards, the values v = sum(c_i * N/p_i) combine as v_L*R + v_R*L, with
-    the node products read from the tree.
+    Returns the witness and the product tree of the primes, which serves
+    both passes here, with no big-integer inverse, and which callers may
+    reuse to reduce by the same primes.  Downwards, each node N = L*R hands
+    its children the scaled remainders c_L = c_N*R mod L and c_R = c_N*L
+    mod R from c_root = 1, so every leaf receives (P/p) mod p (Bernstein's
+    scaled remainder tree); levels of big nodes divide with _divmod.  The
+    leaves' inverses come in one _prime_inverses batch.  Upwards, the
+    values v = sum(c_i * N/p_i) combine as v_L*R + v_R*L, with the node
+    products read from the tree.
     """
     tree = _product_tree(primes)
     P = tree[-1][0]
     scaled = [1]
     for level in reversed(tree[:-1]):
-        nxt = []
-        for i in range(0, len(level), 2):
-            c = scaled[i // 2]
-            if i + 1 < len(level):
-                left, right = level[i], level[i + 1]
-                nxt.append(c * right % left)
-                nxt.append(c * left % right)
-            else:
-                nxt.append(c)
-        scaled = nxt
+        last = len(level) - 1
+        # a node without a sibling is its parent, whose c passes unchanged
+        scaled = _reduce_level(
+            [scaled[i // 2] * (level[i ^ 1] if i ^ 1 <= last else 1)
+             for i in range(len(level))],
+            level,
+        )
     values = [
-        r * pow(s, -1, p) % p for p, r, s in zip(primes, residues, scaled)
+        r * inv % p
+        for p, r, inv in zip(primes, residues, _prime_inverses(scaled, primes))
     ]
     for level in tree[:-1]:
         values = [
@@ -257,4 +370,4 @@ def _crt(primes: Sequence[int], residues: Sequence[int]) -> CrtWitness:
             else values[i]
             for i in range(0, len(level), 2)
         ]
-    return CrtWitness(T=values[0] % P, P=P)
+    return CrtWitness(T=values[0] % P, P=P), tree

@@ -15,9 +15,9 @@ from __future__ import annotations
 import logging
 import math
 from decimal import Decimal, localcontext
-from typing import Optional, Sequence
+from typing import Optional
 
-from .arith import PROVEN_LIMIT, _crt, factorize, mod_inverse, multi_mod
+from .arith import PROVEN_LIMIT, _crt, _prime_inverses, _tree_mod, factorize
 from .config import DEFAULT, Config
 from .errors import (
     BadProgression,
@@ -118,13 +118,12 @@ def forced_classes(u: int, q: int, b: int) -> list[ResidueClass]:
         raise ValueError("need u >= 3")
     if math.gcd(b, q) != 1:
         raise ValueError(f"need gcd(b, q) = 1, got gcd = {math.gcd(b, q)}")
-    out = []
-    for p in primes_up_to(u // 2):
-        if q % p == 0:
-            continue
-        a = (-b) * mod_inverse(q % p, p) % p
-        out.append(ResidueClass(p, a, ClassKind.FORCED))
-    return out
+    primes = [p for p in primes_up_to(u // 2) if q % p]
+    inverses = _prime_inverses([q % p for p in primes], primes)
+    return [
+        ResidueClass(p, (-b) * inv % p, ClassKind.FORCED)
+        for p, inv in zip(primes, inverses)
+    ]
 
 
 def sieve_survivors(
@@ -482,32 +481,29 @@ def require_verified(
 
 
 def witness_of_verified(
-    cert: CoveringCertificate, moduli: Optional[Sequence[int]] = None
+    cert: CoveringCertificate,
 ) -> tuple[CrtWitness, list[int]]:
-    """The CRT witness of a verified certificate, and T mod each modulus.
+    """The CRT witness of a verified certificate, and T mod each class prime.
 
-    The certificate must have passed verify_certificate.  moduli default to
-    the class primes; any list holding every class prime will do.  T solves
-    T == -a_p (mod p) over every class, combined on one product tree of the
-    distinct class primes; a T of 0 is shifted up by one period so the
-    witness run sits strictly inside the positive integers.  One remainder
-    tree reduces T by the moduli.  Validation walks all y + 1 offsets
-    through the class primes' residues, which is the gcd(T + n, P) > 1
-    check evaluated without materializing y big gcds, and is independent of
-    the combination.
+    The certificate must have passed verify_certificate.  T solves
+    T == -a_p (mod p) over every class, combined by _crt on one product
+    tree of the class primes; a T of 0 is shifted up by one period so the
+    witness run sits strictly inside the positive integers.  T is then
+    reduced down that same tree, an independent reduction that never reads
+    the residues the combination started from.  Validation walks all
+    y + 1 offsets through those residues, which is the gcd(T + n, P) > 1
+    check evaluated without materializing y big gcds.  The residues come
+    back in class order.
     """
     primes = [c.p for c in cert.classes]
-    combined = _crt(primes, [(-c.a) % c.p for c in cert.classes])
+    combined, tree = _crt(primes, [(-c.a) % c.p for c in cert.classes])
     T, P = combined.T, combined.P
     if T == 0:
         T += P
-    if moduli is None:
-        moduli = primes
-    residues = multi_mod(T, moduli)
-    residue_of = dict(zip(moduli, residues))
+    residues = _tree_mod(T, tree)
     flags = bytearray(cert.y + 1)
-    for p in primes:
-        start = (-residue_of[p]) % p
+    for p, r in zip(primes, residues):
+        start = (-r) % p
         if start <= cert.y:
             flags[start::p] = b"\x01" * ((cert.y - start) // p + 1)
     miss = flags.find(0)

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from . import covering
-from .arith import primorial
+from .arith import multi_mod, primorial
 from .config import DEFAULT, Config
 from .errors import PeriodTooLarge
 from .model import CoveringCertificate, GapRecord, JacobsthalValue, Rational
@@ -28,16 +28,22 @@ def jacobsthal_exact(
     Scans the full period [1, P + 1], P = primorial(u), striking multiples
     of every prime <= u; both endpoints of the window are rough, so every
     gap class of the periodic pattern appears exactly once.  Refuses with
-    PeriodTooLarge when P exceeds the cap rather than approximating, and
-    with ResourceLimit when it exceeds the scan budget.
+    PeriodTooLarge when P exceeds the cap rather than approximating, before
+    sieving anything near u, and with ResourceLimit when it exceeds the scan
+    budget.
     """
     cfg = config or DEFAULT
     if u < 2:
         raise ValueError("need u >= 2")
     cap = period_cap if period_cap is not None else cfg.period_cap
-    period = primorial(u)
+    # primorial(n) >= 2**pi(n), and the k-th prime is below k*k for k >= 2,
+    # so primorial((cap.bit_length() + 1)**2) already exceeds the cap: a
+    # larger u is refused without sieving up to u
+    limit = max(2, (cap.bit_length() + 1) ** 2)
+    period = primorial(min(u, limit))
     if period > cap:
-        raise PeriodTooLarge(f"primorial({u}) = {period} exceeds the cap {cap}")
+        value = f" = {period}" if u <= limit else ""
+        raise PeriodTooLarge(f"primorial({u}){value} exceeds the cap {cap}")
     witness = rough_gap_scan(u, 1, period + 1, config=cfg)
     return JacobsthalValue(u=u, value=witness.gap, witness=witness, exact=True)
 
@@ -64,16 +70,20 @@ def jacobsthal_bound_from_certificate(
     (x - b)/q of the bound rides along as gap_lower_rational.
 
     Verifies the certificate once, raising InvalidCertificate on any
-    failure, then reduces T once modulo every prime <= u: the class primes'
-    residues validate the witness and all of them locate the flanks.
-    Raises ResourceLimit when the primes up to u exceed the memory budget.
+    failure.  The class primes' residues of T come from the witness's own
+    validated reduction; one remainder pass reduces T by the primes <= u
+    that carry no class, and the flank search runs over both.  Raises
+    ResourceLimit when the primes up to u exceed the memory budget.
     """
     cfg = config or DEFAULT
     covering.require_verified(cert, config=cfg)
     primes = primes_up_to(cert.u, config=cfg)
-    w, residues = covering.witness_of_verified(cert, primes)
-    rems = np.array(residues, dtype=np.int64)
-    mods = np.array(primes, dtype=np.int64)
+    w, residues = covering.witness_of_verified(cert)
+    classed = [c.p for c in cert.classes]
+    taken = set(classed)
+    unclassed = [p for p in primes if p not in taken]
+    rems = np.array(residues + multi_mod(w.T, unclassed), dtype=np.int64)
+    mods = np.array(classed + unclassed, dtype=np.int64)
     lo = w.T + _next_rough(rems, mods, -1, -1)
     hi = w.T + _next_rough(rems, mods, cert.y + 1, 1)
     return JacobsthalValue(

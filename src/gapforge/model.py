@@ -20,7 +20,14 @@ _DIGIT_CHUNK = 4000  # digits per int/str conversion, under the 4300 default
 
 
 def _int_to_decimal(n: int) -> str:
-    """Decimal text of n >= 0, split by squared powers of ten into short pieces."""
+    """Decimal text of n >= 0, split by squared powers of ten into short pieces.
+
+    Each split is a 2k-by-k division, which arith._divmod does by recursive
+    division, so the conversion costs a few Karatsuba products per level
+    rather than CPython's quadratic int-to-str.
+    """
+    from .arith import _divmod  # arith imports this module
+
     powers = [10**_DIGIT_CHUNK]  # powers[i] = 10 ** (_DIGIT_CHUNK * 2**i)
     while powers[-1] <= n:
         powers.append(powers[-1] * powers[-1])
@@ -28,7 +35,7 @@ def _int_to_decimal(n: int) -> str:
     def padded(m: int, i: int) -> str:  # m < powers[i], zero-padded
         if i == 0:
             return str(m).rjust(_DIGIT_CHUNK, "0")
-        hi, lo = divmod(m, powers[i - 1])
+        hi, lo = _divmod(m, powers[i - 1])
         return padded(hi, i - 1) + padded(lo, i - 1)
 
     return padded(n, len(powers) - 1).lstrip("0") or "0"
@@ -297,7 +304,15 @@ def certificate_to_dict(
     cert: CoveringCertificate, witness: Optional[CrtWitness] = None
 ) -> dict:
     """Certificate as a JSON-ready dict with the stable field order."""
-    out = {
+    head, tail = _certificate_fields(cert, witness)
+    return {**head, "classes": [c.to_json() for c in cert.classes], **tail}
+
+
+def _certificate_fields(
+    cert: CoveringCertificate, witness: Optional[CrtWitness]
+) -> tuple[dict, dict]:
+    """The fields before "classes" and those after it, in the stable order."""
+    head = {
         "x": cert.x,
         "q": cert.q,
         "b": cert.b,
@@ -306,25 +321,43 @@ def certificate_to_dict(
         "y": cert.y,
         "survivors_initial": cert.survivors_initial,
         "survivors_after_greedy": cert.survivors_after_greedy,
-        "classes": [c.to_json() for c in cert.classes],
     }
+    tail = {}
     if witness is not None:
-        out["witness"] = {
+        tail["witness"] = {
             "T": _int_to_decimal(witness.T),
             "P": _int_to_decimal(witness.P),
         }
-    out["bound"] = {
+    tail["bound"] = {
         "jacobsthal_u": cert.u,
         "gap_lower_rational": cert.bound_rational().to_json(),
     }
-    return out
+    return head, tail
 
 
 def certificate_to_json(
     cert: CoveringCertificate, witness: Optional[CrtWitness] = None
 ) -> str:
-    """Deterministic JSON text; identical inputs give identical bytes."""
-    return json.dumps(certificate_to_dict(cert, witness), indent=2) + "\n"
+    """Deterministic JSON text; identical inputs give identical bytes.
+
+    The text is json.dumps(certificate_to_dict(cert, witness), indent=2)
+    plus a newline.  An indent sends json.dumps to its pure-Python encoder,
+    so the class records, nearly all of the text, are formatted here
+    directly; the few other fields still go through json.dumps.
+    """
+    head, tail = _certificate_fields(cert, witness)
+    # both dicts are non-empty: drop head's closing "\n}" and tail's "{\n"
+    text = json.dumps(head, indent=2)[:-2] + ',\n  "classes": '
+    if cert.classes:
+        records = ",\n".join(
+            f'    {{\n      "p": {c.p},\n      "a": {c.a},\n'
+            f'      "kind": "{c.kind.value}"\n    }}'
+            for c in cert.classes
+        )
+        text += "[\n" + records + "\n  ]"
+    else:
+        text += "[]"
+    return text + ",\n" + json.dumps(tail, indent=2)[2:] + "\n"
 
 
 def certificate_from_dict(obj: dict) -> tuple[CoveringCertificate, Optional[CrtWitness]]:

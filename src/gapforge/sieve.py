@@ -54,19 +54,19 @@ def _odd_survivors(
         start = stop + 2
 
 
-def _odd_base_primes(n: int, cfg: Config, what: str) -> list[int]:
-    """The odd primes <= n, for the kernel to strike with; n + 1 must fit the budget."""
+def _base_primes(n: int, cfg: Config, what: str) -> list[int]:
+    """The primes <= n, for a sieve to strike with; n + 1 must fit the budget."""
     if n + 1 > cfg.memory_budget:
         raise ResourceLimit(
             f"{what} needs the primes up to {n}, "
             f"over the {cfg.memory_budget}-byte budget"
         )
-    return small_primes_up_to(n)[1:]
+    return small_primes_up_to(n)
 
 
 def _odd_primes(lo: int, hi: int, cfg: Config) -> Iterator[tuple[int, np.ndarray]]:
     """Kernel segments holding the odd primes p with lo <= p <= hi."""
-    base = _odd_base_primes(math.isqrt(max(hi, 0)), cfg, "prime sieve")
+    base = _base_primes(math.isqrt(max(hi, 0)), cfg, "prime sieve")[1:]
     return _odd_survivors(max(3, lo), hi, base, cfg.segment_size, from_square=True)
 
 
@@ -162,15 +162,18 @@ def prime_count_ap(
     sieving prime and segment.  Each prime p <= sqrt(x) not dividing q hits
     the progression exactly at k == -b/q (mod p), starting from the first
     term >= p^2, so a prime p in the progression itself is never struck.
+    Raises ResourceLimit, before it allocates, when the terms exceed the
+    segmented-scan limit or the base primes up to isqrt(x) the memory budget.
     """
     _validate_progression(q, b)
     if not q < x:
         raise BadProgression(f"need q < x, got q={q}, x={x}")
     cfg = config or DEFAULT
     terms = (x - b) // q + 1
+    _check_window(terms, cfg, "progression sieve")
     strikes = [
         (p, (-b * pow(q, -1, p)) % p, max(0, (p * p - b + q - 1) // q))
-        for p in small_primes_up_to(math.isqrt(x))
+        for p in _base_primes(math.isqrt(x), cfg, "progression sieve")
         if q % p
     ]
     count = 0
@@ -239,7 +242,7 @@ def rough_gap_scan(
     if lo >= hi:
         raise ValueError("need lo < hi")
     _check_window(hi - lo, cfg, "rough gap scan")
-    odd_primes = _odd_base_primes(u, cfg, "rough gap scan")
+    odd_primes = _base_primes(u, cfg, "rough gap scan")[1:]
     segments = _odd_survivors(lo, hi, odd_primes, cfg.segment_size, from_square=False)
     best, found = _max_gap(segments)
     if found < 2:

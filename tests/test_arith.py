@@ -3,7 +3,11 @@ import random
 
 import pytest
 
+from gapforge import arith
 from gapforge.arith import (
+    _crt,
+    _divmod,
+    _prime_inverses,
     crt_combine,
     factorize,
     is_prime,
@@ -210,6 +214,91 @@ def test_multi_mod_matches_direct_reduction():
     assert multi_mod(value, mods) == [value % m for m in mods]
     assert multi_mod(value, []) == []
     assert multi_mod(value, [7]) == [value % 7]
+
+
+CUTOFF = arith._BZ_CUTOFF
+# divisor and quotient bit lengths at the builtin cutoff, one bit to either
+# side, odd and even, and past two and four times it, where the recursion
+# splits more than once
+BZ_SIZES = (CUTOFF - 1, CUTOFF, CUTOFF + 1, 2 * CUTOFF + 3, 2 * CUTOFF + 4,
+            4 * CUTOFF + 7, 9 * CUTOFF + 2)
+
+
+def _bits(rng, n):
+    """A random integer of exactly n bits."""
+    return rng.getrandbits(n) | (1 << (n - 1))
+
+
+def test_divmod_matches_builtin_at_and_past_the_cutoff():
+    rng = random.Random(61)
+    for n in BZ_SIZES:
+        b = _bits(rng, n)
+        for k in (0,) + BZ_SIZES:
+            a = _bits(rng, n + k) if k else rng.getrandbits(n - 1)
+            assert _divmod(a, b) == divmod(a, b), (n, k)
+            assert _divmod(a * b, b) == divmod(a * b, b), (n, k)
+
+
+def test_divmod_extreme_operands():
+    rng = random.Random(67)
+    for n in BZ_SIZES:
+        b = _bits(rng, n)
+        for a, d in (
+            (b * 2**n - 1, b),  # the largest a of a 2n-by-n step
+            (b * 2**(3 * n) - 1, b),
+            (_bits(rng, 3 * n), 2**n),
+            (_bits(rng, 3 * n), 2**n - 1),
+            (2**(2 * n) - 1, 2**n - 1),
+            ((2**n - 1) ** 2, 2**n - 1),
+            (0, b),
+            (b - 1, b),  # zero quotient
+            (-_bits(rng, 3 * n), b),  # the builtin's floor semantics
+        ):
+            assert _divmod(a, d) == divmod(a, d), (n, a.bit_length(), d.bit_length())
+
+
+def test_prime_inverses_match_pow():
+    # 2 and 3, the int64 path's largest primes, and primes past 2**31 that
+    # take pow: one batch runs both paths
+    primes = [2, 3, 5, 2**31 - 19, 2**31 - 1, 2**31 + 11, 2**61 - 1, 2**64 - 59]
+    values, moduli = [], []
+    for p in primes:
+        for v in (1, p - 1, 2 % p or 1, (p // 3) or 1):
+            values.append(v)
+            moduli.append(p)
+    assert _prime_inverses(values, moduli) == [pow(v, -1, p) for v, p in zip(values, moduli)]
+    small = [(v, p) for v, p in zip(values, moduli) if p < 2**31]
+    assert _prime_inverses(*zip(*small)) == [pow(v, -1, p) for v, p in small]
+    assert _prime_inverses([], []) == []
+    rng = random.Random(71)
+    primes = small_primes_up_to(50_000)
+    values = [rng.randrange(1, p) if p > 2 else 1 for p in primes]
+    assert _prime_inverses(values, primes) == [pow(v, -1, p) for v, p in zip(values, primes)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1, 2**31 + 11])
+def test_prime_inverses_refuse_zero(p):
+    for v in (0, p):
+        with pytest.raises(ValueError):
+            _prime_inverses([1, v], [5, p])
+
+
+def test_crt_tree_levels_past_the_cutoff():
+    # 1200 primes of ~17 bits: the top levels of the tree hold nodes past
+    # the cutoff, so recursive division runs on both passes
+    rng = random.Random(73)
+    primes = rng.sample(small_primes_up_to(200_000)[1000:], 1200)
+    residues = [rng.randrange(p) for p in primes]
+    w, tree = _crt(primes, residues)
+    assert tree[-2][0].bit_length() > CUTOFF
+    assert w.P == math.prod(primes)
+    T, P = 0, 1
+    for p, r in zip(primes, residues):  # incremental oracle
+        T += P * ((r - T) * pow(P, -1, p) % p)
+        P *= p
+    assert w.T == T
+    assert multi_mod(w.T, primes) == residues
+    assert arith._tree_mod(w.T, tree) == residues
 
 
 # least strong pseudoprime to bases 2, 7 and 61: the end of their proven range

@@ -4,8 +4,15 @@ import math
 import pytest
 
 import gapforge as gf
+from gapforge import covering
 from gapforge.cli import main
-from gapforge.model import GapRecord, JacobsthalValue, ProgressionStats, ScenarioResult
+from gapforge.model import (
+    GapRecord,
+    JacobsthalValue,
+    ProgressionStats,
+    ScenarioResult,
+    certificate_to_dict,
+)
 
 
 def run(capsys, *argv):
@@ -327,6 +334,21 @@ def test_verify_refuses_class_prime_above_64_bits(tmp_path, capsys, monkeypatch)
     code, _, err = run(capsys, "cover", "--x", "10000", "--q", "101",
                        "--b", "100", "--out", str(out_path))
     assert code == 0, err
+    # the witness path combines through covering._crt: a valid certificate
+    # reaches it, so the refusal below is the guard's doing
+    combined = []
+    crt = covering._crt
+
+    def recording_crt(primes, residues):
+        combined.append(len(primes))
+        return crt(primes, residues)
+
+    monkeypatch.setattr(covering, "_crt", recording_crt)
+    code, out, _ = run(capsys, "verify", str(out_path), "--witness")
+    assert code == 0
+    assert "[PASS] witness_validates" in out
+    assert combined == [len(json.loads(out_path.read_text())["classes"])]
+
     obj = json.loads(out_path.read_text())
     for cls in obj["classes"]:
         if cls["kind"] == "matched":
@@ -343,10 +365,34 @@ def test_verify_refuses_class_prime_above_64_bits(tmp_path, capsys, monkeypatch)
     def no_crt(*_):
         raise AssertionError("combined a modulus of unproven primality")
 
-    monkeypatch.setattr("gapforge.covering._crt", no_crt)
+    monkeypatch.setattr(covering, "_crt", no_crt)
     code, out, _ = run(capsys, "verify", str(out_path), "--witness", "--format", "json")
     assert code == 5
     entries = {e["check"]: e for e in json.loads(out)}
     assert not entries["class_primes_prime"]["pass"]
     assert entries["witness_validates"]["detail"].startswith("skipped")
 
+
+
+def test_strict_verify_of_a_huge_x_fails_closed(tmp_path, capsys):
+    # strict re-measures delta up to x; at x = 2**70 the progression sieve
+    # refuses before it allocates, and the report says so
+    obj = certificate_to_dict(gf.build_certificate(10**4, 101, 100))
+    obj["x"] = 2**70
+    obj["y"] = (obj["x"] - obj["b"]) // obj["q"]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", str(path), "--strict", "--format", "json")
+    assert code == 5, err
+    entries = {e["check"]: e for e in json.loads(out)}
+    assert not entries["delta_hypothesis"]["pass"]
+    assert "progression sieve" in entries["delta_hypothesis"]["detail"]
+    code, _, err = run(capsys, "pi-ap", "--x", str(2**70), "--q", "101", "--b", "100")
+    assert code == 2
+    assert "resource limit" in err
+
+
+def test_jacobsthal_far_past_the_cap_exits_3(capsys):
+    code, _, err = run(capsys, "jacobsthal", "--u", str(10**10))
+    assert code == 3
+    assert "exceeds the cap" in err

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 from decimal import Decimal, localcontext
 
 import pytest
@@ -31,8 +32,10 @@ from gapforge.errors import (
 from gapforge.model import (
     ClassKind,
     CoveringCertificate,
+    CrtWitness,
     Rational,
     ResidueClass,
+    _int_to_decimal,
     certificate_from_dict,
     certificate_to_dict,
     certificate_to_json,
@@ -218,6 +221,45 @@ def test_certificate_json_round_trip():
     assert obj["bound"]["jacobsthal_u"] == cert.u
     assert obj["bound"]["gap_lower_rational"] == {"num": 9900, "den": 101}
     assert obj["classes"][0]["kind"] in ("forced", "greedy", "matched")
+
+
+def _indented(cert, witness=None):
+    return json.dumps(certificate_to_dict(cert, witness), indent=2) + "\n"
+
+
+def test_certificate_writer_matches_indented_dumps():
+    built = build_certificate(10**4, 101, 100)
+    big = random.Random(79).getrandbits(20_000)  # over 6000 digits
+    for cert in (
+        CoveringCertificate(x=2, q=1, b=0, delta=Rational(0), u=3, y=2,
+                            classes=(), survivors_initial=0,
+                            survivors_after_greedy=0),
+        CoveringCertificate(x=0, q=1, b=0, delta=Rational(1, 3), u=2, y=0,
+                            classes=(ResidueClass(2, 0, ClassKind.MATCHED),),
+                            survivors_initial=1, survivors_after_greedy=1),
+        built,
+    ):
+        for witness in (None, CrtWitness(T=1, P=2), CrtWitness(T=big, P=big + 1)):
+            assert certificate_to_json(cert, witness) == _indented(cert, witness)
+    w = crt_witness(built)
+    assert certificate_to_json(built, w) == _indented(built, w)
+
+
+def test_int_to_decimal_matches_str():
+    # pieces of 4000 digits, and splits past the recursive-division cutoff
+    rng = random.Random(83)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before 3.11
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        for digits in (1, 3999, 4000, 4001, 8000, 8001, 16001, 70_000):
+            for n in (10 ** (digits - 1), 10**digits - 1,
+                      rng.randrange(10 ** (digits - 1), 10**digits)):
+                assert _int_to_decimal(n) == str(n), digits
+        assert _int_to_decimal(0) == "0"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _mutate_drop(cert, idx):

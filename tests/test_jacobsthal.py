@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from gapforge import arith, jacobsthal
 from gapforge.arith import primorial, small_primes_up_to
 from gapforge.config import Config
 from gapforge.covering import build_certificate, crt_witness, verify_certificate
@@ -77,6 +78,26 @@ def test_period_cap_enforced():
     with pytest.raises(PeriodTooLarge):
         jacobsthal_exact(7, 100)
     assert jacobsthal_exact(7, 211).value == 10
+
+
+def test_period_cap_refuses_before_sieving_up_to_u(monkeypatch):
+    # primorial(7) = 210: at the cap it scans, one below it refuses
+    assert jacobsthal_exact(7, 210).value == 10
+    with pytest.raises(PeriodTooLarge, match="= 210 exceeds"):
+        jacobsthal_exact(7, 209)
+    sieved = []
+    original = arith.small_primes_up_to
+
+    def recording(n):
+        sieved.append(n)
+        return original(n)
+
+    monkeypatch.setattr(arith, "small_primes_up_to", recording)
+    for u, cap in ((1000, 1000), (10**10, None), (10**10, 10**10)):
+        sieved.clear()
+        with pytest.raises(PeriodTooLarge):
+            jacobsthal_exact(u, cap)
+        assert sieved and max(sieved) <= 35**2, (u, cap)
 
 
 def test_rejects_u_below_two():
@@ -177,6 +198,47 @@ def test_bound_flanks_match_trial_division_oracle(x, q, b):
     lo, hi = _oracle_flanks(crt_witness(cert).T, cert.y, cert.u)
     assert (val.witness.gap, val.witness.lo, val.witness.hi) == (hi - lo, lo, hi)
     assert val.value == cert.y + 2 <= val.witness.gap
+
+
+def _classes_for_every_prime(u, y):
+    """Greedy classes, one per prime <= u, covering [0, y] (None if they do not)."""
+    primes = [k for k in range(2, u + 1) if all(k % d for d in range(2, k))]
+    left = set(range(y + 1))
+    classes = []
+    for p in primes:
+        a = max(range(p), key=lambda r: (sum(n % p == r for n in left), -r))
+        classes.append((p, a))
+        left = {n for n in left if n % p != a}
+    return None if left else classes
+
+
+def test_bound_flanks_when_every_prime_carries_a_class(monkeypatch):
+    # every prime <= u = 13 has a class, so the pass over the unclassed
+    # primes is empty and the flanks rest on the witness's residues alone
+    passes = []
+    original = jacobsthal.multi_mod
+
+    def recording(value, mods):
+        passes.append(list(mods))
+        return original(value, mods)
+
+    monkeypatch.setattr(jacobsthal, "multi_mod", recording)
+    u, y = 13, 12
+    pairs = _classes_for_every_prime(u, y)
+    assert pairs is not None
+    cert = CoveringCertificate(
+        x=y, q=1, b=0, delta=Rational(0), u=u, y=y,
+        classes=tuple(
+            ResidueClass(p, a, ClassKind.FORCED if 2 * p <= u else ClassKind.MATCHED)
+            for p, a in pairs
+        ),
+        survivors_initial=0, survivors_after_greedy=0,
+    )
+    val = jacobsthal_bound_from_certificate(cert)
+    assert passes == [[]]
+    lo, hi = _oracle_flanks(crt_witness(cert).T, y, u)
+    assert (val.witness.gap, val.witness.lo, val.witness.hi) == (hi - lo, lo, hi)
+    assert val.value == y + 2
 
 
 def _with_u(u):

@@ -78,6 +78,25 @@ def test_prime_count_ap_rejections():
         prime_count_ap(10, 10, 3)  # q not below x
 
 
+def test_prime_count_ap_budget_boundaries():
+    # scan_limit = 2**19 terms; base primes up to isqrt(x) need isqrt(x) + 1 bytes
+    cfg = Config(memory_budget=1 << 16, period_cap=1 << 16)
+    # (2**20 - 1)//2 + 1 = 2**19 terms, at the limit: every odd prime counts
+    assert prime_count_ap(2**20, 2, 1, config=cfg).count == len(primes_up_to(2**20)) - 1
+    with pytest.raises(ResourceLimit, match="progression sieve covers 524289"):
+        prime_count_ap(2**20 + 1, 2, 1, config=cfg)
+    # isqrt(2**32 - 1) + 1 = 2**16 bytes fits, one more does not
+    x = 2**32 - 1
+    assert prime_count_ap(x, 10_007, 1, config=cfg) == prime_count_ap(x, 10_007, 1)
+    with pytest.raises(ResourceLimit, match="primes up to 65536,"):
+        prime_count_ap(2**32, 10_007, 1, config=cfg)
+    # far past the default budget it refuses at once instead of allocating
+    with pytest.raises(ResourceLimit):
+        prime_count_ap(2**70, 101, 100)
+    with pytest.raises(ResourceLimit):
+        prime_count_ap(2**70, 2**40 + 1, 2)
+
+
 def test_prime_count_ap_unit_sum_invariant():
     # summed over units b mod q, counts give pi(x) minus the primes dividing q
     for x in (100, 2000):
