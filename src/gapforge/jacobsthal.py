@@ -1,13 +1,14 @@
 """Exact maximal rough-number gaps over one full primorial period, and
 lower bounds on them extracted from covering certificates.
 
-The exact scan is sieve.rough_gap_scan over the period, so it runs on the
-sieve module's numpy segment kernel; the tests check it against a
-pure-Python oracle of their own.
+The exact scan is sieve.rough_gap_scan over half the period, so it runs on
+the sieve module's numpy segment kernel; the tests check it against a
+pure-Python oracle of their own and against the full-period scan.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -25,12 +26,19 @@ def jacobsthal_exact(
 ) -> JacobsthalValue:
     """Exact J(u): maximal gap between consecutive u-rough integers.
 
-    Scans the full period [1, P + 1], P = primorial(u), striking multiples
-    of every prime <= u; both endpoints of the window are rough, so every
-    gap class of the periodic pattern appears exactly once.  Refuses with
-    PeriodTooLarge when P exceeds the cap rather than approximating, before
-    sieving anything near u, and with ResourceLimit when it exceeds the scan
-    budget.
+    The rough integers repeat with period P = primorial(u), and both ends
+    of [1, P + 1] are rough, so that window holds every gap of the pattern.
+    n -> P - n maps rough integers to rough integers, so each gap above P/2
+    mirrors one of the same length below it with a smaller left end; with r
+    the largest rough integer <= P/2, the gap straddling P/2 is (r, P - r).
+    The first maximal gap of [1, P + 1] therefore lies in [1, P - r + 2],
+    which is all the scan covers (the + 2 keeps u = 2, P = 2, whole), and
+    the scan's own tie rule finds the same witness as a full-period scan.
+    r is found by walking down from P/2, fewer than J(u)/2 odd steps.
+
+    Refuses with PeriodTooLarge when P exceeds the cap rather than
+    approximating, before sieving anything near u, and with ResourceLimit
+    when the window exceeds the scan budget.
     """
     cfg = config or DEFAULT
     if u < 2:
@@ -44,7 +52,10 @@ def jacobsthal_exact(
     if period > cap:
         value = f" = {period}" if u <= limit else ""
         raise PeriodTooLarge(f"primorial({u}){value} exceeds the cap {cap}")
-    witness = rough_gap_scan(u, 1, period + 1, config=cfg)
+    r = period // 2  # odd for every u >= 2, as rough integers are
+    while math.gcd(r, period) != 1:
+        r -= 2
+    witness = rough_gap_scan(u, 1, period - r + 2, config=cfg)
     return JacobsthalValue(u=u, value=witness.gap, witness=witness, exact=True)
 
 

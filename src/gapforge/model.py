@@ -103,6 +103,10 @@ class ClassKind(Enum):
     MATCHED = "matched"
 
 
+# one dict lookup per class instead of the Enum.__call__ machinery
+_KIND_BY_TEXT = {kind.value: kind for kind in ClassKind}
+
+
 @dataclass(frozen=True)
 class ResidueClass:
     """The class a mod p, tagged with how the pipeline chose it."""
@@ -116,7 +120,12 @@ class ResidueClass:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ResidueClass":
-        return cls(int(obj["p"]), int(obj["a"]), ClassKind(obj["kind"]))
+        text = obj["kind"]
+        try:
+            kind = _KIND_BY_TEXT[text]
+        except (KeyError, TypeError):  # unknown or unhashable, as ClassKind(text)
+            raise ValueError(f"{text!r} is not a valid ClassKind") from None
+        return cls(int(obj["p"]), int(obj["a"]), kind)
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,10 @@ def _odd_survivors(
 
     Each odd prime p strikes its odd multiples: every one of them for a
     rough scan, or only those from p*p on (from_square) for a prime sieve,
-    where p itself survives.  Yields (base, offsets) per segment of span odd
-    numbers, offsets an ascending int64 array of n - base.  base stays a
-    Python int, so windows past 2**63 are exact.
+    where p itself survives.  Yields (base, struck) per segment of span odd
+    numbers, struck a bool array whose entry i is True when base + 2*i is
+    struck; its False entries are the survivors.  base stays a Python int,
+    so windows past 2**63 are exact.
     """
     start = lo | 1
     last = hi if hi % 2 else hi - 1
@@ -50,7 +51,7 @@ def _odd_survivors(
                 first += p
             if first <= stop:
                 struck[(first - start) // 2 :: p] = True
-        yield start, 2 * np.flatnonzero(~struck)
+        yield start, struck
         start = stop + 2
 
 
@@ -70,6 +71,25 @@ def _odd_primes(lo: int, hi: int, cfg: Config) -> Iterator[tuple[int, np.ndarray
     return _odd_survivors(max(3, lo), hi, base, cfg.segment_size, from_square=True)
 
 
+def _has_run(struck: np.ndarray, k: int) -> bool:
+    """True when struck holds k >= 1 consecutive True entries.
+
+    Log-doubling: after each in-place AND of run with itself shifted by
+    step, run[i] tells whether struck[i : i + length] is all True, so about
+    log2(k) passes over the segment decide it.
+    """
+    if k > struck.size:
+        return False
+    run = struck.copy()
+    n, length = run.size, 1
+    while length < k:
+        step = min(length, k - length)
+        n -= step
+        np.logical_and(run[:n], run[step : step + n], out=run[:n])
+        length += step
+    return bool(run[:n].any())
+
+
 def _max_gap(
     segments: Iterator[tuple[int, np.ndarray]], prev: Optional[int] = None
 ) -> tuple[GapRecord, int]:
@@ -78,23 +98,42 @@ def _max_gap(
     prev, if given, is a survivor before the first segment.  Each boundary
     gap is read before the segment's own, and only a strictly larger gap
     replaces the record, so ties go to the smallest left witness.
+
+    Survivors are odd (or prev = 2), so once the record g is at least 2 a
+    gap inside a segment beats it only across g // 2 or more consecutive
+    struck numbers.  A segment without such a run is not read in full: its
+    first and last survivor, each within g // 2 entries of its end, give the
+    boundary gap and the next prev, and a count of its struck entries gives
+    its number of survivors.
     """
     best = GapRecord(0, 0, 0)
     found = 0
-    for base, offs in segments:
-        if offs.size == 0:
-            continue
-        found += offs.size
-        first = base + int(offs[0])
+    for base, struck in segments:
+        run = best.gap // 2
+        offs = None
+        if run and not _has_run(struck, run):
+            i = int(np.argmin(struck[:run]))
+            if struck[i]:
+                continue  # a segment shorter than run, all struck
+            j = struck.size - 1 - int(np.argmin(struck[: -run - 1 : -1]))
+            found += struck.size - int(np.count_nonzero(struck))
+        else:
+            offs = np.flatnonzero(~struck)
+            if offs.size == 0:
+                continue
+            found += offs.size
+            i, j = int(offs[0]), int(offs[-1])
+        first = base + 2 * i
         if prev is not None and first - prev > best.gap:
             best = GapRecord(first - prev, prev, first)
-        if offs.size > 1:
+        if offs is not None and offs.size > 1:
             diffs = np.diff(offs)
-            i = int(np.argmax(diffs))  # first maximum
-            if int(diffs[i]) > best.gap:
-                lo = base + int(offs[i])
-                best = GapRecord(int(diffs[i]), lo, lo + int(diffs[i]))
-        prev = base + int(offs[-1])
+            k = int(np.argmax(diffs))  # first maximum
+            gap = 2 * int(diffs[k])
+            if gap > best.gap:
+                lo = base + 2 * int(offs[k])
+                best = GapRecord(gap, lo, lo + gap)
+        prev = base + 2 * j
     return best, found
 
 
@@ -107,7 +146,9 @@ def _prime_array(n: int, cfg: Config) -> np.ndarray:
             f"prime list up to {n} exceeds the {cfg.memory_budget}-byte budget"
         )
     parts = [np.array([2] if n >= 2 else [], dtype=np.int64)]
-    parts += [offs + base for base, offs in _odd_primes(3, n, cfg)]
+    parts += [
+        base + 2 * np.flatnonzero(~struck) for base, struck in _odd_primes(3, n, cfg)
+    ]
     return np.concatenate(parts)
 
 
@@ -127,8 +168,8 @@ def primes_in_range(lo: int, hi: int, *, config: Optional[Config] = None) -> lis
         raise ValueError("need lo <= hi")
     _check_window(hi - lo, cfg, "prime range scan")
     out = [2] if lo < 2 <= hi else []
-    for base, offs in _odd_primes(lo + 1, hi, cfg):
-        out += [base + o for o in offs.tolist()]
+    for base, struck in _odd_primes(lo + 1, hi, cfg):
+        out += [base + o for o in (2 * np.flatnonzero(~struck)).tolist()]
     return out
 
 
@@ -260,8 +301,14 @@ def scan_deficits(
     Every unit b mod q is a row, empty progressions included.  Rows rank by
     delta = count * phi(q) / x, then q, then b; x is the same for every row,
     so the exact integer count * phi(q) orders them as delta does.  Returns
-    ranking[:top] (a Python slice), building each delta only for those rows.
+    the first top rows.  Within one modulus the order is that of (count, b),
+    so a stable argsort picks each modulus's top units before any row is
+    built, and the merged selections are cut back to top whenever they pass
+    2 * top: at most 3 * top rows are held.  Raises ValueError for a
+    negative top.
     """
+    if top < 0:
+        raise ValueError(f"need top >= 0, got {top}")
     cfg = config or DEFAULT
     ranking = []
     if qmin <= qmax and qmin < x:
@@ -270,10 +317,14 @@ def scan_deficits(
             phi = totient(q)
             counts = np.bincount(primes % q, minlength=q)
             units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
+            units = units[np.argsort(counts[units], kind="stable")[:top]]
             ranking += [
                 (count * phi, q, b, count)
                 for b, count in zip(units.tolist(), counts[units].tolist())
             ]
+            if len(ranking) > 2 * top:
+                ranking.sort()
+                del ranking[top:]
     ranking.sort()
     return [
         ProgressionStats(q=q, b=b, x=x, count=count, delta=Rational(key, x))

@@ -182,6 +182,23 @@ def test_verify_malformed_json(tmp_path, capsys):
     assert code == 6
 
 
+@pytest.mark.parametrize("kind, message", [
+    ("bogus", "'bogus' is not a valid ClassKind"),
+    (["matched"], "['matched'] is not a valid ClassKind"),
+    ({"kind": "matched"}, "{'kind': 'matched'} is not a valid ClassKind"),
+])
+def test_verify_unknown_or_unhashable_kind_exits_6(tmp_path, capsys, kind, message):
+    path = tmp_path / "cert.json"
+    run(capsys, "cover", "--x", "10000", "--q", "101", "--b", "100",
+        "--out", str(path))
+    obj = json.loads(path.read_text())
+    obj["classes"][-1]["kind"] = kind
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 6 and out == ""
+    assert err == f"cannot load certificate: {message}\n"
+
+
 def _hostile_anchor_certificate(tmp_path, capsys, fault):
     """The valid certificate of (1e7, 10007, 3), then one field broken."""
     good = tmp_path / "anchor.json"
@@ -258,6 +275,13 @@ def test_scan_includes_empty_progressions(capsys):
     rows = json.loads(out)
     zero_b = {r["b"] for r in rows if r["delta"]["num"] == 0}
     assert 96 in zero_b
+
+
+def test_scan_refuses_negative_top(capsys):
+    code, out, err = run(capsys, "scan", "--x", "100", "--qmin", "3",
+                         "--qmax", "10", "--top", "-2")
+    assert code == 1 and out == ""
+    assert err == "invalid parameters: need top >= 0, got -2\n"
 
 
 def test_scan_empty_range(capsys):

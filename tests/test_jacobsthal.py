@@ -100,6 +100,28 @@ def test_period_cap_refuses_before_sieving_up_to_u(monkeypatch):
         assert sieved and max(sieved) <= 35**2, (u, cap)
 
 
+def test_half_period_scan_equals_full_period_scan():
+    # jacobsthal_exact scans [1, P - r + 2] only; the full period [1, P + 1]
+    # must give the same record, witness included
+    for u in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        full = rough_gap_scan(u, 1, primorial(u) + 1)
+        assert jacobsthal_exact(u).witness == full, u
+
+
+def test_exact_witnesses_pinned():
+    for u, lo, hi in ((19, 60043, 60077), (23, 20332471, 20332511)):
+        val = jacobsthal_exact(u)
+        assert (val.value, val.witness.lo, val.witness.hi) == (hi - lo, lo, hi)
+        assert val.value == EXACT_TABLE[u]
+
+
+def test_exact_j29_past_the_default_cap():
+    # the witness comes from a scan of the full period [1, P + 1]; the half
+    # period takes about 2 s
+    val = jacobsthal_exact(29, config=Config(period_cap=primorial(29)))
+    assert (val.value, val.witness.lo, val.witness.hi) == (46, 417086647, 417086693)
+
+
 def test_rejects_u_below_two():
     with pytest.raises(ValueError):
         jacobsthal_exact(1)

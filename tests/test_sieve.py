@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gapforge.arith import is_prime, primorial
@@ -452,13 +453,18 @@ def test_scan_deficits_matches_brute_force_oracle():
     windows += [(997, 2, 40), (997, 980, 1010)]
     for x, qmin, qmax in windows:
         ranking = _scan_oracle(x, qmin, qmax)
-        for top in (0, 1, 7, 10**6, -2):
+        # top 1 and 7 cut most moduli's units and merge the selections
+        for top in (0, 1, 7, 10**6):
             got = scan_deficits(x, qmin, qmax, top)
             assert all(r.x == x for r in got)
             rows = [(r.q, r.b, r.count, Fraction(r.delta.num, r.delta.den))
                     for r in got]
             assert rows == ranking[:top], (x, qmin, qmax, top)
             empty_seen |= any(r.count == 0 for r in got)
+        # a negative top would mean "all but the last rows", which a
+        # selection of each modulus's top units cannot give: it is refused
+        with pytest.raises(ValueError, match="top >= 0"):
+            scan_deficits(x, qmin, qmax, -2)
     assert empty_seen
 
 
@@ -466,3 +472,113 @@ def test_scan_deficits_budget_and_domain():
     with pytest.raises(ResourceLimit):
         scan_deficits(10**6, 3, 5, 10, config=TINY)
     assert scan_deficits(10**6, 50, 10, 10, config=TINY) == []
+
+
+def _stream(base, texts):
+    """Kernel segments from text, one string each: '.' survives, 'x' is struck."""
+    segments = []
+    for text in texts:
+        segments.append((base, np.array([c == "x" for c in text], dtype=bool)))
+        base += 2 * len(text)
+    return segments
+
+
+def _read_every_survivor(segments, prev=None):
+    """(gap, lo, hi) of the first maximal gap and the survivor count, read in full."""
+    best, found = (0, 0, 0), 0
+    for base, struck in segments:
+        for i in np.flatnonzero(~struck).tolist():
+            n = base + 2 * i
+            if prev is not None and n - prev > best[0]:
+                best = (n - prev, prev, n)
+            prev, found = n, found + 1
+    return best, found
+
+
+def _assert_gap_reader_agrees(segments, prev=None):
+    rec, found = sieve._max_gap(iter(segments), prev)
+    best, total = _read_every_survivor(segments, prev)
+    assert (rec.gap, rec.lo, rec.hi) == best
+    assert found == total
+    return best
+
+
+# the first segment sets the record 8 = (3, 11): a strictly larger gap
+# inside a later segment needs a run of 8 // 2 = 4 struck numbers
+RECORD_8 = "..xxx."
+
+
+@pytest.mark.parametrize("texts, want", [
+    # a later gap equal to the record, gated (run 3) and read in full (the
+    # trailing run of 4 opens the gate): the earlier one keeps the record
+    ([RECORD_8, ".xxx.."], (8, 3, 11)),
+    ([RECORD_8, ".xxx.xxxx"], (8, 3, 11)),
+    # runs of exactly 4 - 1 and 4 struck: only the second is one odd step
+    # past the record
+    ([RECORD_8, ".xxx..xxxx."], (10, 23, 33)),
+    ([RECORD_8, "xxx.", "..", ".xxxx."], (10, 25, 35)),
+    # segments with no survivor, short and long, and with a single one
+    ([RECORD_8, "xxx", "xx.xx", "xxxxxxxxxx", ".x.x."], (26, 23, 49)),
+    ([RECORD_8, "xxx", ".", ".xx.x.."], (8, 3, 11)),
+    # a record only the boundary gap sets, its right end at index 0 of a
+    # segment whose own runs are short
+    ([RECORD_8, ".xxxxxx", ".x.x."], (14, 13, 27)),
+    # a leading run continuing the previous segment's trailing run, both
+    # shorter than 4, and the previous segment read only at its ends
+    ([RECORD_8, ".x.xxx", "xx.x."], (12, 17, 29)),
+    ([RECORD_8, ".x.x.xxx", "xxx.", "x.x.xxx", "x."], (14, 21, 35)),
+])
+def test_gap_reader_gate_on_crafted_segments(texts, want):
+    assert _assert_gap_reader_agrees(_stream(1, texts)) == want
+
+
+def test_gap_reader_gate_after_a_prime_sieve_start():
+    # prev = 2 before base 3 makes the first record the odd gap 1, which
+    # must not engage the gate
+    for texts, want in (([".", "x.x."], (4, 3, 7)), (["x", "xx.x"], (7, 2, 9)),
+                        (["..x.", "xx.x.x"], (6, 9, 15))):
+        assert _assert_gap_reader_agrees(_stream(3, texts), prev=2) == want
+
+
+def test_gap_reader_gate_on_random_segments():
+    rng = random.Random(90210)
+    for _ in range(2000):
+        density = rng.random()
+        texts = ["".join("x" if rng.random() < density else "."
+                         for _ in range(rng.randint(1, 24)))
+                 for _ in range(rng.randint(1, 12))]
+        prev = rng.choice([None, 1])
+        _assert_gap_reader_agrees(_stream(3 + 2 * rng.randrange(5), texts), prev)
+
+
+def _prime_gap_oracle(x):
+    """(gap, lo, hi) of the first maximal prime gap up to x, from a bytearray sieve."""
+    flags = bytearray([1]) * (x + 1)
+    flags[:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(x) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, x + 1, p)))
+    best, prev = (0, 0, 0), None
+    i = flags.find(1)
+    while i != -1:
+        if prev is not None and i - prev > best[0]:
+            best = (i - prev, prev, i)
+        prev, i = i, flags.find(1, i + 1)
+    return best
+
+
+def test_gated_scans_match_oracles_on_seeded_windows(rough_gap_oracle):
+    # at the minimum segment size every window spans several segments, so
+    # the gate reads most of them only at their ends
+    small = Config(segment_size=1 << 16)
+    rng = random.Random(2024)
+    for _ in range(20):
+        u = rng.choice([2, 3, 5, 7, 11, 13, 23, 31, 61, 127])
+        lo = rng.randrange(1, 10**12)
+        hi = lo + rng.randrange(270_000, 600_000)
+        rec = rough_gap_scan(u, lo, hi, config=small)
+        assert (rec.gap, rec.lo, rec.hi) == rough_gap_oracle(u, lo, hi), (u, lo, hi)
+    for _ in range(20):
+        x = rng.randrange(300_000, 1_500_000)
+        rec = max_prime_gap(x, config=small)
+        assert (rec.gap, rec.lo, rec.hi) == _prime_gap_oracle(x), x
