@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DuplicateModulus, NotInvertible, ZeroModulus
-from .model import CrtWitness, ResidueClass
+from .model import CrtWitness
 
 # Small primes used both for trial division and to seed the factorizer.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -298,27 +298,16 @@ def multi_mod(value: int, mods: Sequence[int]) -> list[int]:
     return _tree_mod(value, _product_tree(mods))
 
 
-def _normalize_classes(classes: Iterable) -> list[tuple[int, int]]:
-    pairs = []
-    for cls in classes:
-        if isinstance(cls, ResidueClass):
-            pairs.append((cls.p, cls.a))
-        else:
-            p, a = cls
-            pairs.append((int(p), int(a)))
-    return pairs
+def crt_combine(classes: Iterable[tuple[int, int]]) -> CrtWitness:
+    """Combine (p, a_p) pairs into T with T == -a_p (mod p) for each pair.
 
-
-def crt_combine(classes: Iterable) -> CrtWitness:
-    """Combine residue classes into T with T == -a_p (mod p) for each (p, a_p).
-
-    Accepts ResidueClass objects or bare (p, a) pairs.  The moduli are checked
-    first: a repeated one raises DuplicateModulus, a composite one, or one at
-    or above 2**64 where primality is unproven, ValueError.
+    The moduli are checked first: a repeated one raises DuplicateModulus, a
+    composite one, or one at or above 2**64 where primality is unproven,
+    ValueError.
     Returns T in [0, P) with P the product of the moduli, computed by _crt
     from a single product tree of the primes.
     """
-    pairs = _normalize_classes(classes)
+    pairs = list(classes)
     if not pairs:
         raise ValueError("crt_combine needs at least one class")
     seen = set()

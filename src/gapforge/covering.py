@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 import math
 from decimal import Decimal, localcontext
-from typing import Optional
+from typing import Iterable, Optional
 
 from .arith import PROVEN_LIMIT, _crt, _prime_inverses, _tree_mod, factorize
 from .config import DEFAULT, Config
@@ -126,6 +126,20 @@ def forced_classes(u: int, q: int, b: int) -> list[ResidueClass]:
     ]
 
 
+def _strike(y: int, residues: Iterable[int], moduli: Iterable[int]) -> bytearray:
+    """Flags over [0, y], set at each n == a (mod p) for the paired (a, p).
+
+    Moduli below 2 strike nothing; the callers check the budget for y.
+    """
+    flags = bytearray(y + 1)
+    for a, p in zip(residues, moduli):
+        if p >= 2:
+            start = a % p
+            if start <= y:
+                flags[start::p] = b"\x01" * ((y - start) // p + 1)
+    return flags
+
+
 def sieve_survivors(
     y: int, forced: list[ResidueClass], *, config: Optional[Config] = None
 ) -> list[int]:
@@ -140,11 +154,7 @@ def sieve_survivors(
         if cls.p in seen:
             raise ValueError(f"duplicate forced prime {cls.p}")
         seen.add(cls.p)
-    flags = bytearray(y + 1)
-    for cls in forced:
-        start = cls.a % cls.p
-        if start <= y:
-            flags[start :: cls.p] = b"\x01" * ((y - start) // cls.p + 1)
+    flags = _strike(y, (c.a for c in forced), (c.p for c in forced))
     return [n for n in range(y + 1) if not flags[n]]
 
 
@@ -208,6 +218,40 @@ def match_large_primes(remaining: list[int], u: int) -> list[ResidueClass]:
     ]
 
 
+def _construct(
+    x: int, q: int, b: int, delta: Optional[Rational], cfg: Config
+) -> CoveringCertificate:
+    """The construction for (x, q, b), unverified; a delta of None is measured.
+
+    Checks the progression, measures delta exactly from the primes if it is
+    not given, then runs compute_u, forced_classes, sieve_survivors,
+    greedy_cover and match_large_primes.
+    """
+    if not 0 < b < q < x:
+        raise BadProgression(f"need 0 < b < q < x, got b={b}, q={q}, x={x}")
+    if math.gcd(b, q) != 1:
+        raise BadProgression(f"gcd({b}, {q}) > 1")
+    if delta is None:
+        delta = prime_count_ap(x, q, b, config=cfg).delta
+    u = compute_u(x, q, delta)
+    y = (x - b) // q
+    forced = forced_classes(u, q, b)
+    survivors = sieve_survivors(y, forced, config=cfg)
+    greedy, remaining = greedy_cover(survivors, q, u)
+    matched = match_large_primes(remaining, u)
+    return CoveringCertificate(
+        x=x,
+        q=q,
+        b=b,
+        delta=delta,
+        u=u,
+        y=y,
+        classes=tuple(forced + greedy + matched),
+        survivors_initial=len(survivors),
+        survivors_after_greedy=len(remaining),
+    )
+
+
 def build_certificate(
     x: int,
     q: int,
@@ -220,67 +264,22 @@ def build_certificate(
 
     delta is measured exactly from the primes unless an override is given
     (the override explores the construction under a hypothetical deficit).
+    The certificate then passes the structural verify_certificate checks
+    through require_verified, and a matching step that ran past the
+    sufficient condition |N'| <= u/(5 ln u) is logged as a warning.
     Deterministic: identical arguments give byte-identical certificates.
     """
     cfg = config or DEFAULT
-    if not 0 < b < q < x:
-        raise BadProgression(f"need 0 < b < q < x, got b={b}, q={q}, x={x}")
-    if math.gcd(b, q) != 1:
-        raise BadProgression(f"gcd({b}, {q}) > 1")
-    if delta_override is not None:
-        delta = delta_override
-    else:
-        delta = prime_count_ap(x, q, b, config=cfg).delta
-    u = compute_u(x, q, delta)
-    y = (x - b) // q
-    forced = forced_classes(u, q, b)
-    survivors = sieve_survivors(y, forced, config=cfg)
-    greedy, remaining = greedy_cover(survivors, q, u)
-    if remaining and len(remaining) * 5 * math.log(u) > u:
+    cert = _construct(x, q, b, delta_override, cfg)
+    if cert.survivors_after_greedy * 5 * math.log(cert.u) > cert.u:
         logger.warning(
             "matching %d survivors at u=%d: the sufficient condition "
             "|N'| <= u/(5 ln u) fails, proceeding on the actual prime supply",
-            len(remaining),
-            u,
+            cert.survivors_after_greedy,
+            cert.u,
         )
-    matched = match_large_primes(remaining, u)
-    cert = CoveringCertificate(
-        x=x,
-        q=q,
-        b=b,
-        delta=delta,
-        u=u,
-        y=y,
-        classes=tuple(forced + greedy + matched),
-        survivors_initial=len(survivors),
-        survivors_after_greedy=len(remaining),
-    )
-    report = verify_certificate(cert, config=cfg)
-    if not report.ok:  # pragma: no cover - indicates an internal bug
-        raise InvalidCertificate(
-            "freshly built certificate failed self-verification: "
-            + "; ".join(f"{e.check}: {e.detail}" for e in report.failures)
-        )
+    require_verified(cert, config=cfg)
     return cert
-
-
-def _coverage_gap(cert: CoveringCertificate, cfg: Config) -> Optional[int]:
-    """Smallest n in [0, y] covered by no class, or None if all covered.
-
-    Classes with a modulus below 2 cover nothing here; the prime checks
-    report them.  Needs y >= 0.
-    """
-    if cert.y + 1 > cfg.memory_budget:
-        raise ResourceLimit("coverage check exceeds the memory budget")
-    flags = bytearray(cert.y + 1)
-    for cls in cert.classes:
-        if cls.p < 2:
-            continue
-        start = cls.a % cls.p
-        if start <= cert.y:
-            flags[start :: cls.p] = b"\x01" * ((cert.y - start) // cls.p + 1)
-    pos = flags.find(0)
-    return None if pos == -1 else pos
 
 
 def verify_certificate(
@@ -290,9 +289,12 @@ def verify_certificate(
 
     Structural checks re-examine what the certificate states: distinct prime
     moduli, kind placement, y and u consistency, and complete coverage of
-    [0, y].  strict additionally re-derives each pipeline stage from
-    (x, q, b, delta) and compares, and re-measures the prime count behind
-    delta, so any tampering with a pipeline-produced certificate shows up.
+    [0, y].  strict additionally checks the forced congruences, re-measures
+    the prime count behind delta, and rebuilds the certificate from
+    (x, q, b) with the recorded delta, unverified, then diffs u, the forced
+    classes (as a set), both survivor counts, and the greedy and matched
+    classes (as lists); a rebuild that raises is one pipeline_re_run
+    failure.  Any tampering with a pipeline-produced certificate shows up.
     """
     cfg = config or DEFAULT
     report = VerificationReport()
@@ -351,29 +353,25 @@ def verify_certificate(
     report.add("u_exceeds_2sqrt", u_ok, "" if u_ok else f"u^2 <= 4x at u={cert.u}")
     if cert.y < 0:
         report.add("covers_range", False, f"y={cert.y} is negative")
+    elif cert.y + 1 > cfg.memory_budget:
+        report.add("covers_range", False, "coverage check exceeds the memory budget")
     else:
-        try:
-            gap = _coverage_gap(cert, cfg)
-            report.add(
-                "covers_range",
-                gap is None,
-                "" if gap is None else f"n={gap} is covered by no class",
-            )
-        except ResourceLimit as exc:
-            report.add("covers_range", False, str(exc))
+        gap = _strike(cert.y, (c.a for c in cert.classes), primes).find(0)
+        report.add(
+            "covers_range",
+            gap == -1,
+            "" if gap == -1 else f"n={gap} is covered by no class",
+        )
 
     if not strict:
         return report
 
-    by_kind = {
-        kind: [c for c in cert.classes if c.kind is kind] for kind in ClassKind
-    }
+    def of_kind(classes, kind: ClassKind) -> list[ResidueClass]:
+        return [c for c in classes if c.kind is kind]
+
+    forced = of_kind(cert.classes, ClassKind.FORCED)
     bad_cong = next(
-        (
-            c
-            for c in by_kind[ClassKind.FORCED]
-            if c.p < 2 or (cert.q * c.a + cert.b) % c.p != 0
-        ),
+        (c for c in forced if c.p < 2 or (cert.q * c.a + cert.b) % c.p != 0),
         None,
     )
     report.add(
@@ -384,75 +382,48 @@ def verify_certificate(
         else f"q*a+b != 0 mod {bad_cong.p} for a={bad_cong.a}",
     )
     try:
-        expected_forced = forced_classes(cert.u, cert.q, cert.b)
-        match = set(expected_forced) == set(by_kind[ClassKind.FORCED])
-        report.add(
-            "forced_classes_match",
-            match,
-            "" if match else "forced classes differ from re-derivation",
-        )
-    except (GapforgeError, ValueError) as exc:
-        expected_forced = None
-        report.add("forced_classes_match", False, str(exc))
-    try:
         measured = prime_count_ap(cert.x, cert.q, cert.b, config=cfg).delta
-        hyp_ok = measured <= cert.delta
-        report.add(
-            "delta_hypothesis",
-            hyp_ok,
-            f"measured {measured}, recorded {cert.delta}",
+        hypothesis = (
+            measured <= cert.delta, f"measured {measured}, recorded {cert.delta}"
         )
     except (GapforgeError, ValueError) as exc:
-        report.add("delta_hypothesis", False, str(exc))
+        hypothesis = (False, str(exc))
     try:
-        u_re = compute_u(cert.x, cert.q, cert.delta)
-        report.add(
-            "u_matches_recompute",
-            u_re == cert.u,
-            "" if u_re == cert.u else f"recomputed u={u_re}, recorded {cert.u}",
-        )
+        rebuilt = _construct(cert.x, cert.q, cert.b, cert.delta, cfg)
     except (GapforgeError, ValueError) as exc:
-        report.add("u_matches_recompute", False, str(exc))
-    if expected_forced is None:
-        report.add("survivor_accounting", False, "forced re-derivation failed")
-        report.add("greedy_classes_match", False, "forced re-derivation failed")
-        report.add("matched_classes_match", False, "forced re-derivation failed")
-        return report
-    try:
-        survivors = sieve_survivors(cert.y, expected_forced, config=cfg)
-        init_ok = len(survivors) == cert.survivors_initial
-        greedy_set = {(c.p, c.a) for c in by_kind[ClassKind.GREEDY]}
-        if any(p < 2 for p, _ in greedy_set):
-            report.add("survivor_accounting", False, "a greedy modulus is below 2")
-        else:
-            after = [
-                n
-                for n in survivors
-                if all(n % p != a for p, a in greedy_set)
-            ]
-            after_ok = len(after) == cert.survivors_after_greedy
-            report.add(
-                "survivor_accounting",
-                init_ok and after_ok,
-                f"|N|={len(survivors)} recorded {cert.survivors_initial}; "
-                f"|N'|={len(after)} recorded {cert.survivors_after_greedy}",
-            )
-        expected_greedy, remaining = greedy_cover(survivors, cert.q, cert.u)
-        g_ok = expected_greedy == by_kind[ClassKind.GREEDY]
-        report.add(
-            "greedy_classes_match",
-            g_ok,
-            "" if g_ok else "greedy classes differ from deterministic re-run",
-        )
-        expected_matched = match_large_primes(remaining, cert.u)
-        m_ok = expected_matched == by_kind[ClassKind.MATCHED]
-        report.add(
-            "matched_classes_match",
-            m_ok,
-            "" if m_ok else "matched classes differ from deterministic re-run",
-        )
-    except (GapforgeError, ValueError) as exc:
+        report.add("delta_hypothesis", *hypothesis)
         report.add("pipeline_re_run", False, str(exc))
+        return report
+    same = set(forced) == set(of_kind(rebuilt.classes, ClassKind.FORCED))
+    report.add(
+        "forced_classes_match",
+        same,
+        "" if same else "forced classes differ from re-derivation",
+    )
+    report.add("delta_hypothesis", *hypothesis)
+    report.add(
+        "u_matches_recompute",
+        rebuilt.u == cert.u,
+        "" if rebuilt.u == cert.u else f"recomputed u={rebuilt.u}, recorded {cert.u}",
+    )
+    counts = (rebuilt.survivors_initial, rebuilt.survivors_after_greedy)
+    recorded = (cert.survivors_initial, cert.survivors_after_greedy)
+    report.add(
+        "survivor_accounting",
+        counts == recorded,
+        f"|N|={counts[0]} recorded {recorded[0]}; "
+        f"|N'|={counts[1]} recorded {recorded[1]}",
+    )
+    for kind, check in (
+        (ClassKind.GREEDY, "greedy_classes_match"),
+        (ClassKind.MATCHED, "matched_classes_match"),
+    ):
+        same = of_kind(rebuilt.classes, kind) == of_kind(cert.classes, kind)
+        report.add(
+            check,
+            same,
+            "" if same else f"{kind.value} classes differ from deterministic re-run",
+        )
     return report
 
 
@@ -501,15 +472,10 @@ def witness_of_verified(
     if T == 0:
         T += P
     residues = _tree_mod(T, tree)
-    flags = bytearray(cert.y + 1)
-    for p, r in zip(primes, residues):
-        start = (-r) % p
-        if start <= cert.y:
-            flags[start::p] = b"\x01" * ((cert.y - start) // p + 1)
-    miss = flags.find(0)
+    miss = _strike(cert.y, (-r for r in residues), primes).find(0)
     if miss != -1:  # pragma: no cover - the coverage check rules this out
         raise InvalidCertificate(f"gcd(T+{miss}, P) = 1; witness is not covered")
-    return CrtWitness(T=T, P=P, y=cert.y), residues
+    return CrtWitness(T=T, P=P), residues
 
 
 def scenario_bound(log_q: float, delta: float, B: float) -> ScenarioResult:

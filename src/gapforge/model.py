@@ -221,17 +221,14 @@ class JacobsthalValue:
 
 @dataclass(frozen=True)
 class CrtWitness:
-    """Integer T with every T + n, 0 <= n <= y, divisible by a class prime.
+    """Integer T with T == -a_p (mod p) for each class, P the product of the primes.
 
-    P is the product of the class primes.  y is meaningful only for
-    witnesses built and validated by covering.witness_of_verified (which
-    covering.crt_witness and the gap bound call); the raw combiner
-    arith.crt_combine leaves it at 0 and claims nothing about runs.
+    For the classes of a covering certificate, every T + n with 0 <= n <= y
+    is then divisible by a class prime.
     """
 
     T: int
     P: int
-    y: int = 0
 
 
 @dataclass(frozen=True)
@@ -396,6 +393,5 @@ def certificate_from_dict(obj: dict) -> tuple[CoveringCertificate, Optional[CrtW
         witness = CrtWitness(
             T=_decimal_to_int(w["T"], digits),
             P=_decimal_to_int(w["P"], digits),
-            y=cert.y,
         )
     return cert, witness

@@ -416,6 +416,39 @@ def test_strict_verify_of_a_huge_x_fails_closed(tmp_path, capsys):
     assert "resource limit" in err
 
 
+def test_strict_verify_of_a_hostile_modulus_fails_closed(tmp_path, capsys, monkeypatch):
+    # q is a product of two 64-bit primes: trial division never reaches a
+    # factor and Pollard rho would need about 2**32 steps.  Strict verify
+    # rebuilds with a recomputed u, which refuses before anything factors q.
+    out_path = tmp_path / "cert.json"
+    code, _, err = run(capsys, "cover", "--x", "10000", "--q", "101",
+                       "--b", "100", "--out", str(out_path))
+    assert code == 0, err
+    obj = json.loads(out_path.read_text())
+    obj["q"] = (2**64 - 59) * (2**64 - 83)
+    obj["b"] = 1
+    obj["x"] = 2 * obj["q"] + 1
+    obj["y"] = 2
+    hostile = tmp_path / "hostile.json"
+    hostile.write_text(json.dumps(obj))
+    factored = []
+    factorize = covering.factorize
+
+    def recording_factorize(n):
+        factored.append(n)
+        if n >= 2**64:
+            raise AssertionError(f"factorize called on {n}")
+        return factorize(n)
+
+    monkeypatch.setattr(covering, "factorize", recording_factorize)
+    code, out, err = run(capsys, "verify", str(hostile), "--strict", "--format", "json")
+    assert code == 5, err
+    assert err == ""
+    entries = {e["check"]: e for e in json.loads(out)}
+    assert not entries["pipeline_re_run"]["pass"]
+    assert all(n < 2**64 for n in factored)
+
+
 def test_jacobsthal_far_past_the_cap_exits_3(capsys):
     code, _, err = run(capsys, "jacobsthal", "--u", str(10**10))
     assert code == 3

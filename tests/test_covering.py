@@ -2,6 +2,7 @@ import json
 import math
 import random
 import sys
+from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import pytest
@@ -301,6 +302,60 @@ def test_verify_flags_forced_congruence_break():
     assert "forced_congruence" in failed or "forced_classes_match" in failed
 
 
+STRICT_CHECKS = [
+    "class_primes_distinct",
+    "class_primes_prime",
+    "class_primes_at_most_u",
+    "residues_in_range",
+    "kind_placement",
+    "y_matches",
+    "u_exceeds_2sqrt",
+    "covers_range",
+    "forced_congruence",
+    "forced_classes_match",
+    "delta_hypothesis",
+    "u_matches_recompute",
+    "survivor_accounting",
+    "greedy_classes_match",
+    "matched_classes_match",
+]
+
+
+def test_strict_report_lists_every_check_in_order():
+    cert = build_certificate(10**4, 101, 100)
+    report = verify_certificate(cert, strict=True)
+    assert [e.check for e in report.entries] == STRICT_CHECKS
+    assert report.ok
+
+
+def _strict_failures(cert, **fields):
+    return {e.check for e in verify_certificate(replace(cert, **fields), strict=True).failures}
+
+
+def test_strict_report_pins_each_tampered_field():
+    cert = build_certificate(10**4, 101, 100)
+    assert (cert.u, cert.survivors_initial, cert.survivors_after_greedy) == (565, 9, 8)
+    assert _strict_failures(cert, survivors_initial=10) == {"survivor_accounting"}
+    assert _strict_failures(cert, survivors_after_greedy=9) == {"survivor_accounting"}
+    # delta = 0 rebuilds at u = 201: forced primes up to 100 instead of 282,
+    # none greedy (2 * 101 > 201), and all 9 survivors left to match
+    assert _strict_failures(cert, delta=Rational(0)) == {
+        "delta_hypothesis",
+        "u_matches_recompute",
+        "forced_classes_match",
+        "survivor_accounting",
+        "greedy_classes_match",
+        "matched_classes_match",
+    }
+    greedy = next(i for i, c in enumerate(cert.classes) if c.kind is ClassKind.GREEDY)
+    bumped = _mutate_residue(cert, greedy)
+    assert _strict_failures(bumped) == {"covers_range", "greedy_classes_match"}
+    forced = sum(c.kind is ClassKind.FORCED for c in cert.classes)
+    reordered = cert.classes[forced - 1 :: -1] + cert.classes[forced:]
+    assert reordered != cert.classes
+    assert _strict_failures(cert, classes=reordered) == set()
+
+
 def test_verify_never_raises_on_garbage():
     cert = CoveringCertificate(
         x=10, q=0, b=3, delta=Rational(0), u=2, y=5,
@@ -321,7 +376,7 @@ def test_crt_witness_requires_valid_certificate():
 def test_crt_witness_end_to_end():
     cert = build_certificate(10**4, 101, 100)
     w = crt_witness(cert)
-    assert w.y == cert.y == 98
+    assert cert.y == 98
     assert 0 < w.T <= w.P
     for cls in cert.classes:
         assert (w.T + cls.a) % cls.p == 0
