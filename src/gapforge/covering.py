@@ -17,7 +17,15 @@ import math
 from decimal import Decimal, localcontext
 from typing import Iterable, Optional
 
-from .arith import PROVEN_LIMIT, _crt, _prime_inverses, _tree_mod, factorize
+from .arith import (
+    PROVEN_LIMIT,
+    _crt,
+    _divmod,
+    _prime_inverses,
+    _product_tree,
+    _tree_mod,
+    factorize,
+)
 from .config import DEFAULT, Config
 from .errors import (
     BadProgression,
@@ -433,7 +441,9 @@ def crt_witness(
     """Concrete T with T + n divisible by a class prime for all n in [0, y].
 
     Verifies the certificate once, raising InvalidCertificate on any failure,
-    then builds T with witness_of_verified.
+    then builds T with witness_of_verified: the classes that kill b mod q
+    solve as the one congruence q*T == b (mod P_S), a small CRT combines
+    the others, and P_S must divide q*T - b before T is returned.
     """
     cfg = config or DEFAULT
     require_verified(cert, config=cfg)
@@ -457,25 +467,76 @@ def witness_of_verified(
     """The CRT witness of a verified certificate, and T mod each class prime.
 
     The certificate must have passed verify_certificate.  T solves
-    T == -a_p (mod p) over every class, combined by _crt on one product
-    tree of the class primes; a T of 0 is shifted up by one period so the
-    witness run sits strictly inside the positive integers.  T is then
-    reduced down that same tree, an independent reduction that never reads
-    the residues the combination started from.  Validation walks all
-    y + 1 offsets through those residues, which is the gcd(T + n, P) > 1
-    check evaluated without materializing y big gcds.  The residues come
-    back in class order.
+    T == -a_p (mod p) over every class.  A class with p not dividing q and
+    q*a_p + b == 0 (mod p), whatever its kind, is shared: together the
+    shared classes are the one congruence q*T == b (mod P_S), where P_S is
+    their product from one product tree.  It is solved by one inverse mod
+    q and one exact division by q, with no tree division.  _crt combines
+    only the other classes, the rest: one division of P_S by q*P_R, with
+    P_R the rest's product, gives P_S and T_S mod each rest prime, and the
+    steps k_p = (-a_p - T_S) / P_S mod p make T = T_S + P_S*k.  A T of 0 is
+    shifted up by one period so the witness run sits strictly inside the
+    positive integers.  _covered_residues then checks T.
     """
-    primes = [c.p for c in cert.classes]
-    combined, tree = _crt(primes, [(-c.a) % c.p for c in cert.classes])
-    T, P = combined.T, combined.P
+    q, b = cert.q, cert.b
+    shared = [q % c.p != 0 and (q * c.a + b) % c.p == 0 for c in cert.classes]
+    rest = [c for c, s in zip(cert.classes, shared) if not s]
+    rest_p = [c.p for c in rest]
+    shared_p = [c.p for c, s in zip(cert.classes, shared) if s]
+    # with no shared class P_S = 1; with no rest class nothing reads the tree
+    P_S = _product_tree(shared_p or [1])[-1][0]
+    tree = _product_tree(rest_p or [1])
+    # q divides b + k*P_S; the quotient W is b/q mod P_S, and T_S = W mod P_S
+    k = -b * pow(P_S % q, -1, q) % q
+    m, T = divmod((b + k * P_S) // q, P_S)
+    P = P_S
+    if rest:
+        # V == P_S (mod q*P_R), so W == ((b + k*V) mod q*P_R)/q and
+        # T = W - m*P_S == W - m*V (mod P_R)
+        qP_R = q * tree[-1][0]
+        V = _divmod(P_S, qP_R)[1]
+        inverses = _prime_inverses(_tree_mod(V, tree), rest_p)
+        T_R = (b + k * V) % qP_R // q - m * V
+        steps = [
+            (-c.a - t) * inv % c.p
+            for c, t, inv in zip(rest, _tree_mod(T_R, tree), inverses)
+        ]
+        combined = _crt(rest_p, steps)[0]
+        T += P_S * combined.T
+        P *= combined.P
     if T == 0:
         T += P
-    residues = _tree_mod(T, tree)
+    return CrtWitness(T=T, P=P), _covered_residues(cert, shared, P_S, tree, T)
+
+
+def _covered_residues(
+    cert: CoveringCertificate,
+    shared: list[bool],
+    P_S: int,
+    tree: list[list[int]],
+    T: int,
+) -> list[int]:
+    """T mod each class prime, in class order, once T is checked.
+
+    The check reads T, not the values it was built from.  P_S must divide
+    q*T - b, one division whose quotient is about q*P_R; that gives
+    T mod p = -a_p at each shared class.  T is reduced down the rest's
+    product tree.  The walk over all y + 1 offsets through those residues
+    is the gcd(T + n, P) > 1 check without materializing y big gcds.
+    Raises InvalidCertificate when either part fails.
+    """
+    if _divmod(cert.q * T - cert.b, P_S)[1]:
+        raise InvalidCertificate("q*T - b is not divisible by the shared classes")
+    rest_residues = iter(_tree_mod(T, tree))
+    residues = [
+        (-c.a) % c.p if s else next(rest_residues)
+        for c, s in zip(cert.classes, shared)
+    ]
+    primes = (c.p for c in cert.classes)
     miss = _strike(cert.y, (-r for r in residues), primes).find(0)
-    if miss != -1:  # pragma: no cover - the coverage check rules this out
+    if miss != -1:
         raise InvalidCertificate(f"gcd(T+{miss}, P) = 1; witness is not covered")
-    return CrtWitness(T=T, P=P), residues
+    return residues
 
 
 def scenario_bound(log_q: float, delta: float, B: float) -> ScenarioResult:

@@ -358,8 +358,9 @@ def test_verify_refuses_class_prime_above_64_bits(tmp_path, capsys, monkeypatch)
     code, _, err = run(capsys, "cover", "--x", "10000", "--q", "101",
                        "--b", "100", "--out", str(out_path))
     assert code == 0, err
-    # the witness path combines through covering._crt: a valid certificate
-    # reaches it, so the refusal below is the guard's doing
+    # the witness path combines the classes outside the forced congruence
+    # through covering._crt: a valid certificate reaches it, so the refusal
+    # below is the guard's doing
     combined = []
     crt = covering._crt
 
@@ -371,7 +372,8 @@ def test_verify_refuses_class_prime_above_64_bits(tmp_path, capsys, monkeypatch)
     code, out, _ = run(capsys, "verify", str(out_path), "--witness")
     assert code == 0
     assert "[PASS] witness_validates" in out
-    assert combined == [len(json.loads(out_path.read_text())["classes"])]
+    kinds = [cls["kind"] for cls in json.loads(out_path.read_text())["classes"]]
+    assert combined == [kinds.count("greedy") + kinds.count("matched")]
 
     obj = json.loads(out_path.read_text())
     for cls in obj["classes"]:
