@@ -319,17 +319,15 @@ def crt_combine(classes: Iterable[tuple[int, int]]) -> CrtWitness:
             raise ValueError(f"modulus {p} >= 2**64: primality is unproven")
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
-    return _crt([p for p, _ in pairs], [(-a) % p for p, a in pairs])[0]
+    return _crt(_product_tree([p for p, _ in pairs]), [(-a) % p for p, a in pairs])
 
 
-def _crt(
-    primes: Sequence[int], residues: Sequence[int]
-) -> tuple[CrtWitness, list[list[int]]]:
-    """T in [0, P) with T == residues[i] (mod primes[i]); primes distinct.
+def _crt(tree: list[list[int]], residues: Sequence[int]) -> CrtWitness:
+    """T in [0, P) with T == residues[i] (mod primes[i]), primes distinct.
 
-    Returns the witness and the product tree of the primes, which serves
-    both passes here, with no big-integer inverse, and which callers may
-    reuse to reduce by the same primes.  Downwards, each node N = L*R hands
+    tree is the product tree of the primes, whose leaves they are; it
+    serves both passes, with no big-integer inverse, and callers may reuse
+    it to reduce by the same primes.  Downwards, each node N = L*R hands
     its children the scaled remainders c_L = c_N*R mod L and c_R = c_N*L
     mod R from c_root = 1, so every leaf receives (P/p) mod p (Bernstein's
     scaled remainder tree); levels of big nodes divide with _divmod.  The
@@ -337,8 +335,7 @@ def _crt(
     values v = sum(c_i * N/p_i) combine as v_L*R + v_R*L, with the node
     products read from the tree.
     """
-    tree = _product_tree(primes)
-    P = tree[-1][0]
+    primes, P = tree[0], tree[-1][0]
     scaled = [1]
     for level in reversed(tree[:-1]):
         last = len(level) - 1
@@ -359,4 +356,4 @@ def _crt(
             else values[i]
             for i in range(0, len(level), 2)
         ]
-    return CrtWitness(T=values[0] % P, P=P), tree
+    return CrtWitness(T=values[0] % P, P=P)

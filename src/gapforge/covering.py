@@ -15,7 +15,9 @@ from __future__ import annotations
 import logging
 import math
 from decimal import Decimal, localcontext
-from typing import Iterable, Optional
+from typing import Optional
+
+import numpy as np
 
 from .arith import (
     PROVEN_LIMIT,
@@ -37,7 +39,13 @@ from .errors import (
     ResourceLimit,
 )
 from .model import (
+    COLUMN_LIMIT,
+    FORCED,
+    GREEDY,
+    KINDS,
+    MATCHED,
     ClassKind,
+    ClassTable,
     CoveringCertificate,
     CrtWitness,
     Rational,
@@ -45,7 +53,7 @@ from .model import (
     ScenarioResult,
     VerificationReport,
 )
-from .sieve import first_non_prime, prime_count_ap, primes_in_range, primes_up_to
+from .sieve import _prime_array, first_non_prime, prime_count_ap, primes_in_range
 
 logger = logging.getLogger(__name__)
 
@@ -117,7 +125,28 @@ def compute_u(x: int, q: int, delta: Rational) -> int:
     return u
 
 
-def forced_classes(u: int, q: int, b: int) -> list[ResidueClass]:
+def _mod(n: int, p: np.ndarray) -> np.ndarray:
+    """n mod each entry of a column whose entries are all >= 1, for any int n."""
+    if p.dtype == object or -(2**63) <= n < 2**63:
+        return n % p
+    return (n % p.astype(object)).astype(p.dtype)
+
+
+def _first(mask: np.ndarray) -> Optional[int]:
+    """Index of the first True entry, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def _first_repeat(p: np.ndarray) -> Optional[int]:
+    """Index of the first entry equal to an earlier one, or None."""
+    order = np.argsort(p, kind="stable")
+    ordered = p[order]
+    later = order[1:][ordered[1:] == ordered[:-1]]
+    return int(later.min()) if later.size else None
+
+
+def forced_classes(u: int, q: int, b: int) -> ClassTable:
     """The unique class killing the progression mod p, for each p <= u/2, p not dividing q.
 
     a_p solves q * a_p + b == 0 (mod p).
@@ -126,44 +155,53 @@ def forced_classes(u: int, q: int, b: int) -> list[ResidueClass]:
         raise ValueError("need u >= 3")
     if math.gcd(b, q) != 1:
         raise ValueError(f"need gcd(b, q) = 1, got gcd = {math.gcd(b, q)}")
-    primes = [p for p in primes_up_to(u // 2) if q % p]
-    inverses = _prime_inverses([q % p for p in primes], primes)
-    return [
-        ResidueClass(p, (-b) * inv % p, ClassKind.FORCED)
-        for p, inv in zip(primes, inverses)
-    ]
+    primes = _prime_array(u // 2, DEFAULT)
+    if primes.size and primes[-1] >= COLUMN_LIMIT:
+        primes = primes.astype(object)
+    q_mod = _mod(q, primes)
+    primes, q_mod = primes[q_mod != 0], q_mod[q_mod != 0]
+    inverses = np.array(_prime_inverses(q_mod.tolist(), primes.tolist()),
+                        dtype=primes.dtype)
+    return ClassTable(primes, _mod(-b, primes) * inverses % primes,
+                      np.full(len(primes), FORCED))
 
 
-def _strike(y: int, residues: Iterable[int], moduli: Iterable[int]) -> bytearray:
+def _strike(y: int, residues: np.ndarray, moduli: np.ndarray) -> np.ndarray:
     """Flags over [0, y], set at each n == a (mod p) for the paired (a, p).
 
-    Moduli below 2 strike nothing; the callers check the budget for y.
+    Moduli below 2 strike nothing; the callers check the budget for y.  A
+    modulus above y strikes at most one point, its least residue, so those
+    are set by one fancy-index assignment; the others strike by slices.
     """
-    flags = bytearray(y + 1)
-    for a, p in zip(residues, moduli):
-        if p >= 2:
-            start = a % p
-            if start <= y:
-                flags[start::p] = b"\x01" * ((y - start) // p + 1)
+    flags = np.zeros(y + 1, dtype=bool)
+    keep = moduli >= 2
+    p = moduli[keep]
+    start = residues[keep] % p
+    small = p <= y
+    for s, m in zip(start[small].tolist(), p[small].tolist()):
+        flags[s::m] = True
+    start = start[~small]
+    flags[start[start <= y].astype(np.intp)] = True
     return flags
 
 
 def sieve_survivors(
-    y: int, forced: list[ResidueClass], *, config: Optional[Config] = None
+    y: int, forced: ClassTable, *, config: Optional[Config] = None
 ) -> list[int]:
-    """Ascending n in [0, y] avoiding every forced class."""
+    """Ascending n in [0, y] avoiding every forced class.
+
+    forced is a ClassTable or any sequence of ResidueClass rows.
+    """
     cfg = config or DEFAULT
     if y < 0:
         raise ValueError("need y >= 0")
     if y + 1 > cfg.memory_budget:
         raise ResourceLimit(f"survivor sieve over [0, {y}] exceeds the memory budget")
-    seen = set()
-    for cls in forced:
-        if cls.p in seen:
-            raise ValueError(f"duplicate forced prime {cls.p}")
-        seen.add(cls.p)
-    flags = _strike(y, (c.a for c in forced), (c.p for c in forced))
-    return [n for n in range(y + 1) if not flags[n]]
+    forced = ClassTable.of(forced)
+    repeat = _first_repeat(forced.p)
+    if repeat is not None:
+        raise ValueError(f"duplicate forced prime {forced.p[repeat]}")
+    return np.flatnonzero(~_strike(y, forced.a, forced.p)).tolist()
 
 
 def best_residue(survivors: list[int], p: int) -> tuple[int, int]:
@@ -204,7 +242,7 @@ def greedy_cover(
     return classes, remaining
 
 
-def match_large_primes(remaining: list[int], u: int) -> list[ResidueClass]:
+def match_large_primes(remaining: list[int], u: int) -> ClassTable:
     """Pair leftover survivors with distinct fresh primes in (u/2, u].
 
     The i-th survivor (ascending) gets the i-th fresh prime (ascending) and
@@ -215,15 +253,14 @@ def match_large_primes(remaining: list[int], u: int) -> list[ResidueClass]:
     if any(a >= b for a, b in zip(remaining, remaining[1:])):
         raise ValueError("remaining survivors must be ascending and distinct")
     if not remaining:
-        return []
+        return ClassTable.of(())
     fresh = primes_in_range(u // 2, u)
     if len(remaining) > len(fresh):
         holds = len(remaining) * 5 * math.log(u) <= u
         raise InsufficientPrimes(len(remaining), len(fresh), holds)
-    return [
-        ResidueClass(p, n % p, ClassKind.MATCHED)
-        for n, p in zip(remaining, fresh)
-    ]
+    fresh = fresh[: len(remaining)]
+    return ClassTable(fresh, [n % p for n, p in zip(remaining, fresh)],
+                      [MATCHED] * len(fresh))
 
 
 def _construct(
@@ -254,7 +291,7 @@ def _construct(
         delta=delta,
         u=u,
         y=y,
-        classes=tuple(forced + greedy + matched),
+        classes=ClassTable.concat(forced, greedy, matched),
         survivors_initial=len(survivors),
         survivors_after_greedy=len(remaining),
     )
@@ -306,14 +343,12 @@ def verify_certificate(
     """
     cfg = config or DEFAULT
     report = VerificationReport()
-    primes = [c.p for c in cert.classes]
-    report.add(
-        "class_primes_distinct",
-        len(set(primes)) == len(primes),
-        "" if len(set(primes)) == len(primes) else "a modulus repeats",
-    )
+    table = cert.classes
+    p, a, kind = table.p, table.a, table.kind
+    distinct = _first_repeat(p) is None
+    report.add("class_primes_distinct", distinct, "" if distinct else "a modulus repeats")
     # one sieve of the verifier's own proves the moduli when it fits the budget
-    bad_prime = first_non_prime(primes, config=cfg)
+    bad_prime = first_non_prime(p, config=cfg)
     if bad_prime is None:
         prime_detail = ""
     elif bad_prime >= PROVEN_LIMIT:
@@ -323,33 +358,30 @@ def verify_certificate(
     else:
         prime_detail = f"p={bad_prime} is not prime"
     report.add("class_primes_prime", bad_prime is None, prime_detail)
-    over = next((p for p in primes if p > cert.u), None)
+    over = _first(p > cert.u)
     report.add(
         "class_primes_at_most_u",
         over is None,
-        "" if over is None else f"p={over} exceeds u={cert.u}",
+        "" if over is None else f"p={p[over]} exceeds u={cert.u}",
     )
-    bad_res = next((c for c in cert.classes if not 0 <= c.a < c.p), None)
+    bad_res = _first((a < 0) | (a >= p))
     report.add(
         "residues_in_range",
         bad_res is None,
-        "" if bad_res is None else f"a={bad_res.a} outside [0, {bad_res.p})",
+        "" if bad_res is None else f"a={a[bad_res]} outside [0, {p[bad_res]})",
     )
-    placement = ""
-    for c in cert.classes:
-        if c.p < 2:
-            placement = f"{c.kind.value} p={c.p} is below 2"
-        elif c.kind is ClassKind.MATCHED:
-            if 2 * c.p <= cert.u:
-                placement = f"matched p={c.p} is not above u/2"
-        elif 2 * c.p > cert.u:
-            placement = f"{c.kind.value} p={c.p} is above u/2"
-        elif c.kind is ClassKind.GREEDY and cert.q % c.p != 0:
-            placement = f"greedy p={c.p} does not divide q"
-        elif c.kind is ClassKind.FORCED and cert.q % c.p == 0:
-            placement = f"forced p={c.p} divides q"
-        if placement:
-            break
+    # p below 2 divides nothing: 1 stands in for it wherever p divides
+    low = p < 2
+    divisor = np.where(low, 1, p)
+    above = 2 * divisor > cert.u
+    divides_q = _mod(cert.q, divisor) == 0
+    misplaced = low | np.where(
+        kind == MATCHED,
+        ~above,
+        above | np.where(kind == GREEDY, ~divides_q, divides_q),
+    )
+    at = _first(misplaced)
+    placement = "" if at is None else _placement(table[at], cert.u)
     report.add("kind_placement", not placement, placement)
     y_ok = cert.q > 0 and cert.y == (cert.x - cert.b) // cert.q
     report.add(
@@ -364,30 +396,26 @@ def verify_certificate(
     elif cert.y + 1 > cfg.memory_budget:
         report.add("covers_range", False, "coverage check exceeds the memory budget")
     else:
-        gap = _strike(cert.y, (c.a for c in cert.classes), primes).find(0)
+        gap = _first(~_strike(cert.y, a, p))
         report.add(
             "covers_range",
-            gap == -1,
-            "" if gap == -1 else f"n={gap} is covered by no class",
+            gap is None,
+            "" if gap is None else f"n={gap} is covered by no class",
         )
 
     if not strict:
         return report
 
-    def of_kind(classes, kind: ClassKind) -> list[ResidueClass]:
-        return [c for c in classes if c.kind is kind]
-
-    forced = of_kind(cert.classes, ClassKind.FORCED)
-    bad_cong = next(
-        (c for c in forced if c.p < 2 or (cert.q * c.a + cert.b) % c.p != 0),
-        None,
-    )
+    forced = table.select(kind == FORCED)
+    low = forced.p < 2
+    divisor = np.where(low, 1, forced.p)
+    bad_cong = _first(low | (_kills(cert.q, cert.b, forced.a, divisor) != 0))
     report.add(
         "forced_congruence",
         bad_cong is None,
         ""
         if bad_cong is None
-        else f"q*a+b != 0 mod {bad_cong.p} for a={bad_cong.a}",
+        else f"q*a+b != 0 mod {forced.p[bad_cong]} for a={forced.a[bad_cong]}",
     )
     try:
         measured = prime_count_ap(cert.x, cert.q, cert.b, config=cfg).delta
@@ -402,7 +430,8 @@ def verify_certificate(
         report.add("delta_hypothesis", *hypothesis)
         report.add("pipeline_re_run", False, str(exc))
         return report
-    same = set(forced) == set(of_kind(rebuilt.classes, ClassKind.FORCED))
+    redone = rebuilt.classes
+    same = _same_pairs(forced, redone.select(redone.kind == FORCED))
     report.add(
         "forced_classes_match",
         same,
@@ -422,17 +451,48 @@ def verify_certificate(
         f"|N|={counts[0]} recorded {recorded[0]}; "
         f"|N'|={counts[1]} recorded {recorded[1]}",
     )
-    for kind, check in (
-        (ClassKind.GREEDY, "greedy_classes_match"),
-        (ClassKind.MATCHED, "matched_classes_match"),
-    ):
-        same = of_kind(rebuilt.classes, kind) == of_kind(cert.classes, kind)
+    for code, check in ((GREEDY, "greedy_classes_match"),
+                        (MATCHED, "matched_classes_match")):
+        same = table.select(kind == code) == redone.select(redone.kind == code)
         report.add(
             check,
             same,
-            "" if same else f"{kind.value} classes differ from deterministic re-run",
+            "" if same else f"{KINDS[code].value} classes differ from deterministic re-run",
         )
     return report
+
+
+def _kills(q: int, b: int, a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(q*a + b) mod p for each class; every p >= 1."""
+    return (_mod(q, p) * (a % p) + _mod(b, p)) % p
+
+
+def _same_pairs(one: ClassTable, other: ClassTable) -> bool:
+    """Whether the two tables hold the same set of (p, a) pairs."""
+    if object in (one.p.dtype, other.p.dtype):
+        return set(zip(one.p.tolist(), one.a.tolist())) == set(
+            zip(other.p.tolist(), other.a.tolist()))
+
+    def pair_set(t: ClassTable) -> np.ndarray:
+        # one int64 key per pair, injective on [-2**31, 2**31)**2, sorted and
+        # deduplicated by hand: np.unique imports numpy.ma (~15 ms, ~1 MB)
+        keys = np.sort(t.p * 2**32 + (t.a + COLUMN_LIMIT))
+        return keys[np.append(True, keys[1:] != keys[:-1])[: keys.size]]
+
+    return bool(np.array_equal(pair_set(one), pair_set(other)))
+
+
+def _placement(c: ResidueClass, u: int) -> str:
+    """Why a class the kind_placement check flagged is misplaced."""
+    if c.p < 2:
+        return f"{c.kind.value} p={c.p} is below 2"
+    if c.kind is ClassKind.MATCHED:
+        return f"matched p={c.p} is not above u/2"
+    if 2 * c.p > u:
+        return f"{c.kind.value} p={c.p} is above u/2"
+    if c.kind is ClassKind.GREEDY:
+        return f"greedy p={c.p} does not divide q"
+    return f"forced p={c.p} divides q"
 
 
 def crt_witness(
@@ -479,29 +539,27 @@ def witness_of_verified(
     positive integers.  _covered_residues then checks T.
     """
     q, b = cert.q, cert.b
-    shared = [q % c.p != 0 and (q * c.a + b) % c.p == 0 for c in cert.classes]
-    rest = [c for c, s in zip(cert.classes, shared) if not s]
-    rest_p = [c.p for c in rest]
-    shared_p = [c.p for c, s in zip(cert.classes, shared) if s]
+    p, a = cert.classes.p, cert.classes.a
+    shared = (_mod(q, p) != 0) & (_kills(q, b, a, p) == 0)
+    rest_p, rest_a = p[~shared], a[~shared]
     # with no shared class P_S = 1; with no rest class nothing reads the tree
-    P_S = _product_tree(shared_p or [1])[-1][0]
-    tree = _product_tree(rest_p or [1])
+    P_S = _product_tree(p[shared].tolist() or [1])[-1][0]
+    tree = _product_tree(rest_p.tolist() or [1])
     # q divides b + k*P_S; the quotient W is b/q mod P_S, and T_S = W mod P_S
     k = -b * pow(P_S % q, -1, q) % q
     m, T = divmod((b + k * P_S) // q, P_S)
     P = P_S
-    if rest:
+    if rest_p.size:
         # V == P_S (mod q*P_R), so W == ((b + k*V) mod q*P_R)/q and
         # T = W - m*P_S == W - m*V (mod P_R)
         qP_R = q * tree[-1][0]
         V = _divmod(P_S, qP_R)[1]
-        inverses = _prime_inverses(_tree_mod(V, tree), rest_p)
+        inverses = np.array(_prime_inverses(_tree_mod(V, tree), tree[0]),
+                            dtype=p.dtype)
         T_R = (b + k * V) % qP_R // q - m * V
-        steps = [
-            (-c.a - t) * inv % c.p
-            for c, t, inv in zip(rest, _tree_mod(T_R, tree), inverses)
-        ]
-        combined = _crt(rest_p, steps)[0]
+        t_R = np.array(_tree_mod(T_R, tree), dtype=p.dtype)
+        steps = (-rest_a - t_R) % rest_p * inverses % rest_p
+        combined = _crt(tree, steps.tolist())
         T += P_S * combined.T
         P *= combined.P
     if T == 0:
@@ -511,7 +569,7 @@ def witness_of_verified(
 
 def _covered_residues(
     cert: CoveringCertificate,
-    shared: list[bool],
+    shared: np.ndarray,
     P_S: int,
     tree: list[list[int]],
     T: int,
@@ -527,16 +585,14 @@ def _covered_residues(
     """
     if _divmod(cert.q * T - cert.b, P_S)[1]:
         raise InvalidCertificate("q*T - b is not divisible by the shared classes")
-    rest_residues = iter(_tree_mod(T, tree))
-    residues = [
-        (-c.a) % c.p if s else next(rest_residues)
-        for c, s in zip(cert.classes, shared)
-    ]
-    primes = (c.p for c in cert.classes)
-    miss = _strike(cert.y, (-r for r in residues), primes).find(0)
-    if miss != -1:
+    p, a = cert.classes.p, cert.classes.a
+    residues = -a % p
+    rest = ~shared
+    residues[rest] = _tree_mod(T, tree)[: np.count_nonzero(rest)]
+    miss = _first(~_strike(cert.y, -residues, p))
+    if miss is not None:
         raise InvalidCertificate(f"gcd(T+{miss}, P) = 1; witness is not covered")
-    return residues
+    return residues.tolist()
 
 
 def scenario_bound(log_q: float, delta: float, B: float) -> ScenarioResult:

@@ -18,7 +18,10 @@ from .arith import multi_mod, primorial
 from .config import DEFAULT, Config
 from .errors import PeriodTooLarge
 from .model import CoveringCertificate, GapRecord, JacobsthalValue, Rational
-from .sieve import primes_up_to, rough_gap_scan
+from .sieve import _prime_array, rough_gap_scan
+
+# offsets in the first window of the flank search; each later window doubles
+_FLANK_WINDOW = 1 << 10
 
 
 def jacobsthal_exact(
@@ -59,16 +62,22 @@ def jacobsthal_exact(
     return JacobsthalValue(u=u, value=witness.gap, witness=witness, exact=True)
 
 
-def _next_rough(
-    residues: np.ndarray, primes: np.ndarray, offset: int, step: int
-) -> int:
-    """First offset from offset on, moving by step, with T + offset u-rough.
+def _flank(residues: np.ndarray, primes: np.ndarray, offset: int, step: int) -> int:
+    """First offset from offset on, stepping by 1 or -1, with T + offset u-rough.
 
-    residues[i] is T mod primes[i], over every prime <= u.
+    residues[i] is T mod primes[i], over every prime <= u.  The offsets
+    offset + step*i, 0 <= i < width, are struck as one window: T plus the
+    i-th is divisible by p exactly when i == -step*(T + offset) (mod p).
+    Each window after the first is twice as wide as the one before.
     """
-    while not np.all((residues + offset) % primes):
-        offset += step
-    return offset
+    width = _FLANK_WINDOW
+    while True:
+        struck = covering._strike(width - 1, -step * (residues + offset), primes)
+        i = covering._first(~struck)
+        if i is not None:
+            return offset + step * i
+        offset += step * width
+        width *= 2
 
 
 def jacobsthal_bound_from_certificate(
@@ -83,20 +92,20 @@ def jacobsthal_bound_from_certificate(
     Verifies the certificate once, raising InvalidCertificate on any
     failure.  The class primes' residues of T come from the witness's own
     validated reduction; one remainder pass reduces T by the primes <= u
-    that carry no class, and the flank search runs over both.  Raises
-    ResourceLimit when the primes up to u exceed the memory budget.
+    that carry no class, and each flank is found by striking windows of
+    offsets with both (_flank).  Raises ResourceLimit when the primes up to
+    u exceed the memory budget.
     """
     cfg = config or DEFAULT
     covering.require_verified(cert, config=cfg)
-    primes = primes_up_to(cert.u, config=cfg)
+    primes = _prime_array(cert.u, cfg)
     w, residues = covering.witness_of_verified(cert)
-    classed = [c.p for c in cert.classes]
-    taken = set(classed)
-    unclassed = [p for p in primes if p not in taken]
-    rems = np.array(residues + multi_mod(w.T, unclassed), dtype=np.int64)
-    mods = np.array(classed + unclassed, dtype=np.int64)
-    lo = w.T + _next_rough(rems, mods, -1, -1)
-    hi = w.T + _next_rough(rems, mods, cert.y + 1, 1)
+    classed = cert.classes.p.astype(np.int64)
+    unclassed = primes[~np.isin(primes, classed)]
+    rems = np.array(residues + multi_mod(w.T, unclassed.tolist()), dtype=np.int64)
+    mods = np.concatenate([classed, unclassed])
+    lo = w.T + _flank(rems, mods, -1, -1)
+    hi = w.T + _flank(rems, mods, cert.y + 1, 1)
     return JacobsthalValue(
         u=cert.u,
         value=cert.y + 2,

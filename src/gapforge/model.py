@@ -12,9 +12,13 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Optional
+
+import numpy as np
 
 _DIGIT_CHUNK = 4000  # digits per int/str conversion, under the 4300 default
 
@@ -94,7 +98,7 @@ class Rational:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Rational":
-        return cls(int(obj["num"]), int(obj["den"]))
+        return cls(_json_int(obj["num"]), _json_int(obj["den"]))
 
 
 class ClassKind(Enum):
@@ -103,8 +107,16 @@ class ClassKind(Enum):
     MATCHED = "matched"
 
 
-# one dict lookup per class instead of the Enum.__call__ machinery
-_KIND_BY_TEXT = {kind.value: kind for kind in ClassKind}
+# the kind column holds each class's position in KINDS
+KINDS = (ClassKind.FORCED, ClassKind.GREEDY, ClassKind.MATCHED)
+FORCED, GREEDY, MATCHED = range(len(KINDS))
+_KIND_CODE = {kind.value: code for code, kind in enumerate(KINDS)}
+_KIND_TEXT = [kind.value for kind in KINDS]
+
+# p and a are int64 columns when every value lies in [-2**31, 2**31), where
+# a product of two residues stays below 2**62; otherwise both are object
+# columns of Python ints, which the same numpy expressions serve
+COLUMN_LIMIT = 2**31
 
 
 @dataclass(frozen=True)
@@ -115,17 +127,92 @@ class ResidueClass:
     a: int
     kind: ClassKind
 
-    def to_json(self) -> dict:
-        return {"p": self.p, "a": self.a, "kind": self.kind.value}
+
+def _columns(p, a) -> tuple[np.ndarray, np.ndarray]:
+    """p and a as two columns of one dtype, int64 where every value fits."""
+    try:
+        p64, a64 = np.asarray(p, dtype=np.int64), np.asarray(a, dtype=np.int64)
+        if not p64.size or (
+            -COLUMN_LIMIT <= min(p64.min(), a64.min())
+            and max(p64.max(), a64.max()) < COLUMN_LIMIT
+        ):
+            return p64, a64
+    except OverflowError:
+        pass
+    return np.asarray(p, dtype=object), np.asarray(a, dtype=object)
+
+
+class ClassTable(Sequence):
+    """Residue classes a mod p as three parallel columns: p, a and kind.
+
+    kind holds codes into KINDS.  Indexing and iteration give ResidueClass
+    rows; the tuple of all rows is built on first use.  A table equals
+    another table with the same columns, and a list or tuple of the same
+    rows.
+    """
+
+    __slots__ = ("p", "a", "kind", "_rows")
+
+    def __init__(self, p, a, kind):
+        self.p, self.a = _columns(p, a)
+        self.kind = np.asarray(kind, dtype=np.int8)
+        if not len(self.p) == len(self.a) == len(self.kind):
+            raise ValueError("class columns differ in length")
+        self._rows = None
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ResidueClass":
-        text = obj["kind"]
-        try:
-            kind = _KIND_BY_TEXT[text]
-        except (KeyError, TypeError):  # unknown or unhashable, as ClassKind(text)
-            raise ValueError(f"{text!r} is not a valid ClassKind") from None
-        return cls(int(obj["p"]), int(obj["a"]), kind)
+    def of(cls, classes) -> "ClassTable":
+        """A table of ResidueClass rows; a table is returned as it is."""
+        if isinstance(classes, ClassTable):
+            return classes
+        rows = tuple(classes)
+        table = cls([c.p for c in rows], [c.a for c in rows],
+                    [KINDS.index(c.kind) for c in rows])
+        table._rows = rows
+        return table
+
+    @classmethod
+    def concat(cls, *parts) -> "ClassTable":
+        """The classes of each part in turn; parts are tables or rows."""
+        tables = [cls.of(part) for part in parts]
+        return cls(*(np.concatenate([getattr(t, col) for t in tables])
+                     for col in ("p", "a", "kind")))
+
+    def select(self, mask: np.ndarray) -> "ClassTable":
+        return ClassTable(self.p[mask], self.a[mask], self.kind[mask])
+
+    @property
+    def rows(self) -> tuple[ResidueClass, ...]:
+        if self._rows is None:
+            self._rows = tuple(map(ResidueClass, self.p.tolist(), self.a.tolist(),
+                                   [KINDS[k] for k in self.kind.tolist()]))
+        return self._rows
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def __getitem__(self, index):
+        if self._rows is None and isinstance(index, int):
+            i = range(len(self))[index]  # IndexError past either end
+            return ResidueClass(int(self.p[i]), int(self.a[i]), KINDS[self.kind[i]])
+        return self.rows[index]
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ClassTable):
+            return all(np.array_equal(getattr(self, col), getattr(other, col))
+                       for col in ("kind", "p", "a"))
+        if isinstance(other, (list, tuple)):
+            return self.rows == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+    def __repr__(self) -> str:
+        return f"ClassTable({list(self.rows)!r})"
 
 
 @dataclass(frozen=True)
@@ -260,7 +347,11 @@ class ScenarioResult:
 
 @dataclass(frozen=True)
 class CoveringCertificate:
-    """Everything needed to re-check one run of the covering construction."""
+    """Everything needed to re-check one run of the covering construction.
+
+    classes may be given as any sequence of ResidueClass rows; it is held
+    as a ClassTable.
+    """
 
     x: int
     q: int
@@ -268,9 +359,12 @@ class CoveringCertificate:
     delta: Rational
     u: int
     y: int
-    classes: tuple[ResidueClass, ...]
+    classes: ClassTable
     survivors_initial: int
     survivors_after_greedy: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "classes", ClassTable.of(self.classes))
 
     def bound_rational(self) -> Rational:
         """The reported lower-bound form (x - b)/q."""
@@ -311,7 +405,14 @@ def certificate_to_dict(
 ) -> dict:
     """Certificate as a JSON-ready dict with the stable field order."""
     head, tail = _certificate_fields(cert, witness)
-    return {**head, "classes": [c.to_json() for c in cert.classes], **tail}
+    t = cert.classes
+    classes = [{"p": p, "a": a, "kind": kind}
+               for p, a, kind in zip(t.p.tolist(), t.a.tolist(), _kind_texts(t))]
+    return {**head, "classes": classes, **tail}
+
+
+def _kind_texts(t: ClassTable) -> list[str]:
+    return [_KIND_TEXT[k] for k in t.kind.tolist()]
 
 
 def _certificate_fields(
@@ -354,34 +455,64 @@ def certificate_to_json(
     head, tail = _certificate_fields(cert, witness)
     # both dicts are non-empty: drop head's closing "\n}" and tail's "{\n"
     text = json.dumps(head, indent=2)[:-2] + ',\n  "classes": '
-    if cert.classes:
-        records = ",\n".join(
-            f'    {{\n      "p": {c.p},\n      "a": {c.a},\n'
-            f'      "kind": "{c.kind.value}"\n    }}'
-            for c in cert.classes
-        )
+    t = cert.classes
+    if len(t):
+        # one %-format of every record at once, the fields interleaved
+        fields = [None] * (3 * len(t))
+        fields[0::3], fields[1::3] = t.p.tolist(), t.a.tolist()
+        fields[2::3] = _kind_texts(t)
+        records = ",\n".join([_CLASS_RECORD] * len(t)) % tuple(fields)
         text += "[\n" + records + "\n  ]"
     else:
         text += "[]"
     return text + ",\n" + json.dumps(tail, indent=2)[2:] + "\n"
 
 
+_CLASS_RECORD = '    {\n      "p": %d,\n      "a": %d,\n      "kind": "%s"\n    }'
+
+
+def _json_int(value) -> int:
+    """value itself when it is a JSON integer (a Python int, not a bool)."""
+    if type(value) is not int:
+        raise ValueError(f"expected a JSON integer, got {value!r:.40}")
+    return value
+
+
+def _json_ints(values: list) -> list:
+    if not set(map(type, values)) <= {int}:
+        _json_int(next(v for v in values if type(v) is not int))
+    return values
+
+
+def _class_table(classes: list) -> ClassTable:
+    """The table of a certificate's "classes" list, each value checked."""
+    p, a, kinds = (list(map(itemgetter(key), classes)) for key in ("p", "a", "kind"))
+    try:
+        codes = list(map(_KIND_CODE.__getitem__, kinds))
+    except (KeyError, TypeError):  # unknown or unhashable, as ClassKind(text)
+        text = next(k for k in kinds if not isinstance(k, str) or k not in _KIND_CODE)
+        raise ValueError(f"{text!r} is not a valid ClassKind") from None
+    return ClassTable(_json_ints(p), _json_ints(a), codes)
+
+
 def certificate_from_dict(obj: dict) -> tuple[CoveringCertificate, Optional[CrtWitness]]:
     """Parse a certificate dict; returns (certificate, stored witness or None).
 
-    Raises KeyError / ValueError / TypeError on malformed input; callers that
-    need an I/O-style failure should catch those.
+    Every count, parameter, delta part, modulus and residue must be a JSON
+    integer: a float, a string or a bool is refused, not converted.  Raises
+    KeyError / ValueError / TypeError on malformed input; callers that need
+    an I/O-style failure should catch those.
     """
     cert = CoveringCertificate(
-        x=int(obj["x"]),
-        q=int(obj["q"]),
-        b=int(obj["b"]),
+        x=_json_int(obj["x"]),
+        q=_json_int(obj["q"]),
+        b=_json_int(obj["b"]),
         delta=Rational.from_json(obj["delta"]),
-        u=int(obj["u"]),
-        y=int(obj["y"]),
-        classes=tuple(ResidueClass.from_json(c) for c in obj["classes"]),
-        survivors_initial=int(obj["survivors_initial"]),
-        survivors_after_greedy=int(obj["survivors_after_greedy"]),
+        u=_json_int(obj["u"]),
+        y=_json_int(obj["y"]),
+        classes=_class_table(obj["classes"]),
+        survivors_initial=_json_int(obj["survivors_initial"]),
+        survivors_after_greedy=_json_int(obj["survivors_after_greedy"]),
     )
     witness = None
     if "witness" in obj:
@@ -389,7 +520,7 @@ def certificate_from_dict(obj: dict) -> tuple[CoveringCertificate, Optional[CrtW
         # more digits than the primes together; longer text is refused
         # before any conversion work.
         w = obj["witness"]
-        digits = max(1, sum(len(str(c.p)) for c in cert.classes))
+        digits = max(1, sum(map(len, map(str, cert.classes.p.tolist()))))
         witness = CrtWitness(
             T=_decimal_to_int(w["T"], digits),
             P=_decimal_to_int(w["P"], digits),

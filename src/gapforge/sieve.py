@@ -178,19 +178,24 @@ def first_non_prime(
 ) -> Optional[int]:
     """The first value, in order, below 2, at or above 2**64 or composite.
 
-    None when every value is a proven prime.  When the largest value in
-    [2, 2**64) fits the memory budget as primes_up_to requires, one sieve up
-    to it decides every value; otherwise each goes through is_prime, which
-    is a proof below 2**64.  At and above 2**64 nothing is tested.
+    values is a sequence of ints or a numpy column.  None when every value
+    is a proven prime.  When the largest value in [2, 2**64) fits the memory
+    budget as primes_up_to requires, one sieve up to it decides every
+    value; otherwise each goes through is_prime, which is a proof below
+    2**64.  At and above 2**64 nothing is tested.
     """
     cfg = config or DEFAULT
-    top = max((v for v in values if 2 <= v < PROVEN_LIMIT), default=1)
+    if not isinstance(values, np.ndarray):
+        values = np.array(values, dtype=object)
+    testable = (values >= 2) & (values < PROVEN_LIMIT)
+    top = int(values[testable].max()) if testable.any() else 1
     if top + 1 > cfg.memory_budget:
+        values = values.tolist()
         return next((v for v in values if v >= PROVEN_LIMIT or not is_prime(v)), None)
     # values outside [2, top] become 0, which no prime table holds
-    arr = np.array([v if 2 <= v <= top else 0 for v in values], dtype=np.int64)
+    arr = np.where(testable, values, 0).astype(np.int64)
     bad = np.flatnonzero(~np.isin(arr, _prime_array(top, cfg)))
-    return values[int(bad[0])] if bad.size else None
+    return int(values[bad[0]]) if bad.size else None
 
 
 def prime_count_ap(

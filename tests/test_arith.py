@@ -8,6 +8,7 @@ from gapforge.arith import (
     _crt,
     _divmod,
     _prime_inverses,
+    _product_tree,
     crt_combine,
     factorize,
     is_prime,
@@ -289,7 +290,8 @@ def test_crt_tree_levels_past_the_cutoff():
     rng = random.Random(73)
     primes = rng.sample(small_primes_up_to(200_000)[1000:], 1200)
     residues = [rng.randrange(p) for p in primes]
-    w, tree = _crt(primes, residues)
+    tree = _product_tree(primes)
+    w = _crt(tree, residues)
     assert tree[-2][0].bit_length() > CUTOFF
     assert w.P == math.prod(primes)
     T, P = 0, 1

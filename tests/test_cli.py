@@ -199,6 +199,44 @@ def test_verify_unknown_or_unhashable_kind_exits_6(tmp_path, capsys, kind, messa
     assert err == f"cannot load certificate: {message}\n"
 
 
+def _set_first_p_float(obj):
+    obj["classes"][0]["p"] += 0.9  # 2.9: int() would read the prime 2
+
+
+def _set_first_p_string(obj):
+    obj["classes"][0]["p"] = str(obj["classes"][0]["p"])
+
+
+def _set_x_float(obj):
+    obj["x"] += 0.7  # floor((x - b)/q) is unchanged
+
+
+def _set_a_true(obj):
+    obj["classes"][0]["a"] = True  # int(True) is 1
+
+
+@pytest.mark.parametrize("change, shown", [
+    (_set_first_p_float, "2.9"),
+    (_set_first_p_string, "'2'"),
+    (_set_x_float, "10000.7"),
+    (_set_a_true, "True"),
+], ids=["p_float", "p_string", "x_float", "a_bool"])
+def test_verify_refuses_non_integer_fields(tmp_path, capsys, change, shown):
+    # int() once truncated or coerced each field on load, and the first
+    # three then passed verify --strict on a file not read as written
+    path = tmp_path / "cert.json"
+    code, _, err = run(capsys, "cover", "--x", "10000", "--q", "101", "--b", "100",
+                       "--out", str(path))
+    assert code == 0, err
+    obj = json.loads(path.read_text())
+    assert obj["classes"][0]["p"] == 2
+    change(obj)
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", str(path), "--strict")
+    assert code == 6 and out == ""
+    assert err == f"cannot load certificate: expected a JSON integer, got {shown}\n"
+
+
 def _hostile_anchor_certificate(tmp_path, capsys, fault):
     """The valid certificate of (1e7, 10007, 3), then one field broken."""
     good = tmp_path / "anchor.json"
@@ -364,9 +402,9 @@ def test_verify_refuses_class_prime_above_64_bits(tmp_path, capsys, monkeypatch)
     combined = []
     crt = covering._crt
 
-    def recording_crt(primes, residues):
-        combined.append(len(primes))
-        return crt(primes, residues)
+    def recording_crt(tree, residues):
+        combined.append(len(tree[0]))
+        return crt(tree, residues)
 
     monkeypatch.setattr(covering, "_crt", recording_crt)
     code, out, _ = run(capsys, "verify", str(out_path), "--witness")
