@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -241,7 +242,10 @@ def _cmd_scenario(args, cfg) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args returns a fresh Namespace each
+    # call, and help text wraps to the terminal width when it is printed.
     # Shared flags live in a parent parser with SUPPRESS defaults so they are
     # accepted both before and after the subcommand without the subparser
     # clobbering a value parsed earlier.

@@ -53,7 +53,15 @@ from .model import (
     ScenarioResult,
     VerificationReport,
 )
-from .sieve import _prime_array, first_non_prime, prime_count_ap, primes_in_range
+from .sieve import (
+    _mod,
+    _prime_array,
+    _progression_roots,
+    _strike,
+    first_non_prime,
+    prime_count_ap,
+    primes_in_range,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -125,13 +133,6 @@ def compute_u(x: int, q: int, delta: Rational) -> int:
     return u
 
 
-def _mod(n: int, p: np.ndarray) -> np.ndarray:
-    """n mod each entry of a column whose entries are all >= 1, for any int n."""
-    if p.dtype == object or -(2**63) <= n < 2**63:
-        return n % p
-    return (n % p.astype(object)).astype(p.dtype)
-
-
 def _first(mask: np.ndarray) -> Optional[int]:
     """Index of the first True entry, or None."""
     hits = np.flatnonzero(mask)
@@ -146,43 +147,20 @@ def _first_repeat(p: np.ndarray) -> Optional[int]:
     return int(later.min()) if later.size else None
 
 
-def forced_classes(u: int, q: int, b: int) -> ClassTable:
+def forced_classes(
+    u: int, q: int, b: int, *, config: Optional[Config] = None
+) -> ClassTable:
     """The unique class killing the progression mod p, for each p <= u/2, p not dividing q.
 
-    a_p solves q * a_p + b == 0 (mod p).
+    a_p solves q * a_p + b == 0 (mod p).  Raises ResourceLimit, before it
+    allocates, when the primes up to u/2 exceed the memory budget.
     """
     if u < 3:
         raise ValueError("need u >= 3")
     if math.gcd(b, q) != 1:
         raise ValueError(f"need gcd(b, q) = 1, got gcd = {math.gcd(b, q)}")
-    primes = _prime_array(u // 2, DEFAULT)
-    if primes.size and primes[-1] >= COLUMN_LIMIT:
-        primes = primes.astype(object)
-    q_mod = _mod(q, primes)
-    primes, q_mod = primes[q_mod != 0], q_mod[q_mod != 0]
-    inverses = np.array(_prime_inverses(q_mod.tolist(), primes.tolist()),
-                        dtype=primes.dtype)
-    return ClassTable(primes, _mod(-b, primes) * inverses % primes,
-                      np.full(len(primes), FORCED))
-
-
-def _strike(y: int, residues: np.ndarray, moduli: np.ndarray) -> np.ndarray:
-    """Flags over [0, y], set at each n == a (mod p) for the paired (a, p).
-
-    Moduli below 2 strike nothing; the callers check the budget for y.  A
-    modulus above y strikes at most one point, its least residue, so those
-    are set by one fancy-index assignment; the others strike by slices.
-    """
-    flags = np.zeros(y + 1, dtype=bool)
-    keep = moduli >= 2
-    p = moduli[keep]
-    start = residues[keep] % p
-    small = p <= y
-    for s, m in zip(start[small].tolist(), p[small].tolist()):
-        flags[s::m] = True
-    start = start[~small]
-    flags[start[start <= y].astype(np.intp)] = True
-    return flags
+    primes, a = _progression_roots(_prime_array(u // 2, config or DEFAULT), q, b)
+    return ClassTable(primes, a, np.full(len(primes), FORCED))
 
 
 def sieve_survivors(
@@ -242,7 +220,9 @@ def greedy_cover(
     return classes, remaining
 
 
-def match_large_primes(remaining: list[int], u: int) -> ClassTable:
+def match_large_primes(
+    remaining: list[int], u: int, *, config: Optional[Config] = None
+) -> ClassTable:
     """Pair leftover survivors with distinct fresh primes in (u/2, u].
 
     The i-th survivor (ascending) gets the i-th fresh prime (ascending) and
@@ -254,7 +234,7 @@ def match_large_primes(remaining: list[int], u: int) -> ClassTable:
         raise ValueError("remaining survivors must be ascending and distinct")
     if not remaining:
         return ClassTable.of(())
-    fresh = primes_in_range(u // 2, u)
+    fresh = primes_in_range(u // 2, u, config=config)
     if len(remaining) > len(fresh):
         holds = len(remaining) * 5 * math.log(u) <= u
         raise InsufficientPrimes(len(remaining), len(fresh), holds)
@@ -280,10 +260,10 @@ def _construct(
         delta = prime_count_ap(x, q, b, config=cfg).delta
     u = compute_u(x, q, delta)
     y = (x - b) // q
-    forced = forced_classes(u, q, b)
+    forced = forced_classes(u, q, b, config=cfg)
     survivors = sieve_survivors(y, forced, config=cfg)
     greedy, remaining = greedy_cover(survivors, q, u)
-    matched = match_large_primes(remaining, u)
+    matched = match_large_primes(remaining, u, config=cfg)
     return CoveringCertificate(
         x=x,
         q=q,

@@ -18,7 +18,7 @@ from .arith import multi_mod, primorial
 from .config import DEFAULT, Config
 from .errors import PeriodTooLarge
 from .model import CoveringCertificate, GapRecord, JacobsthalValue, Rational
-from .sieve import _prime_array, rough_gap_scan
+from .sieve import _prime_array, _strike, rough_gap_scan
 
 # offsets in the first window of the flank search; each later window doubles
 _FLANK_WINDOW = 1 << 10
@@ -72,7 +72,7 @@ def _flank(residues: np.ndarray, primes: np.ndarray, offset: int, step: int) -> 
     """
     width = _FLANK_WINDOW
     while True:
-        struck = covering._strike(width - 1, -step * (residues + offset), primes)
+        struck = _strike(width - 1, -step * (residues + offset), primes)
         i = covering._first(~struck)
         if i is not None:
             return offset + step * i

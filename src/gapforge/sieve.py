@@ -3,9 +3,10 @@
 Prime lists, prime counts in progressions, deficit scans, maximal prime
 gaps, least primes in progressions, and gap scans over rough numbers
 (integers free of small prime factors).  Lists, gaps and scans share one
-numpy segment kernel over the odd numbers.  Memory stays bounded by the
-configured segment size and results are independent of the segmentation,
-which the test suite checks explicitly.
+numpy segment kernel over the odd numbers; the progression count strikes
+its terms with _strike, the [0, y] strike the covering module shares.
+Memory stays bounded by the configured segment size and results are
+independent of the segmentation, which the test suite checks explicitly.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .arith import PROVEN_LIMIT, is_prime, small_primes_up_to, totient
+from .arith import PROVEN_LIMIT, _prime_inverses, is_prime, small_primes_up_to, totient
 from .config import DEFAULT, Config
 from .errors import BadProgression, DomainError, EmptyRange, ResourceLimit
-from .model import GapRecord, ProgressionStats, Rational
+from .model import COLUMN_LIMIT, GapRecord, ProgressionStats, Rational
 
 
 def _check_window(span: int, cfg: Config, what: str) -> None:
@@ -69,6 +70,50 @@ def _odd_primes(lo: int, hi: int, cfg: Config) -> Iterator[tuple[int, np.ndarray
     """Kernel segments holding the odd primes p with lo <= p <= hi."""
     base = _base_primes(math.isqrt(max(hi, 0)), cfg, "prime sieve")[1:]
     return _odd_survivors(max(3, lo), hi, base, cfg.segment_size, from_square=True)
+
+
+def _mod(n: int, p: np.ndarray) -> np.ndarray:
+    """n mod each entry of a column whose entries are all >= 1, for any int n."""
+    if p.dtype == object or -(2**63) <= n < 2**63:
+        return n % p
+    return (n % p.astype(object)).astype(p.dtype)
+
+
+def _strike(y: int, residues: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    """Flags over [0, y], set at each n == a (mod p) for the paired (a, p).
+
+    Moduli below 2 strike nothing; the callers check the budget for y.  A
+    modulus above y strikes at most one point, its least residue, so those
+    are set by one fancy-index assignment; the others strike by slices.
+    """
+    flags = np.zeros(y + 1, dtype=bool)
+    keep = moduli >= 2
+    p = moduli[keep]
+    start = residues[keep] % p
+    small = p <= y
+    for s, m in zip(start[small].tolist(), p[small].tolist()):
+        flags[s::m] = True
+    start = start[~small]
+    flags[start[start <= y].astype(np.intp)] = True
+    return flags
+
+
+def _progression_roots(
+    primes: np.ndarray, q: int, b: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending primes not dividing q, and the root k of q*k + b == 0 mod each.
+
+    q and b may be any ints; the inverses of q come in one _prime_inverses
+    batch.  A column reaching COLUMN_LIMIT turns dtype=object, so the
+    product of a residue and an inverse stays exact.
+    """
+    if primes.size and primes[-1] >= COLUMN_LIMIT:
+        primes = primes.astype(object)
+    q_mod = _mod(q, primes)
+    primes, q_mod = primes[q_mod != 0], q_mod[q_mod != 0]
+    inverses = np.array(_prime_inverses(q_mod.tolist(), primes.tolist()),
+                        dtype=primes.dtype)
+    return primes, _mod(-b, primes) * inverses % primes
 
 
 def _has_run(struck: np.ndarray, k: int) -> bool:
@@ -206,10 +251,14 @@ def prime_count_ap(
     Sieves only the terms n = b + k*q, 0 <= k <= (x - b) // q, in segments
     of cfg.segment_size terms, so the work is O(x/q) plus one strike per
     sieving prime and segment.  Each prime p <= sqrt(x) not dividing q hits
-    the progression exactly at k == -b/q (mod p), starting from the first
-    term >= p^2, so a prime p in the progression itself is never struck.
-    Raises ResourceLimit, before it allocates, when the terms exceed the
-    segmented-scan limit or the base primes up to isqrt(x) the memory budget.
+    the progression exactly at k == -b/q (mod p); the roots come in one
+    batch and every segment is struck from k = 0 by _strike.  That strikes
+    the terms that are base primes themselves, n = p, so they are cleared
+    again: any other term p*m with 1 < m < p has a prime factor below p,
+    which does not divide q and strikes it anyway.  n = 1 (b = 1) is struck
+    by hand.  Raises ResourceLimit, before it allocates, when the terms
+    exceed the segmented-scan limit or the base primes up to isqrt(x) the
+    memory budget.
     """
     _validate_progression(q, b)
     if not q < x:
@@ -217,25 +266,26 @@ def prime_count_ap(
     cfg = config or DEFAULT
     terms = (x - b) // q + 1
     _check_window(terms, cfg, "progression sieve")
-    strikes = [
-        (p, (-b * pow(q, -1, p)) % p, max(0, (p * p - b + q - 1) // q))
-        for p in _base_primes(math.isqrt(x), cfg, "progression sieve")
-        if q % p
-    ]
+    root = math.isqrt(x)
+    if root + 1 > cfg.memory_budget:
+        raise ResourceLimit(
+            f"progression sieve needs the primes up to {root}, "
+            f"over the {cfg.memory_budget}-byte budget"
+        )
+    base = _prime_array(root, cfg)
+    primes, roots = _progression_roots(base, q, b)
+    # the k of the terms that are base primes: n % q == n % reach for every
+    # n <= root, and past q > root only n = b, at k = 0, is that small
+    reach = min(q, root + 1)
+    own = (base[base % reach == b] - b) // reach if b <= root else base[:0]
     count = 0
     for k_lo in range(0, terms, cfg.segment_size):
         k_hi = min(k_lo + cfg.segment_size, terms)  # exclusive
-        flags = bytearray(k_hi - k_lo)  # 0 = prime
+        struck = _strike(k_hi - 1 - k_lo, roots - k_lo, primes)
+        struck[own[(own >= k_lo) & (own < k_hi)] - k_lo] = False
         if k_lo == 0 and b == 1:
-            flags[0] = 1
-        for p, k0, k_sq in strikes:
-            if k_sq >= k_hi:
-                break  # k_sq grows with p, so no later prime strikes here
-            first = max(k_lo, k_sq)
-            first += (k0 - first) % p
-            if first < k_hi:
-                flags[first - k_lo :: p] = b"\x01" * ((k_hi - 1 - first) // p + 1)
-        count += flags.count(0)
+            struck[0] = True
+        count += struck.size - int(np.count_nonzero(struck))
     delta = Rational(count * totient(q), x)
     return ProgressionStats(q=q, b=b, x=x, count=count, delta=delta)
 

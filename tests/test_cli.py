@@ -4,7 +4,7 @@ import math
 import pytest
 
 import gapforge as gf
-from gapforge import covering
+from gapforge import cli, covering
 from gapforge.cli import main
 from gapforge.model import (
     GapRecord,
@@ -389,6 +389,47 @@ def test_resource_limit_exit(capsys):
                        "--period-cap", str(1 << 20))
     assert code == 2
     assert "resource" in err.lower()
+
+
+def test_forced_classes_respect_the_memory_budget(capsys):
+    # the forced table lists the primes up to u/2 and needs u/2 + 1 bytes;
+    # with delta given, no other stage needs as much at this (x, q, b)
+    x, q, b = 10**8, 10_007, 3
+    half = gf.compute_u(x, q, gf.Rational(1, 5)) // 2
+    argv = ["cover", "--x", str(x), "--q", str(q), "--b", str(b), "--delta", "1/5",
+            "--period-cap", str(half)]
+    code, _, err = run(capsys, *argv, "--memory-budget", str(half + 1))
+    assert code == 0, err
+    code, _, err = run(capsys, *argv, "--memory-budget", str(half))
+    assert code == 2
+    # the table's own check refuses before the sieve allocates
+    assert f"prime list up to {half} exceeds the {half}-byte budget" in err
+
+
+def test_cached_parser_leaks_no_state(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    pi_ap = ["pi-ap", "--x", "100", "--q", "4", "--b", "3"]
+    code, out, _ = run(capsys, "--format", "json", *pi_ap)
+    assert code == 0
+    assert json.loads(out)["count"] == 13
+    code, out, _ = run(capsys, *pi_ap)
+    assert code == 0
+    assert out.startswith("pi(100; 4, 3) = 13 ")
+    # a budget given once does not stay for the next call
+    gaps = ["gaps", "--limit", "600000"]
+    code, _, err = run(capsys, *gaps, "--memory-budget", "65536",
+                       "--period-cap", "65536")
+    assert code == 2, err
+    code, out, _ = run(capsys, *gaps)
+    assert code == 0
+    assert out.startswith("G(600000) = ")
+    # an argparse error leaves the parser usable
+    with pytest.raises(SystemExit) as exc:
+        main(["pi-ap", "--x", "100"])
+    assert exc.value.code == 2
+    code, out, _ = run(capsys, *pi_ap)
+    assert code == 0
+    assert out.startswith("pi(100; 4, 3) = 13 ")
 
 
 def test_verify_refuses_class_prime_above_64_bits(tmp_path, capsys, monkeypatch):

@@ -165,6 +165,46 @@ def test_prime_count_ap_matches_whole_line_oracle():
         assert prime_count_ap(x, q, b).count == _whole_line_count(x, q, b), (x, q, b)
 
 
+_TRIAL_PRIMES = _whole_line_table(10**4)
+
+
+def _trial_division_count(x, q, b):
+    """pi(x; q, b) by trial division of each term by the primes <= 10**4.
+
+    Exact below 10_007**2, the square of the least prime above 10**4.
+    """
+    assert x < 10_007**2
+    n = np.arange(b, x + 1, q, dtype=np.int64)
+    prime = n > 1
+    for p in _TRIAL_PRIMES:
+        if p * p > x:
+            break
+        prime &= (n % p != 0) | (n == p)
+    return int(np.count_nonzero(prime))
+
+
+def test_prime_count_ap_matches_trial_division_at_certify_sizes():
+    # q in [1e4, 1e5] with x up to 1e8: nearly every base prime exceeds the
+    # number of terms and strikes one term at most
+    cases = [(10**7, 10_007, 3), (10**8, 10_007, 3)]
+    # b a base prime, a term the strike must spare
+    cases += [(10**8, 77_069, 9973), (10**8, 10_000, 7), (3 * 10**7, 99_991, 5477)]
+    # b = 1 and even q, with x a prime square
+    cases += [(9973**2, q, 1) for q in (10_000, 65_536, 99_998)]
+    cases += [(9967**2, 20_010, 1)]
+    # x past 1e8, inside the oracle's range
+    cases += [(10_007**2 - 10**5, 10_010, 1)]
+    rng = random.Random(20261018)
+    while len(cases) < 24:
+        x = rng.choice((10**7, 3 * 10**7, 10**8 - 1)) - rng.randrange(1000)
+        q = rng.randrange(10**4, 10**5 + 1)
+        b = rng.randrange(1, q)
+        if math.gcd(b, q) == 1:
+            cases.append((x, q, b))
+    for x, q, b in cases:
+        assert prime_count_ap(x, q, b).count == _trial_division_count(x, q, b), (x, q, b)
+
+
 def test_prime_count_ap_many_segments():
     small = Config(segment_size=1 << 16)
     for x, q, b in ((10**6, 6, 1), (10**6, 3, 2), (10**6, 2, 1), (10**6, 4, 3)):

@@ -10,6 +10,7 @@ import collections
 import contextlib
 import io
 import json
+import math
 
 import pytest
 
@@ -101,8 +102,9 @@ def test_cover_witness_checks_once(tmp_path, counts):
     assert code == 0, out
     cert, stored = certificate_from_dict(json.loads(path.read_text()))
     assert stored is not None
-    # the builder lists the forced primes up to u/2; the verifier sieves on its own
-    _assert_one_proof(counts, [cert.u // 2, _top(cert)])
+    # the measured count lists its base primes up to isqrt(x), the builder
+    # the forced primes up to u/2; the verifier sieves on its own
+    _assert_one_proof(counts, [math.isqrt(X), cert.u // 2, _top(cert)])
 
 
 def test_bound_from_certificate_checks_once(counts):
