@@ -115,7 +115,10 @@ def _cmd_least_prime(args, cfg) -> int:
 
 
 def _parse_delta(text: str) -> Rational:
-    frac = Fraction(text)
+    try:
+        frac = Fraction(text)
+    except ZeroDivisionError:
+        raise DomainError(f"delta {text} has a zero denominator") from None
     return Rational(frac.numerator, frac.denominator)
 
 
@@ -207,12 +210,22 @@ def _scenario_fields(res) -> list[str]:
     ]
 
 
+def _sweep_point(log_q: float, k: float, B: float):
+    """scenario_bound at delta = log_q**(-k), where that power is a real float."""
+    if not log_q > 0:
+        raise DomainError(f"log_q must be positive, got {log_q}")
+    try:
+        delta = log_q ** (-k)
+    except OverflowError:
+        raise DomainError(f"delta = {log_q:g}^(-{k:g}) overflows a float") from None
+    return scenario_bound(log_q, delta, B)
+
+
 def _cmd_scenario(args, cfg) -> int:
     header = ["log_q", "delta", "B", "log_x", "log_u", "log_gap_bound"]
     if args.sweep:
         points = [float(tok) for tok in args.sweep.split(",") if tok.strip()]
-        k = args.delta_exponent
-        results = [scenario_bound(lq, lq ** (-k), args.B) for lq in points]
+        results = [_sweep_point(lq, args.delta_exponent, args.B) for lq in points]
         table = ["  ".join(header)]
         table += [
             f"{r.log_q:g}  {r.delta:.6g}  {r.B:g}  {r.log_x:.4f}  "

@@ -580,8 +580,9 @@ def scenario_bound(log_q: float, delta: float, B: float) -> ScenarioResult:
 
     Pure arithmetic on the asymptotic forms: log_x = B log q,
     u ~ delta * x * log x / q, and the bound u / (delta log u); nothing is
-    constructed.  Raises DomainError outside log_q > 0, 0 < delta < 1, B > 1
-    or when the implied u drops to 1 or below (iterated log undefined).
+    constructed.  Raises DomainError outside log_q > 0, 0 < delta < 1, B > 1,
+    when the implied u drops to 1 or below (iterated log undefined), or
+    when log_x, log_u or the bound overflows a float.
     """
     if not (math.isfinite(log_q) and math.isfinite(delta) and math.isfinite(B)):
         raise DomainError("inputs must be finite")
@@ -598,6 +599,10 @@ def scenario_bound(log_q: float, delta: float, B: float) -> ScenarioResult:
             f"implied u is at or below 1 (log_u = {log_u:.4g}); scenario is degenerate"
         )
     log_gap_bound = log_u - math.log(delta) - math.log(log_u)
+    if not all(map(math.isfinite, (log_x, log_u, log_gap_bound))):
+        raise DomainError(
+            f"the bound overflows a float (log_x = {log_x}, log_u = {log_u})"
+        )
     return ScenarioResult(
         log_q=log_q,
         delta=delta,

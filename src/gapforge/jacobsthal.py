@@ -24,9 +24,7 @@ from .sieve import _prime_array, _strike, rough_gap_scan
 _FLANK_WINDOW = 1 << 10
 
 
-def jacobsthal_exact(
-    u: int, period_cap: Optional[int] = None, *, config: Optional[Config] = None
-) -> JacobsthalValue:
+def jacobsthal_exact(u: int, *, config: Optional[Config] = None) -> JacobsthalValue:
     """Exact J(u): maximal gap between consecutive u-rough integers.
 
     The rough integers repeat with period P = primorial(u), and both ends
@@ -39,14 +37,14 @@ def jacobsthal_exact(
     the scan's own tie rule finds the same witness as a full-period scan.
     r is found by walking down from P/2, fewer than J(u)/2 odd steps.
 
-    Refuses with PeriodTooLarge when P exceeds the cap rather than
-    approximating, before sieving anything near u, and with ResourceLimit
+    Refuses with PeriodTooLarge when P exceeds config.period_cap rather
+    than approximating, before sieving anything near u, and with ResourceLimit
     when the window exceeds the scan budget.
     """
     cfg = config or DEFAULT
     if u < 2:
         raise ValueError("need u >= 2")
-    cap = period_cap if period_cap is not None else cfg.period_cap
+    cap = cfg.period_cap
     # primorial(n) >= 2**pi(n), and the k-th prime is below k*k for k >= 2,
     # so primorial((cap.bit_length() + 1)**2) already exceeds the cap: a
     # larger u is refused without sieving up to u

@@ -10,6 +10,7 @@ and serializes as a JSON number.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from collections.abc import Sequence
@@ -64,8 +65,21 @@ def _parse_digits(text: str) -> int:
     return _parse_digits(text[:-width]) * 10**width + _parse_digits(text[-width:])
 
 
+class _Record:
+    """A dataclass whose JSON form is its own fields."""
+
+    def to_json(self) -> dict:
+        """The fields in order, nested records as their JSON, None ones left out."""
+        out = {}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if value is not None:
+                out[f.name] = value.to_json() if isinstance(value, _Record) else value
+        return out
+
+
 @dataclass(frozen=True)
-class Rational:
+class Rational(_Record):
     """Non-negative rational kept in lowest terms, den > 0."""
 
     num: int
@@ -92,13 +106,6 @@ class Rational:
 
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
-
-    def to_json(self) -> dict:
-        return {"num": self.num, "den": self.den}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Rational":
-        return cls(_json_int(obj["num"]), _json_int(obj["den"]))
 
 
 class ClassKind(Enum):
@@ -216,7 +223,7 @@ class ClassTable(Sequence):
 
 
 @dataclass(frozen=True)
-class GapRecord:
+class GapRecord(_Record):
     """A gap between consecutive members of some set, with witnesses.
 
     hi - lo = gap, and no member of the set lies strictly between lo and hi.
@@ -227,16 +234,9 @@ class GapRecord:
     lo: int
     hi: int
 
-    def to_json(self) -> dict:
-        return {"gap": self.gap, "lo": self.lo, "hi": self.hi}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "GapRecord":
-        return cls(int(obj["gap"]), int(obj["lo"]), int(obj["hi"]))
-
 
 @dataclass(frozen=True)
-class ProgressionStats:
+class ProgressionStats(_Record):
     """Measured prime count in the progression b mod q up to x.
 
     delta is the exact deficit parameter count * phi(q) / x.
@@ -248,28 +248,9 @@ class ProgressionStats:
     count: int
     delta: Rational
 
-    def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "b": self.b,
-            "x": self.x,
-            "count": self.count,
-            "delta": self.delta.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ProgressionStats":
-        return cls(
-            q=int(obj["q"]),
-            b=int(obj["b"]),
-            x=int(obj["x"]),
-            count=int(obj["count"]),
-            delta=Rational.from_json(obj["delta"]),
-        )
-
 
 @dataclass(frozen=True)
-class JacobsthalValue:
+class JacobsthalValue(_Record):
     """A value of (or lower bound on) the maximal rough-number gap at u.
 
     exact values come from a full-period scan; bounds come from certificates,
@@ -282,28 +263,6 @@ class JacobsthalValue:
     witness: GapRecord
     exact: bool
     gap_lower_rational: Optional[Rational] = None
-
-    def to_json(self) -> dict:
-        out = {
-            "u": self.u,
-            "value": self.value,
-            "witness": self.witness.to_json(),
-            "exact": self.exact,
-        }
-        if self.gap_lower_rational is not None:
-            out["gap_lower_rational"] = self.gap_lower_rational.to_json()
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "JacobsthalValue":
-        bound = obj.get("gap_lower_rational")
-        return cls(
-            u=int(obj["u"]),
-            value=int(obj["value"]),
-            witness=GapRecord.from_json(obj["witness"]),
-            exact=bool(obj["exact"]),
-            gap_lower_rational=None if bound is None else Rational.from_json(bound),
-        )
 
 
 @dataclass(frozen=True)
@@ -319,7 +278,7 @@ class CrtWitness:
 
 
 @dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(_Record):
     """Log-space evaluation of the gap bound for hypothetical (q, delta, B)."""
 
     log_q: float
@@ -328,21 +287,6 @@ class ScenarioResult:
     log_x: float
     log_u: float
     log_gap_bound: float
-
-    def to_json(self) -> dict:
-        return {
-            "log_q": self.log_q,
-            "delta": self.delta,
-            "B": self.B,
-            "log_x": self.log_x,
-            "log_u": self.log_u,
-            "log_gap_bound": self.log_gap_bound,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ScenarioResult":
-        return cls(**{k: float(obj[k]) for k in (
-            "log_q", "delta", "B", "log_x", "log_u", "log_gap_bound")})
 
 
 @dataclass(frozen=True)
@@ -507,7 +451,7 @@ def certificate_from_dict(obj: dict) -> tuple[CoveringCertificate, Optional[CrtW
         x=_json_int(obj["x"]),
         q=_json_int(obj["q"]),
         b=_json_int(obj["b"]),
-        delta=Rational.from_json(obj["delta"]),
+        delta=Rational(_json_int(obj["delta"]["num"]), _json_int(obj["delta"]["den"])),
         u=_json_int(obj["u"]),
         y=_json_int(obj["y"]),
         classes=_class_table(obj["classes"]),

@@ -2,9 +2,11 @@
 
 Prime lists, prime counts in progressions, deficit scans, maximal prime
 gaps, least primes in progressions, and gap scans over rough numbers
-(integers free of small prime factors).  Lists, gaps and scans share one
-numpy segment kernel over the odd numbers; the progression count strikes
-its terms with _strike, the [0, y] strike the covering module shares.
+(integers free of small prime factors).  Every sieve here is one numpy
+segment kernel, _segments, which strikes the terms b + k*q of a
+progression segment by segment with _strike, the [0, y] strike the
+covering module shares; prime lists and rough scans walk the odd numbers
+as the progression 1 mod 2.
 Memory stays bounded by the configured segment size and results are
 independent of the segmentation, which the test suite checks explicitly.
 """
@@ -29,47 +31,14 @@ def _check_window(span: int, cfg: Config, what: str) -> None:
         )
 
 
-def _odd_survivors(
-    lo: int, hi: int, primes: list[int], span: int, *, from_square: bool
-) -> Iterator[tuple[int, np.ndarray]]:
-    """The segment kernel: the odd n in [lo, hi] that no prime in primes strikes.
-
-    Each odd prime p strikes its odd multiples: every one of them for a
-    rough scan, or only those from p*p on (from_square) for a prime sieve,
-    where p itself survives.  Yields (base, struck) per segment of span odd
-    numbers, struck a bool array whose entry i is True when base + 2*i is
-    struck; its False entries are the survivors.  base stays a Python int,
-    so windows past 2**63 are exact.
-    """
-    start = lo | 1
-    last = hi if hi % 2 else hi - 1
-    while start <= last:
-        stop = min(start + 2 * (span - 1), last)  # inclusive, odd
-        struck = np.zeros((stop - start) // 2 + 1, dtype=bool)
-        for p in primes:
-            first = max(-(-start // p) * p, p * p if from_square else start)
-            if first % 2 == 0:
-                first += p
-            if first <= stop:
-                struck[(first - start) // 2 :: p] = True
-        yield start, struck
-        start = stop + 2
-
-
-def _base_primes(n: int, cfg: Config, what: str) -> list[int]:
-    """The primes <= n, for a sieve to strike with; n + 1 must fit the budget."""
+def _base_primes(n: int, cfg: Config, what: str) -> np.ndarray:
+    """The primes <= n as an int64 column to strike with; n + 1 must fit the budget."""
     if n + 1 > cfg.memory_budget:
         raise ResourceLimit(
             f"{what} needs the primes up to {n}, "
             f"over the {cfg.memory_budget}-byte budget"
         )
-    return small_primes_up_to(n)
-
-
-def _odd_primes(lo: int, hi: int, cfg: Config) -> Iterator[tuple[int, np.ndarray]]:
-    """Kernel segments holding the odd primes p with lo <= p <= hi."""
-    base = _base_primes(math.isqrt(max(hi, 0)), cfg, "prime sieve")[1:]
-    return _odd_survivors(max(3, lo), hi, base, cfg.segment_size, from_square=True)
+    return np.array(small_primes_up_to(n), dtype=np.int64)
 
 
 def _mod(n: int, p: np.ndarray) -> np.ndarray:
@@ -96,6 +65,40 @@ def _strike(y: int, residues: np.ndarray, moduli: np.ndarray) -> np.ndarray:
     start = start[~small]
     flags[start[start <= y].astype(np.intp)] = True
     return flags
+
+
+def _segments(
+    q: int, b: int, k_lo: int, k_hi: int, primes: np.ndarray, roots: np.ndarray,
+    spared: np.ndarray, span: int,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The segment kernel over the terms n = b + k*q, k_lo <= k < k_hi.
+
+    The term at k is struck when k == roots[i] (mod primes[i]) for some i,
+    unless k is listed in spared.  Yields (first term, struck) per segment
+    of up to span terms, struck[i] telling whether the segment's i-th term
+    is struck.  k and the first term stay Python ints, so windows past
+    2**63 are exact.
+    """
+    for k in range(k_lo, k_hi, span):
+        stop = min(k + span, k_hi)  # exclusive
+        struck = _strike(stop - 1 - k, roots - _mod(k, primes), primes)
+        hit = spared[(spared >= k) & (spared < stop)]
+        if hit.size:  # so k < 2**63, and hit - k stays int64
+            struck[hit - k] = False
+        yield b + k * q, struck
+
+
+def _odd_primes(lo: int, hi: int, cfg: Config) -> Iterator[tuple[int, np.ndarray]]:
+    """Kernel segments over the odd n = 1 + 2k in [max(3, lo), hi], primes unstruck.
+
+    An odd prime p divides 1 + 2k at k == (p - 1)/2 (mod p), whose least
+    term is p itself, so that k is spared; any other odd multiple of p
+    below p*p has a smaller odd prime factor, which strikes it.
+    """
+    odd = _base_primes(math.isqrt(max(hi, 0)), cfg, "prime sieve")[1:]
+    half = (odd - 1) // 2
+    return _segments(2, 1, max(3, lo) // 2, (hi + 1) // 2, odd, half, half,
+                     cfg.segment_size)
 
 
 def _progression_roots(
@@ -252,11 +255,11 @@ def prime_count_ap(
     of cfg.segment_size terms, so the work is O(x/q) plus one strike per
     sieving prime and segment.  Each prime p <= sqrt(x) not dividing q hits
     the progression exactly at k == -b/q (mod p); the roots come in one
-    batch and every segment is struck from k = 0 by _strike.  That strikes
-    the terms that are base primes themselves, n = p, so they are cleared
-    again: any other term p*m with 1 < m < p has a prime factor below p,
-    which does not divide q and strikes it anyway.  n = 1 (b = 1) is struck
-    by hand.  Raises ResourceLimit, before it allocates, when the terms
+    batch and the segment kernel strikes them from k = 0, sparing the terms
+    that are base primes themselves, n = p: any other term p*m with
+    1 < m < p has a prime factor below p, which does not divide q and
+    strikes it anyway.  n = 1 (b = 1) survives and is taken off the count.
+    Raises ResourceLimit, before it allocates, when the terms
     exceed the segmented-scan limit or the base primes up to isqrt(x) the
     memory budget.
     """
@@ -278,14 +281,9 @@ def prime_count_ap(
     # n <= root, and past q > root only n = b, at k = 0, is that small
     reach = min(q, root + 1)
     own = (base[base % reach == b] - b) // reach if b <= root else base[:0]
-    count = 0
-    for k_lo in range(0, terms, cfg.segment_size):
-        k_hi = min(k_lo + cfg.segment_size, terms)  # exclusive
-        struck = _strike(k_hi - 1 - k_lo, roots - k_lo, primes)
-        struck[own[(own >= k_lo) & (own < k_hi)] - k_lo] = False
-        if k_lo == 0 and b == 1:
-            struck[0] = True
-        count += struck.size - int(np.count_nonzero(struck))
+    segments = _segments(q, b, 0, terms, primes, roots, own, cfg.segment_size)
+    # n = 1 (b = 1, k = 0) has no prime factor, so it survives every strike
+    count = sum(s.size - int(np.count_nonzero(s)) for _, s in segments) - (b == 1)
     delta = Rational(count * totient(q), x)
     return ProgressionStats(q=q, b=b, x=x, count=count, delta=delta)
 
@@ -338,8 +336,9 @@ def rough_gap_scan(
     if lo >= hi:
         raise ValueError("need lo < hi")
     _check_window(hi - lo, cfg, "rough gap scan")
-    odd_primes = _base_primes(u, cfg, "rough gap scan")[1:]
-    segments = _odd_survivors(lo, hi, odd_primes, cfg.segment_size, from_square=False)
+    odd = _base_primes(u, cfg, "rough gap scan")[1:]
+    segments = _segments(2, 1, lo // 2, (hi + 1) // 2, odd, (odd - 1) // 2, odd[:0],
+                         cfg.segment_size)
     best, found = _max_gap(segments)
     if found < 2:
         raise EmptyRange(

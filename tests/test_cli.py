@@ -6,13 +6,7 @@ import pytest
 import gapforge as gf
 from gapforge import cli, covering
 from gapforge.cli import main
-from gapforge.model import (
-    GapRecord,
-    JacobsthalValue,
-    ProgressionStats,
-    ScenarioResult,
-    certificate_to_dict,
-)
+from gapforge.model import certificate_to_dict
 
 
 def run(capsys, *argv):
@@ -350,21 +344,36 @@ def test_scenario_sweep_monotone(capsys):
     assert all(a < b for a, b in zip(surplus, surplus[1:]))
 
 
+@pytest.mark.parametrize("argv", [
+    ("cover", "--x", "10000", "--q", "101", "--b", "100", "--delta", "1/0"),
+    ("scenario", "--sweep", "0.5", "--delta-exponent", "2000", "--B", "2"),
+    ("scenario", "--log-q", "1e308", "--delta", "0.5", "--B", "10",
+     "--format", "json"),
+    ("scenario", "--sweep", "0", "--B", "2"),
+])
+def test_bad_numbers_exit_as_invalid_parameters(capsys, argv):
+    # a zero denominator, a float overflow and a bound past float range
+    # each exit 1 with one diagnostic line, never a traceback or non-JSON
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("invalid parameters: ") and err.count("\n") == 1
+
+
 def test_json_outputs_round_trip_into_emitting_types(capsys):
     code, out, _ = run(capsys, "gaps", "--limit", "1000", "--format", "json")
     assert code == 0
-    assert GapRecord.from_json(json.loads(out)) == gf.max_prime_gap(1000)
+    assert json.loads(out) == gf.max_prime_gap(1000).to_json()
 
     code, out, _ = run(capsys, "pi-ap", "--x", "100", "--q", "4", "--b", "3",
                        "--format", "json")
-    assert ProgressionStats.from_json(json.loads(out)) == gf.prime_count_ap(100, 4, 3)
+    assert json.loads(out) == gf.prime_count_ap(100, 4, 3).to_json()
 
     code, out, _ = run(capsys, "jacobsthal", "--u", "5", "--format", "json")
-    assert JacobsthalValue.from_json(json.loads(out)) == gf.jacobsthal_exact(5)
+    assert json.loads(out) == gf.jacobsthal_exact(5).to_json()
 
     code, out, _ = run(capsys, "scenario", "--log-q", "10", "--delta", "0.5",
                        "--B", "2", "--format", "json")
-    assert ScenarioResult.from_json(json.loads(out)) == gf.scenario_bound(10, 0.5, 2)
+    assert json.loads(out) == gf.scenario_bound(10, 0.5, 2).to_json()
 
 
 def test_env_configuration_and_flag_precedence(capsys, monkeypatch):

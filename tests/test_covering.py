@@ -396,8 +396,10 @@ def test_scenario_examples():
     assert res.log_x == pytest.approx(20.0)
     assert res.log_u == pytest.approx(12.302585092994, abs=1e-9)
     assert res.log_gap_bound == pytest.approx(10.485922863096, abs=1e-9)
+    # the last two are finite, but log_x = B * log_q overflows a float
     for bad in [(10, 1.0, 2), (10, 0.0, 2), (0, 0.5, 2), (10, 0.5, 1.0),
-                (10, -0.5, 2), (float("nan"), 0.5, 2)]:
+                (10, -0.5, 2), (float("nan"), 0.5, 2), (1e308, 0.5, 10),
+                (10, 0.5, 1e308)]:
         with pytest.raises(DomainError):
             scenario_bound(*bad)
 

@@ -23,9 +23,9 @@ EXACT_TABLE = {2: 2, 3: 4, 5: 6, 7: 10, 11: 14, 13: 22, 17: 26, 19: 34, 23: 40}
 
 
 def test_exact_examples():
-    assert jacobsthal_exact(2, 10**9).value == 2
-    assert jacobsthal_exact(3, 10**9).value == 4
-    assert jacobsthal_exact(13, 10**9).value == 22
+    assert jacobsthal_exact(2, config=Config(period_cap=10**9)).value == 2
+    assert jacobsthal_exact(3, config=Config(period_cap=10**9)).value == 4
+    assert jacobsthal_exact(13, config=Config(period_cap=10**9)).value == 22
 
 
 def test_exact_flags_and_witnesses():
@@ -76,15 +76,15 @@ def test_period_cap_enforced():
     with pytest.raises(PeriodTooLarge):
         jacobsthal_exact(29)  # primorial(29) > default cap
     with pytest.raises(PeriodTooLarge):
-        jacobsthal_exact(7, 100)
-    assert jacobsthal_exact(7, 211).value == 10
+        jacobsthal_exact(7, config=Config(period_cap=100))
+    assert jacobsthal_exact(7, config=Config(period_cap=211)).value == 10
 
 
 def test_period_cap_refuses_before_sieving_up_to_u(monkeypatch):
     # primorial(7) = 210: at the cap it scans, one below it refuses
-    assert jacobsthal_exact(7, 210).value == 10
+    assert jacobsthal_exact(7, config=Config(period_cap=210)).value == 10
     with pytest.raises(PeriodTooLarge, match="= 210 exceeds"):
-        jacobsthal_exact(7, 209)
+        jacobsthal_exact(7, config=Config(period_cap=209))
     sieved = []
     original = arith.small_primes_up_to
 
@@ -93,11 +93,13 @@ def test_period_cap_refuses_before_sieving_up_to_u(monkeypatch):
         return original(n)
 
     monkeypatch.setattr(arith, "small_primes_up_to", recording)
-    for u, cap in ((1000, 1000), (10**10, None), (10**10, 10**10)):
+    # a cap of 10**10 needs a memory budget of 10**10 / 8 bytes or more
+    for u, cfg in ((1000, Config(period_cap=1000)), (10**10, Config()),
+                   (10**10, Config(memory_budget=1 << 31, period_cap=10**10))):
         sieved.clear()
         with pytest.raises(PeriodTooLarge):
-            jacobsthal_exact(u, cap)
-        assert sieved and max(sieved) <= 35**2, (u, cap)
+            jacobsthal_exact(u, config=cfg)
+        assert sieved and max(sieved) <= 35**2, (u, cfg.period_cap)
 
 
 def test_half_period_scan_equals_full_period_scan():

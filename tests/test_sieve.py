@@ -622,3 +622,52 @@ def test_gated_scans_match_oracles_on_seeded_windows(rough_gap_oracle):
         x = rng.randrange(300_000, 1_500_000)
         rec = max_prime_gap(x, config=small)
         assert (rec.gap, rec.lo, rec.hi) == _prime_gap_oracle(x), x
+
+
+# the segment kernel's base primes: small enough that their spared k lie in
+# the first few segments at spans 1, 7 and 64, which no Config reaches
+# (its 2**16 segment floor puts every base prime in the first segment)
+KERNEL_PRIMES = [p for p in range(2, 60) if all(p % d for d in range(2, p))]
+
+
+def _kernel_rows(q, b, k_lo, k_hi, base, roots, spared, span):
+    """Every row the kernel yields, with its first term and length checked."""
+    col = lambda values: np.array(values, dtype=np.int64)  # noqa: E731
+    struck, k = [], k_lo
+    for first, seg in sieve._segments(q, b, k_lo, k_hi, col(base), col(roots),
+                                      col(spared), span):
+        assert first == b + k * q
+        assert seg.dtype == bool and seg.size == min(span, k_hi - k)
+        struck += seg.tolist()
+        k += seg.size
+    assert k == max(k_lo, k_hi)
+    return struck
+
+
+@pytest.mark.parametrize("q, b", [(2, 1), (4, 3), (6, 5), (30, 7), (7, 1)])
+@pytest.mark.parametrize("prime_sieve", [True, False])
+def test_segment_kernel_matches_trial_division(q, b, prime_sieve):
+    # a prime sieve spares the terms that are base primes themselves; a
+    # rough scan strikes every term with a base prime factor
+    base = [p for p in KERNEL_PRIMES if q % p]
+    roots = [next(k for k in range(p) if (b + k * q) % p == 0) for p in base]
+    spared = [(p - b) // q for p in base if p >= b and (p - b) % q == 0]
+    if not prime_sieve:
+        spared = []
+    for k_lo, k_hi in ((0, 200), (3, 157), (9, 9)):
+        want = [any(n % p == 0 and not (prime_sieve and n == p) for p in base)
+                for n in range(b + k_lo * q, b + k_hi * q, q)]
+        for span in (1, 7, 64):
+            got = _kernel_rows(q, b, k_lo, k_hi, base, roots, spared, span)
+            assert got == want, (k_lo, k_hi, span)
+
+
+def test_segment_kernel_rough_window_past_int64():
+    # k itself passes 2**63, so the roots are shifted by an exact k mod p
+    base = KERNEL_PRIMES[1:]
+    roots = [(p - 1) // 2 for p in base]
+    k_lo = 2**63 - 40
+    want = [any(n % p == 0 for p in base)
+            for n in range(1 + 2 * k_lo, 1 + 2 * (k_lo + 150), 2)]
+    for span in (1, 7, 64):
+        assert _kernel_rows(2, 1, k_lo, k_lo + 150, base, roots, [], span) == want
