@@ -3,8 +3,8 @@
 Human output goes to stdout as sentences or small tables; with
 ``--format json`` stdout carries machine-readable JSON only and diagnostics
 move to stderr.  Exit codes are stable: 0 success, 1 invalid parameters,
-2 resource limit, 3 period too large, 4 insufficient fresh primes,
-5 verification failed, 6 I/O or parse failure.
+2 resource limit, 3 primorial period past the scan budget, 4 insufficient
+fresh primes, 5 verification failed, 6 I/O or parse failure.
 """
 
 from __future__ import annotations
@@ -45,10 +45,10 @@ EXIT_VERIFY = 5
 EXIT_IO = 6
 
 
-def _emit(cfg, table_lines, payload, csv_header, csv_rows):
-    if cfg.output_format == "json":
+def _emit(fmt, table_lines, payload, csv_header, csv_rows):
+    if fmt == "json":
         print(json.dumps(payload))
-    elif cfg.output_format == "csv":
+    elif fmt == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(csv_header)
         writer.writerows(csv_rows)
@@ -60,7 +60,7 @@ def _emit(cfg, table_lines, payload, csv_header, csv_rows):
 def _cmd_gaps(args, cfg) -> int:
     rec = max_prime_gap(args.limit, config=cfg)
     _emit(
-        cfg,
+        args.format,
         [f"G({args.limit}) = {rec.gap} ({rec.lo} → {rec.hi})"],
         rec.to_json(),
         ["gap", "lo", "hi"],
@@ -72,7 +72,7 @@ def _cmd_gaps(args, cfg) -> int:
 def _cmd_jacobsthal(args, cfg) -> int:
     val = jacobsthal_exact(args.u, config=cfg)
     _emit(
-        cfg,
+        args.format,
         [f"J({args.u}) = {val.value}"],
         val.to_json(),
         ["u", "value", "witness_lo", "witness_hi"],
@@ -85,7 +85,7 @@ def _cmd_pi_ap(args, cfg) -> int:
     stats = prime_count_ap(args.x, args.q, args.b, config=cfg)
     d = stats.delta
     _emit(
-        cfg,
+        args.format,
         [
             f"pi({args.x}; {args.q}, {args.b}) = {stats.count}"
             f"   (delta = {d} ≈ {float(d):.6g})"
@@ -104,7 +104,7 @@ def _cmd_least_prime(args, cfg) -> int:
     else:
         line = f"L({args.q}, {args.b}) = {p}"
     _emit(
-        cfg,
+        args.format,
         [line],
         {"q": args.q, "b": args.b, "limit": args.limit,
          "found": p is not None, "prime": p},
@@ -131,11 +131,11 @@ def _cmd_cover(args, cfg) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    if cfg.output_format == "json":
+    if args.format == "json":
         sys.stdout.write(text)
     else:
         _emit(
-            cfg,
+            args.format,
             [f"J({cert.u}) ≥ {cert.x - cert.b}/{cert.q}"],
             None,
             ["u", "y", "bound_num", "bound_den"],
@@ -170,7 +170,7 @@ def _cmd_verify(args, cfg) -> int:
         else:
             report.add("witness_validates", False, "skipped: structural checks failed")
     _emit(
-        cfg,
+        args.format,
         [
             f"[{'PASS' if e.passed else 'FAIL'}] {e.check}"
             + (f": {e.detail}" if e.detail and not e.passed else "")
@@ -189,7 +189,7 @@ def _cmd_scan(args, cfg) -> int:
     table += [f"{r.q:>6} {r.b:>6} {r.count:>8}  {r.delta} ≈ {float(r.delta):.6g}"
               for r in rows]
     _emit(
-        cfg,
+        args.format,
         table,
         [{"q": r.q, "b": r.b, "count": r.count, "delta": r.delta.to_json()}
          for r in rows],
@@ -233,7 +233,7 @@ def _cmd_scenario(args, cfg) -> int:
             for r in results
         ]
         _emit(
-            cfg,
+            args.format,
             table,
             [r.to_json() for r in results],
             header,
@@ -246,7 +246,7 @@ def _cmd_scenario(args, cfg) -> int:
         return EXIT_ARGS
     res = scenario_bound(args.log_q, args.delta, args.B)
     _emit(
-        cfg,
+        args.format,
         _scenario_fields(res),
         res.to_json(),
         header,
@@ -270,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="memory budget in bytes")
     common.add_argument("--segment-size", type=int, default=argparse.SUPPRESS,
                         help="odd numbers per sieve segment")
-    common.add_argument("--period-cap", type=int, default=argparse.SUPPRESS,
-                        help="largest primorial period an exact scan may cover")
 
     parser = argparse.ArgumentParser(
         prog="gapforge",
@@ -350,12 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.format = getattr(args, "format", "table")  # a SUPPRESS default
     try:
         cfg = config_mod.from_env(
             memory_budget=getattr(args, "memory_budget", None),
             segment_size=getattr(args, "segment_size", None),
-            period_cap=getattr(args, "period_cap", None),
-            output_format=getattr(args, "format", None),
         )
     except ValueError as exc:
         print(f"bad configuration: {exc}", file=sys.stderr)

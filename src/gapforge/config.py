@@ -1,4 +1,4 @@
-"""Runtime limits and output configuration.
+"""Runtime limits.
 
 CLI precedence is flags > ``GAPFORGE_*`` environment variables > defaults.
 
@@ -6,6 +6,8 @@ Budget semantics: operations that materialize a whole window (``primes_up_to``,
 ``sieve_survivors``) require the window to fit in ``memory_budget`` bytes;
 segmented scans only allocate one segment at a time and are instead capped at
 ``memory_budget * 8`` scanned integers (the bit-array reading of the budget).
+That cap also bounds exact J(u): its half-period scan must fit it, so the
+default budget admits J(29) and refuses J(31).
 
 ``segment_size`` counts odd numbers per segment of the sieve kernel, so it
 also sets the rough-scan segment (2 * segment_size integers), and progression
@@ -17,13 +19,11 @@ from dataclasses import dataclass
 
 DEFAULT_MEMORY_BUDGET = 1 << 30   # bytes
 DEFAULT_SEGMENT_SIZE = 1 << 20    # odd numbers (or progression terms) per segment
-DEFAULT_PERIOD_CAP = 250_000_000  # admits exact J(u) through u = 23
 
 ENV_PREFIX = "GAPFORGE_"
 _ENV_FIELDS = (
     ("memory_budget", "MEMORY_BUDGET"),
     ("segment_size", "SEGMENT_SIZE"),
-    ("period_cap", "PERIOD_CAP"),
 )
 
 
@@ -31,16 +31,12 @@ _ENV_FIELDS = (
 class Config:
     memory_budget: int = DEFAULT_MEMORY_BUDGET
     segment_size: int = DEFAULT_SEGMENT_SIZE
-    period_cap: int = DEFAULT_PERIOD_CAP
-    output_format: str = "table"  # table | json | csv
 
     def __post_init__(self):
+        if self.memory_budget < 1:
+            raise ValueError(f"memory_budget must be >= 1, got {self.memory_budget}")
         if self.segment_size < 1 << 16:
             raise ValueError("segment_size must be at least 2**16")
-        if self.period_cap > self.memory_budget * 8:
-            raise ValueError("period_cap must not exceed memory_budget * 8")
-        if self.output_format not in ("table", "json", "csv"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
 
     @property
     def scan_limit(self) -> int:

@@ -30,7 +30,7 @@ class EmptyRange(GapforgeError):
 
 
 class PeriodTooLarge(GapforgeError):
-    """primorial(u) exceeds the period cap; we never approximate silently."""
+    """primorial(u) puts the exact J(u) scan past the budget; never approximated."""
 
 
 class Overflow(GapforgeError):

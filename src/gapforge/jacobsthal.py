@@ -37,25 +37,30 @@ def jacobsthal_exact(u: int, *, config: Optional[Config] = None) -> JacobsthalVa
     the scan's own tie rule finds the same witness as a full-period scan.
     r is found by walking down from P/2, fewer than J(u)/2 odd steps.
 
-    Refuses with PeriodTooLarge when P exceeds config.period_cap rather
-    than approximating, before sieving anything near u, and with ResourceLimit
-    when the window exceeds the scan budget.
+    Refuses with PeriodTooLarge when that window is longer than
+    config.scan_limit rather than approximating, before sieving anything near
+    u, and with ResourceLimit when the primes up to u exceed the memory budget.
     """
     cfg = config or DEFAULT
     if u < 2:
         raise ValueError("need u >= 2")
-    cap = cfg.period_cap
+    cap = cfg.scan_limit
     # primorial(n) >= 2**pi(n), and the k-th prime is below k*k for k >= 2,
-    # so primorial((cap.bit_length() + 1)**2) already exceeds the cap: a
+    # so primorial((cap.bit_length() + 1)**2) already exceeds 2 * cap: a
     # larger u is refused without sieving up to u
     limit = max(2, (cap.bit_length() + 1) ** 2)
     period = primorial(min(u, limit))
-    if period > cap:
-        value = f" = {period}" if u <= limit else ""
-        raise PeriodTooLarge(f"primorial({u}){value} exceeds the cap {cap}")
     r = period // 2  # odd for every u >= 2, as rough integers are
-    while math.gcd(r, period) != 1:
+    # the window [1, P - r + 2] spans more than P/2 integers, so a period
+    # with P/2 >= cap is refused without walking down to r
+    while r < cap and math.gcd(r, period) != 1:
         r -= 2
+    if period - r + 1 > cap:
+        value = f" = {period}" if u <= limit else ""
+        raise PeriodTooLarge(
+            f"primorial({u}){value} is past the scan budget: its half-period "
+            f"window is over {cap} integers"
+        )
     witness = rough_gap_scan(u, 1, period - r + 2, config=cfg)
     return JacobsthalValue(u=u, value=witness.gap, witness=witness, exact=True)
 

@@ -52,7 +52,8 @@ def test_jacobsthal_lines(capsys):
 
 
 def test_jacobsthal_period_exit(capsys):
-    code, _, err = run(capsys, "jacobsthal", "--u", "29")
+    # half of primorial(31) is over the default scan budget of 2**33
+    code, _, err = run(capsys, "jacobsthal", "--u", "31")
     assert code == 3
     assert "period" in err.lower()
 
@@ -377,25 +378,40 @@ def test_json_outputs_round_trip_into_emitting_types(capsys):
 
 
 def test_env_configuration_and_flag_precedence(capsys, monkeypatch):
-    monkeypatch.setenv("GAPFORGE_PERIOD_CAP", "100")
+    # J(7) scans a window of 108 integers: 8 * 13 = 104 is too few, 8 * 14 enough
+    monkeypatch.setenv("GAPFORGE_MEMORY_BUDGET", "13")
     code, _, _ = run(capsys, "jacobsthal", "--u", "7")
-    assert code == 3  # primorial(7) = 210 over the env cap
-    code, out, _ = run(capsys, "jacobsthal", "--u", "7", "--period-cap", "300")
+    assert code == 3
+    code, out, _ = run(capsys, "jacobsthal", "--u", "7", "--memory-budget", "14")
     assert code == 0  # flag wins over the environment
     assert out.strip() == "J(7) = 10"
 
 
 def test_env_rejects_inconsistent_budget(capsys, monkeypatch):
-    monkeypatch.setenv("GAPFORGE_MEMORY_BUDGET", "1024")
+    monkeypatch.setenv("GAPFORGE_MEMORY_BUDGET", "0")
     code, _, err = run(capsys, "gaps", "--limit", "100")
     assert code == 1
-    assert "bad configuration" in err
+    assert "bad configuration: memory_budget" in err
+
+
+def test_memory_budget_must_be_positive(capsys):
+    for budget in ("0", "-1"):
+        code, _, err = run(capsys, "gaps", "--limit", "100", "--memory-budget", budget)
+        assert code == 1
+        assert f"bad configuration: memory_budget must be >= 1, got {budget}" in err
+    # a small budget on its own is a valid configuration
+    code, out, _ = run(capsys, "gaps", "--limit", "100", "--memory-budget", "65536")
+    assert code == 0
+    assert out.strip() == "G(100) = 8 (89 → 97)"
+    code, out, _ = run(capsys, "pi-ap", "--x", "1000", "--q", "10", "--b", "3",
+                       "--memory-budget", "100000")
+    assert code == 0
+    assert out.startswith("pi(1000; 10, 3) = ")
 
 
 def test_resource_limit_exit(capsys):
     code, _, err = run(capsys, "gaps", "--limit", "10000000",
-                       "--memory-budget", str(1 << 17),
-                       "--period-cap", str(1 << 20))
+                       "--memory-budget", str(1 << 17))
     assert code == 2
     assert "resource" in err.lower()
 
@@ -405,8 +421,7 @@ def test_forced_classes_respect_the_memory_budget(capsys):
     # with delta given, no other stage needs as much at this (x, q, b)
     x, q, b = 10**8, 10_007, 3
     half = gf.compute_u(x, q, gf.Rational(1, 5)) // 2
-    argv = ["cover", "--x", str(x), "--q", str(q), "--b", str(b), "--delta", "1/5",
-            "--period-cap", str(half)]
+    argv = ["cover", "--x", str(x), "--q", str(q), "--b", str(b), "--delta", "1/5"]
     code, _, err = run(capsys, *argv, "--memory-budget", str(half + 1))
     assert code == 0, err
     code, _, err = run(capsys, *argv, "--memory-budget", str(half))
@@ -426,8 +441,7 @@ def test_cached_parser_leaks_no_state(capsys):
     assert out.startswith("pi(100; 4, 3) = 13 ")
     # a budget given once does not stay for the next call
     gaps = ["gaps", "--limit", "600000"]
-    code, _, err = run(capsys, *gaps, "--memory-budget", "65536",
-                       "--period-cap", "65536")
+    code, _, err = run(capsys, *gaps, "--memory-budget", "65536")
     assert code == 2, err
     code, out, _ = run(capsys, *gaps)
     assert code == 0
@@ -542,4 +556,4 @@ def test_strict_verify_of_a_hostile_modulus_fails_closed(tmp_path, capsys, monke
 def test_jacobsthal_far_past_the_cap_exits_3(capsys):
     code, _, err = run(capsys, "jacobsthal", "--u", str(10**10))
     assert code == 3
-    assert "exceeds the cap" in err
+    assert "is past the scan budget" in err

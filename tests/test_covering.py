@@ -100,7 +100,7 @@ def test_sieve_survivors_examples():
 
 
 def test_sieve_survivors_limits():
-    tiny = Config(memory_budget=1 << 16, segment_size=1 << 16, period_cap=1 << 19)
+    tiny = Config(memory_budget=1 << 16, segment_size=1 << 16)
     with pytest.raises(ResourceLimit):
         sieve_survivors(10**6, [], config=tiny)
     with pytest.raises(ValueError):
@@ -486,6 +486,6 @@ def test_verify_keeps_its_prime_table_within_budget(monkeypatch):
     # verifier proves each modulus with is_prime instead
     for budget, expected in ((top + 1, [top]), (top, [])):
         tables.clear()
-        cfg = Config(memory_budget=budget, period_cap=budget)
+        cfg = Config(memory_budget=budget)
         assert verify_certificate(cert, config=cfg).ok
         assert tables == expected

@@ -23,9 +23,9 @@ EXACT_TABLE = {2: 2, 3: 4, 5: 6, 7: 10, 11: 14, 13: 22, 17: 26, 19: 34, 23: 40}
 
 
 def test_exact_examples():
-    assert jacobsthal_exact(2, config=Config(period_cap=10**9)).value == 2
-    assert jacobsthal_exact(3, config=Config(period_cap=10**9)).value == 4
-    assert jacobsthal_exact(13, config=Config(period_cap=10**9)).value == 22
+    assert jacobsthal_exact(2).value == 2
+    assert jacobsthal_exact(3).value == 4
+    assert jacobsthal_exact(13).value == 22
 
 
 def test_exact_flags_and_witnesses():
@@ -72,19 +72,20 @@ def test_value_invariant_under_period_offset():
             assert rec.gap == expected, (u, start)
 
 
-def test_period_cap_enforced():
+def test_scan_budget_enforced():
     with pytest.raises(PeriodTooLarge):
-        jacobsthal_exact(29)  # primorial(29) > default cap
+        jacobsthal_exact(31)  # half of primorial(31) > the default scan budget
     with pytest.raises(PeriodTooLarge):
-        jacobsthal_exact(7, config=Config(period_cap=100))
-    assert jacobsthal_exact(7, config=Config(period_cap=211)).value == 10
+        jacobsthal_exact(7, config=Config(memory_budget=12))
+    assert jacobsthal_exact(7, config=Config(memory_budget=15)).value == 10
 
 
-def test_period_cap_refuses_before_sieving_up_to_u(monkeypatch):
-    # primorial(7) = 210: at the cap it scans, one below it refuses
-    assert jacobsthal_exact(7, config=Config(period_cap=210)).value == 10
-    with pytest.raises(PeriodTooLarge, match="= 210 exceeds"):
-        jacobsthal_exact(7, config=Config(period_cap=209))
+def test_scan_budget_refuses_before_sieving_up_to_u(monkeypatch):
+    # J(7) scans [1, 109], a window of 108 integers: a 14-byte budget
+    # (8 * 14 = 112) scans it, one byte less (104) refuses
+    assert jacobsthal_exact(7, config=Config(memory_budget=14)).value == 10
+    with pytest.raises(PeriodTooLarge, match="= 210 is past the scan budget"):
+        jacobsthal_exact(7, config=Config(memory_budget=13))
     sieved = []
     original = arith.small_primes_up_to
 
@@ -93,13 +94,14 @@ def test_period_cap_refuses_before_sieving_up_to_u(monkeypatch):
         return original(n)
 
     monkeypatch.setattr(arith, "small_primes_up_to", recording)
-    # a cap of 10**10 needs a memory budget of 10**10 / 8 bytes or more
-    for u, cfg in ((1000, Config(period_cap=1000)), (10**10, Config()),
-                   (10**10, Config(memory_budget=1 << 31, period_cap=10**10))):
+    # the default scan limit, 2**33, and 8 * 1250000000 = 10**10 both have
+    # 34 bits, so u is refused after a sieve up to 35**2 at most
+    for u, cfg in ((1000, Config(memory_budget=125)), (10**10, Config()),
+                   (10**10, Config(memory_budget=10**10 // 8))):
         sieved.clear()
         with pytest.raises(PeriodTooLarge):
             jacobsthal_exact(u, config=cfg)
-        assert sieved and max(sieved) <= 35**2, (u, cfg.period_cap)
+        assert sieved and max(sieved) <= 35**2, (u, cfg.memory_budget)
 
 
 def test_half_period_scan_equals_full_period_scan():
@@ -117,10 +119,10 @@ def test_exact_witnesses_pinned():
         assert val.value == EXACT_TABLE[u]
 
 
-def test_exact_j29_past_the_default_cap():
+def test_exact_j29_at_the_default_budget():
     # the witness comes from a scan of the full period [1, P + 1]; the half
-    # period takes about 2 s
-    val = jacobsthal_exact(29, config=Config(period_cap=primorial(29)))
+    # period, a window of 3,234,846,618 integers, takes about 2 s
+    val = jacobsthal_exact(29, config=Config())
     assert (val.value, val.witness.lo, val.witness.hi) == (46, 417086647, 417086693)
 
 
@@ -278,7 +280,7 @@ def _with_u(u):
 
 def test_bound_refuses_primes_past_budget():
     # the bound lists the primes up to u, which needs u + 1 bytes of budget
-    cfg = Config(memory_budget=1 << 16, period_cap=1 << 16)
+    cfg = Config(memory_budget=1 << 16)
     fits = _with_u((1 << 16) - 1)
     val = jacobsthal_bound_from_certificate(fits, config=cfg)
     lo, hi = _oracle_flanks(crt_witness(fits).T, fits.y, fits.u)

@@ -22,7 +22,7 @@ from gapforge.sieve import (
     scan_deficits,
 )
 
-TINY = Config(memory_budget=1 << 16, segment_size=1 << 16, period_cap=1 << 19)
+TINY = Config(memory_budget=1 << 16, segment_size=1 << 16)
 
 
 def test_primes_up_to_examples():
@@ -81,7 +81,7 @@ def test_prime_count_ap_rejections():
 
 def test_prime_count_ap_budget_boundaries():
     # scan_limit = 2**19 terms; base primes up to isqrt(x) need isqrt(x) + 1 bytes
-    cfg = Config(memory_budget=1 << 16, period_cap=1 << 16)
+    cfg = Config(memory_budget=1 << 16)
     # (2**20 - 1)//2 + 1 = 2**19 terms, at the limit: every odd prime counts
     assert prime_count_ap(2**20, 2, 1, config=cfg).count == len(primes_up_to(2**20)) - 1
     with pytest.raises(ResourceLimit, match="progression sieve covers 524289"):
@@ -343,7 +343,7 @@ HOSTILE = ([-5, 0, 1] + [p * p for p in (2, 3, 5, 7, 31, 97, 997)]
 def test_base_prime_sieve_refuses_past_budget(rough_gap_oracle):
     # primes_in_range strikes with the primes up to isqrt(hi), rough_gap_scan
     # with those up to u; each list needs its bound + 1 bytes of the budget
-    cfg = Config(memory_budget=1000, period_cap=1000)
+    cfg = Config(memory_budget=1000)
     hi = 1000**2 - 1  # isqrt(hi) = 999 fits
     expected = [n for n in range(hi - 99, hi + 1) if _trial_division_prime(n)]
     assert primes_in_range(hi - 100, hi, config=cfg) == expected
@@ -395,7 +395,7 @@ def test_first_non_prime_sieves_while_the_table_fits(monkeypatch):
     top = primes[-1]
     # budget top + 1 admits the table up to top, as primes_up_to(top) needs
     for budget, table, proven in ((top + 1, [top], []), (top, [], primes + [1729])):
-        cfg = Config(memory_budget=budget, period_cap=budget)
+        cfg = Config(memory_budget=budget)
         tables.clear()
         tested.clear()
         assert first_non_prime(primes + [1729, 2**64], config=cfg) == 1729
