@@ -32,6 +32,13 @@ PROVEN_LIMIT = 2**64
 # has at most this many bits; tree levels whose nodes are that small skip it.
 _BZ_CUTOFF = 4000
 
+# Product-tree leaves are int64 words of consecutive moduli: three a word
+# while every modulus is below 2**20 (a word below 2**60, so a sum of three
+# terms, each below a word, stays below 2**62); two below 2**31 (a word below
+# 2**62, a sum of two below 2**63, a product of two residues below 2**62);
+# otherwise one, as a Python int.
+_WORDS = ((2**20, 3), (2**31, 2))
+
 # _prime_inverses runs Fermat in int64 for moduli below this bound, where
 # every product of two residues stays below 2**62.
 _FERMAT_LIMIT = 2**31
@@ -264,9 +271,31 @@ def _reduce_level(values: Sequence[int], level: Sequence[int]) -> list[int]:
     return [v % m for v, m in zip(values, level)]
 
 
-def _product_tree(values: Sequence[int]) -> list[list[int]]:
-    """Levels of pairwise products; level 0 is the input, the last is [prod]."""
-    tree = [list(values)]
+def _word_width(mods: np.ndarray) -> int:
+    """How many consecutive moduli of a product tree one leaf word holds."""
+    top = mods.max()
+    return next((width for limit, width in _WORDS if top < limit), 1)
+
+
+def _product_tree(values: Sequence[int]) -> list:
+    """Levels of products of the moduli values, each at least 1.
+
+    Level 0 is the moduli as a numpy column.  Level 1 holds the leaves, each
+    the product of _word_width consecutive moduli: int64 words, made by one
+    numpy product, when the moduli are below 2**31, and the moduli
+    themselves, in an object column, otherwise.  Each later level holds
+    the pairwise products of the one below as Python ints; the last is [prod].
+    """
+    mods = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    width = _word_width(mods)
+    if width == 1:  # as Python ints, whatever ints the moduli came as
+        words = [int(m) for m in mods.tolist()]
+        mods = np.array(words, dtype=object)
+    else:
+        mods = mods.astype(np.int64)
+        padded = np.append(mods, np.ones(-mods.size % width, dtype=np.int64))
+        words = padded.reshape(-1, width).prod(axis=1).tolist()
+    tree = [mods, words]
     while len(tree[-1]) > 1:
         prev = tree[-1]
         tree.append(
@@ -278,22 +307,33 @@ def _product_tree(values: Sequence[int]) -> list[list[int]]:
     return tree
 
 
-def _tree_mod(value: int, tree: list[list[int]]) -> list[int]:
-    """value mod each leaf of a product tree, reduced from the root down."""
+def _leaf_values(level: Sequence[int], mods: np.ndarray) -> np.ndarray:
+    """One value per leaf word, repeated for each modulus the word holds."""
+    width = _word_width(mods)
+    return np.repeat(np.array(level, dtype=mods.dtype), width)[: mods.size]
+
+
+def _tree_mod(value: int, tree: list) -> list[int]:
+    """value mod each modulus of a product tree, reduced from the root down.
+
+    Division stops at the leaf words; one numpy % takes each word's
+    remainder to the remainders by its moduli.
+    """
     rems = [value]
-    for level in reversed(tree):
+    for level in reversed(tree[1:]):
         rems = _reduce_level([rems[i // 2] for i in range(len(level))], level)
-    return rems
+    return (_leaf_values(rems, tree[0]) % tree[0]).tolist()
 
 
 def multi_mod(value: int, mods: Sequence[int]) -> list[int]:
-    """value mod m for each m, via a remainder tree.
+    """value mod m for each m >= 1, via a remainder tree.
 
     Much faster than a loop of big-by-small divisions when value is huge
     and there are many moduli.  Each node reduces its parent's remainder;
-    the levels of big nodes divide with _divmod.
+    the levels of big nodes divide with _divmod.  mods is a sequence of
+    ints or a numpy column.
     """
-    if not mods:
+    if len(mods) == 0:
         return []
     return _tree_mod(value, _product_tree(mods))
 
@@ -322,22 +362,25 @@ def crt_combine(classes: Iterable[tuple[int, int]]) -> CrtWitness:
     return _crt(_product_tree([p for p, _ in pairs]), [(-a) % p for p, a in pairs])
 
 
-def _crt(tree: list[list[int]], residues: Sequence[int]) -> CrtWitness:
+def _crt(tree: list, residues: Sequence[int]) -> CrtWitness:
     """T in [0, P) with T == residues[i] (mod primes[i]), primes distinct.
 
-    tree is the product tree of the primes, whose leaves they are; it
-    serves both passes, with no big-integer inverse, and callers may reuse
-    it to reduce by the same primes.  Downwards, each node N = L*R hands
-    its children the scaled remainders c_L = c_N*R mod L and c_R = c_N*L
-    mod R from c_root = 1, so every leaf receives (P/p) mod p (Bernstein's
-    scaled remainder tree); levels of big nodes divide with _divmod.  The
-    leaves' inverses come in one _prime_inverses batch.  Upwards, the
-    values v = sum(c_i * N/p_i) combine as v_L*R + v_R*L, with the node
-    products read from the tree.
+    tree is the product tree of the primes, whose moduli they are, and
+    residues[i] lies in [0, primes[i]).  The tree serves both passes, with
+    no big-integer inverse, and callers may reuse it to reduce by the same
+    primes.  Downwards, each node N = L*R hands its children the scaled
+    remainders c_L = c_N*R mod L and c_R = c_N*L mod R from c_root = 1, so
+    every leaf word w receives (P/w) mod w (Bernstein's scaled remainder
+    tree); levels of big nodes divide with _divmod.  Each prime p of w then
+    takes (P/p) mod p = (P/w mod p) * (w/p mod p) mod p, and the inverses
+    come in one _prime_inverses batch.  Upwards, the values
+    v = sum(c_i * N/p_i) start at each word as a numpy sum over its primes,
+    which the word widths keep below 2**63, and combine as v_L*R + v_R*L,
+    with the node products read from the tree.
     """
     primes, P = tree[0], tree[-1][0]
     scaled = [1]
-    for level in reversed(tree[:-1]):
+    for level in reversed(tree[1:-1]):
         last = len(level) - 1
         # a node without a sibling is its parent, whose c passes unchanged
         scaled = _reduce_level(
@@ -345,11 +388,14 @@ def _crt(tree: list[list[int]], residues: Sequence[int]) -> CrtWitness:
              for i in range(len(level))],
             level,
         )
-    values = [
-        r * inv % p
-        for p, r, inv in zip(primes, residues, _prime_inverses(scaled, primes))
-    ]
-    for level in tree[:-1]:
+    cofactor = _leaf_values(tree[1], primes) // primes
+    scaled = _leaf_values(scaled, primes) % primes * (cofactor % primes) % primes
+    inverses = np.array(_prime_inverses(scaled.tolist(), primes.tolist()),
+                        dtype=primes.dtype)
+    values = np.asarray(residues, dtype=primes.dtype) * inverses % primes
+    width = _word_width(primes)
+    values = np.add.reduceat(values * cofactor, np.arange(0, primes.size, width)).tolist()
+    for level in tree[1:-1]:
         values = [
             values[i] * level[i + 1] + values[i + 1] * level[i]
             if i + 1 < len(level)

@@ -51,13 +51,19 @@ def from_env(**overrides) -> Config:
     """Build a Config from GAPFORGE_* variables, then apply overrides.
 
     Overrides that are None are ignored, so CLI code can pass flag values
-    straight through.
+    straight through.  A variable that is not an integer raises ValueError
+    naming it.
     """
     values = {}
     for field, env in _ENV_FIELDS:
         raw = os.environ.get(ENV_PREFIX + env)
         if raw is not None:
-            values[field] = int(raw)
+            try:
+                values[field] = int(raw)
+            except ValueError:
+                raise ValueError(
+                    f"{ENV_PREFIX + env}={raw!r} is not an integer"
+                ) from None
     for key, val in overrides.items():
         if val is not None:
             values[key] = val

@@ -523,8 +523,8 @@ def witness_of_verified(
     shared = (_mod(q, p) != 0) & (_kills(q, b, a, p) == 0)
     rest_p, rest_a = p[~shared], a[~shared]
     # with no shared class P_S = 1; with no rest class nothing reads the tree
-    P_S = _product_tree(p[shared].tolist() or [1])[-1][0]
-    tree = _product_tree(rest_p.tolist() or [1])
+    P_S = _product_tree(p[shared] if shared.any() else [1])[-1][0]
+    tree = _product_tree(rest_p if rest_p.size else [1])
     # q divides b + k*P_S; the quotient W is b/q mod P_S, and T_S = W mod P_S
     k = -b * pow(P_S % q, -1, q) % q
     m, T = divmod((b + k * P_S) // q, P_S)
@@ -534,7 +534,7 @@ def witness_of_verified(
         # T = W - m*P_S == W - m*V (mod P_R)
         qP_R = q * tree[-1][0]
         V = _divmod(P_S, qP_R)[1]
-        inverses = np.array(_prime_inverses(_tree_mod(V, tree), tree[0]),
+        inverses = np.array(_prime_inverses(_tree_mod(V, tree), tree[0].tolist()),
                             dtype=p.dtype)
         T_R = (b + k * V) % qP_R // q - m * V
         t_R = np.array(_tree_mod(T_R, tree), dtype=p.dtype)

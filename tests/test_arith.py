@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from gapforge import arith
@@ -215,6 +216,10 @@ def test_multi_mod_matches_direct_reduction():
     assert multi_mod(value, mods) == [value % m for m in mods]
     assert multi_mod(value, []) == []
     assert multi_mod(value, [7]) == [value % 7]
+    # numpy scalars, on both sides of 2**31, multiply as Python ints
+    for big in (False, True):
+        mods = [np.int64(m + big * 2**40) for m in mods]
+        assert multi_mod(value, mods) == [value % int(m) for m in mods]
 
 
 CUTOFF = arith._BZ_CUTOFF

@@ -394,6 +394,13 @@ def test_env_rejects_inconsistent_budget(capsys, monkeypatch):
     assert "bad configuration: memory_budget" in err
 
 
+def test_env_names_a_malformed_variable(capsys, monkeypatch):
+    monkeypatch.setenv("GAPFORGE_MEMORY_BUDGET", "1e6")
+    code, _, err = run(capsys, "gaps", "--limit", "100")
+    assert code == 1
+    assert err.strip() == "bad configuration: GAPFORGE_MEMORY_BUDGET='1e6' is not an integer"
+
+
 def test_memory_budget_must_be_positive(capsys):
     for budget in ("0", "-1"):
         code, _, err = run(capsys, "gaps", "--limit", "100", "--memory-budget", budget)

@@ -1,7 +1,10 @@
 """CRT differential tests against a naive incremental combiner.
 
 The oracle folds the congruences in one at a time with one modular inverse
-per step and shares no code with gapforge.arith.
+per step and shares no code with gapforge.arith.  A second oracle is the
+product tree with one prime per leaf, its remainder tree and scaled
+remainder tree in plain Python ints, against which the packed trees are
+checked where their leaf words change width.
 """
 
 import dataclasses
@@ -10,11 +13,11 @@ import random
 
 import pytest
 
-from gapforge import covering
-from gapforge.arith import crt_combine
+from gapforge import arith, covering
+from gapforge.arith import _crt, _product_tree, crt_combine, multi_mod
 from gapforge.covering import build_certificate, crt_witness, witness_of_verified
 from gapforge.errors import InvalidCertificate
-from gapforge.model import Rational
+from gapforge.model import ClassKind, ClassTable, Rational, ResidueClass
 
 
 def _naive_crt(classes):
@@ -130,3 +133,111 @@ def test_witness_check_refuses_a_perturbed_T(monkeypatch, part, message):
     monkeypatch.setattr(covering, "_covered_residues", perturbed)
     with pytest.raises(InvalidCertificate, match=message):
         witness_of_verified(cert)
+
+
+def _unpacked_tree(primes):
+    """Levels of pairwise products with one prime per leaf."""
+    tree = [list(primes)]
+    while len(tree[-1]) > 1:
+        prev = tree[-1]
+        tree.append([prev[i] * prev[i + 1] if i + 1 < len(prev) else prev[i]
+                     for i in range(0, len(prev), 2)])
+    return tree
+
+
+def _unpacked_tree_mod(value, tree):
+    """value mod each leaf, reduced from the root down."""
+    rems = [value]
+    for level in reversed(tree):
+        rems = [rems[i // 2] % m for i, m in enumerate(level)]
+    return rems
+
+
+def _unpacked_crt(tree, residues):
+    """(T, P) with T == residues[i] (mod leaf i): scaled remainders down to
+    each prime, then v_L*R + v_R*L up from it."""
+    primes, P = tree[0], tree[-1][0]
+    scaled = [1]
+    for level in reversed(tree[:-1]):
+        scaled = [scaled[i // 2] * (level[i ^ 1] if i ^ 1 < len(level) else 1) % m
+                  for i, m in enumerate(level)]
+    values = [r * pow(c, -1, p) % p for p, r, c in zip(primes, residues, scaled)]
+    for level in tree[:-1]:
+        values = [values[i] * level[i + 1] + values[i + 1] * level[i]
+                  if i + 1 < len(level) else values[i]
+                  for i in range(0, len(level), 2)]
+    return values[0] % P, P
+
+
+def _is_prime(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _primes_from(n, step, count):
+    """The count primes nearest n, from n on in the direction of step."""
+    out = []
+    while len(out) < count:
+        if _is_prime(n):
+            out.append(n)
+        n += step
+    return out
+
+
+# the leaf words hold three primes below 2**20, two below 2**31 and one past
+# it: the largest prime just below and just above each edge, with two more
+# primes on the same side; and just below 2**21 and 2**32, where one more
+# prime per word would pass 2**63
+EDGES = {f"{side} 2**{e}": (_primes_from(2**e + (1 if side == "above" else -1),
+                                         1 if side == "above" else -1, 3), width)
+         for e, side, width in ((20, "below", 3), (20, "above", 2), (21, "below", 2),
+                                (31, "below", 2), (31, "above", 1), (32, "below", 1))}
+
+
+@pytest.mark.parametrize("edge", sorted(EDGES))
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6, 299, 300, 301])
+def test_packed_trees_match_unpacked_oracle(edge, size):
+    tops, width = EDGES[edge]
+    rng = random.Random(f"{edge} {size}")
+    primes = rng.sample(PRIMES, max(0, size - 3)) + tops[: min(size, 3)]
+    rng.shuffle(primes)
+    tree = _product_tree(primes)
+    assert arith._word_width(tree[0]) == width
+    unpacked = _unpacked_tree(primes)
+    value = rng.getrandbits(sum(p.bit_length() for p in primes) + 100)
+    want = [value % p for p in primes]
+    assert multi_mod(value, primes) == _unpacked_tree_mod(value, unpacked) == want
+    assert multi_mod(value, tree[0]) == want
+    residues = [rng.randrange(p) for p in primes]
+    w = _crt(tree, residues)
+    assert (w.T, w.P) == _unpacked_crt(unpacked, residues)
+    assert (w.T, w.P) == _naive_crt([(p, -r % p) for p, r in zip(primes, residues)])
+
+
+def _with_classes(cert, pairs, q, b):
+    """cert with matched classes (p, a) added, rewritten to q and b."""
+    extra = [ResidueClass(p, a, ClassKind.MATCHED) for p, a in pairs]
+    return dataclasses.replace(cert, x=q * cert.y + b, q=q, b=b,
+                               classes=ClassTable.concat(cert.classes, extra))
+
+
+# the classes of (10**4, 101, 100), 59 of them shared and 13 not, plus one to
+# three classes of primes at an edge of the word widths: in the rest, with
+# the shared classes kept, with none shared, or with all shared
+@pytest.mark.parametrize("edge", sorted(EDGES))
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("shared", ["some", "none", "all"])
+def test_witness_across_word_widths_matches_naive_oracle(edge, count, shared):
+    cert = build_certificate(10**4, 101, 100)
+    rng = random.Random(f"{edge} {count} {shared}")
+    # a != -b/q mod p keeps an added class out of the forced congruence
+    pairs = [(p, (rng.randrange(1, p) - 100 * pow(101, -1, p)) % p)
+             for p in EDGES[edge][0][:count]]
+    q, b = {"some": (101, 100), "none": (101, -1), "all": (1, 0)}[shared]
+    cert = _with_classes(cert, pairs, q, b)
+    if shared == "all":
+        # q*T == b (mod P) puts every class in the forced congruence
+        T, P = _naive_crt([(c.p, c.a) for c in cert.classes])
+        cert = _rewritten(cert, 1, T - P)
+    want = {"some": 59, "none": 0, "all": len(cert.classes)}[shared]
+    assert _shared_count(cert) == want
+    _assert_matches_oracle(cert)

@@ -671,3 +671,78 @@ def test_segment_kernel_rough_window_past_int64():
             for n in range(1 + 2 * k_lo, 1 + 2 * (k_lo + 150), 2)]
     for span in (1, 7, 64):
         assert _kernel_rows(2, 1, k_lo, k_lo + 150, base, roots, [], span) == want
+
+
+def _slice_strike(y, residues, moduli):
+    """The strike before sparse moduli were listed: one slice per modulus
+    up to y, and the least residues of the larger ones."""
+    flags = np.zeros(y + 1, dtype=bool)
+    keep = moduli >= 2
+    p = moduli[keep]
+    start = residues[keep] % p
+    small = p <= y
+    for s, m in zip(start[small].tolist(), p[small].tolist()):
+        flags[s::m] = True
+    start = start[~small]
+    flags[start[start <= y].astype(np.intp)] = True
+    return flags
+
+
+def _strike_moduli(rng, y, listed):
+    """Moduli below 2, at and around the slice cut y // _SPARSE, at y, above
+    y, and random ones: below the cut, and listed more above it."""
+    cut = y // sieve._SPARSE
+    edges = [-3, 0, 1, 2, cut - 1, cut, cut + 1, cut + 2, y - 1, y, y + 1, y + 2,
+             2 * y + 5]
+    return edges + [rng.randrange(2, max(3, cut + 2)) for _ in range(20)] + [
+        rng.randrange(max(2, cut + 1), y + 3) for _ in range(listed)]
+
+
+@pytest.mark.parametrize("y", [0, 1, 2, 37, 300, 1023, 20000])
+@pytest.mark.parametrize("listed", [0, 20, 300])
+def test_strike_matches_slice_oracle(y, listed):
+    rng = random.Random(f"{y} {listed}")
+    for _ in range(6):
+        moduli = _strike_moduli(rng, y, listed)
+        residues = [rng.randrange(-2**62, 2**62) for _ in moduli]
+        p, a = np.array(moduli, dtype=np.int64), np.array(residues, dtype=np.int64)
+        assert np.array_equal(sieve._strike(y, a, p), _slice_strike(y, a, p))
+        # an object column: moduli at and past 2**63, residues past int64
+        moduli += [2**63 - 25, 2**63, 2**64 + 13, 3**60]
+        residues += [-(3**50), 10**30 + rng.randrange(10**6), -1, 2**64 + 7]
+        p, a = np.array(moduli, dtype=object), np.array(residues, dtype=object)
+        assert np.array_equal(sieve._strike(y, a, p), _slice_strike(y, a, p))
+
+
+@pytest.mark.parametrize("count", [sieve._LISTED - 1, sieve._LISTED])
+def test_strike_matches_slice_oracle_where_listing_starts(count):
+    # count moduli just above the cut, where fewer than _LISTED are sliced
+    y = 20000
+    cut = y // sieve._SPARSE
+    moduli = np.array([2, 3, cut] + list(range(cut + 1, cut + 1 + count)) + [y + 3],
+                      dtype=np.int64)
+    residues = np.random.default_rng(count).integers(-2**40, 2**40, moduli.size)
+    assert np.array_equal(sieve._strike(y, residues, moduli),
+                          _slice_strike(y, residues, moduli))
+
+
+def test_strike_matches_slice_oracle_across_chunks():
+    # every modulus from the cut to y: about y * ln(_SPARSE) listed points,
+    # many times the 8192 of one chunk at this y
+    y = 20000
+    moduli = np.arange(y // sieve._SPARSE - 2, y + 5, dtype=np.int64)
+    residues = np.random.default_rng(7).integers(-2**40, 2**40, moduli.size)
+    want = _slice_strike(y, residues, moduli)
+    assert np.array_equal(sieve._strike(y, residues, moduli), want)
+    assert not want.all()
+
+
+def test_strike_matches_slice_oracle_on_flank_windows():
+    # the gap bound's flank windows: 1024 offsets, a class per prime <= u
+    rng = np.random.default_rng(11)
+    primes = np.array(primes_up_to(50_000), dtype=np.int64)
+    T = int(rng.integers(2**62))
+    for offset, step in ((-1, -1), (20_001, 1), (-1 - 1024, -1)):
+        residues = -step * (T % primes + offset)
+        assert np.array_equal(sieve._strike(1023, residues, primes),
+                              _slice_strike(1023, residues, primes))
