@@ -8,10 +8,8 @@ counts in progressions) needed to test every step at desk scale.
 """
 
 from .arith import (
-    crt_combine,
     factorize,
     is_prime,
-    mod_inverse,
     multi_mod,
     primorial,
     totient,
@@ -32,27 +30,26 @@ from .covering import (
 from .errors import (
     BadProgression,
     DomainError,
-    DuplicateModulus,
     EmptyRange,
     GapforgeError,
     InsufficientPrimes,
     InvalidCertificate,
-    NotInvertible,
     Overflow,
     PeriodTooLarge,
     ResourceLimit,
-    ZeroModulus,
 )
 from .jacobsthal import jacobsthal_bound_from_certificate, jacobsthal_exact
 from .model import (
-    ClassKind,
+    FORCED,
+    GREEDY,
+    MATCHED,
+    ClassTable,
     CoveringCertificate,
     CrtWitness,
     GapRecord,
     JacobsthalValue,
     ProgressionStats,
     Rational,
-    ResidueClass,
     ScenarioResult,
     VerificationReport,
     certificate_from_dict,

@@ -7,11 +7,10 @@ Everything here is a pure function; results are exact, never probabilistic.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DuplicateModulus, NotInvertible, ZeroModulus
 from .model import CrtWitness
 
 # Small primes used both for trial division and to seed the factorizer.
@@ -42,19 +41,6 @@ _WORDS = ((2**20, 3), (2**31, 2))
 # _prime_inverses runs Fermat in int64 for moduli below this bound, where
 # every product of two residues stays below 2**62.
 _FERMAT_LIMIT = 2**31
-
-
-def mod_inverse(a: int, m: int) -> int:
-    """Inverse of a modulo m, in [1, m).
-
-    Raises ZeroModulus for m < 2 and NotInvertible when gcd(a, m) > 1.
-    """
-    if m < 2:
-        raise ZeroModulus(f"modulus must be at least 2, got {m}")
-    try:
-        return pow(a, -1, m)
-    except ValueError:
-        raise NotInvertible(f"{a} is not invertible modulo {m}") from None
 
 
 def _prime_inverses(values: Sequence[int], primes: Sequence[int]) -> list[int]:
@@ -336,30 +322,6 @@ def multi_mod(value: int, mods: Sequence[int]) -> list[int]:
     if len(mods) == 0:
         return []
     return _tree_mod(value, _product_tree(mods))
-
-
-def crt_combine(classes: Iterable[tuple[int, int]]) -> CrtWitness:
-    """Combine (p, a_p) pairs into T with T == -a_p (mod p) for each pair.
-
-    The moduli are checked first: a repeated one raises DuplicateModulus, a
-    composite one, or one at or above 2**64 where primality is unproven,
-    ValueError.
-    Returns T in [0, P) with P the product of the moduli, computed by _crt
-    from a single product tree of the primes.
-    """
-    pairs = list(classes)
-    if not pairs:
-        raise ValueError("crt_combine needs at least one class")
-    seen = set()
-    for p, _ in pairs:
-        if p in seen:
-            raise DuplicateModulus(f"modulus {p} appears twice")
-        seen.add(p)
-        if p >= PROVEN_LIMIT:
-            raise ValueError(f"modulus {p} >= 2**64: primality is unproven")
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-    return _crt(_product_tree([p for p, _ in pairs]), [(-a) % p for p, a in pairs])
 
 
 def _crt(tree: list, residues: Sequence[int]) -> CrtWitness:

@@ -44,12 +44,10 @@ from .model import (
     GREEDY,
     KINDS,
     MATCHED,
-    ClassKind,
     ClassTable,
     CoveringCertificate,
     CrtWitness,
     Rational,
-    ResidueClass,
     ScenarioResult,
     VerificationReport,
 )
@@ -160,87 +158,88 @@ def forced_classes(
     if math.gcd(b, q) != 1:
         raise ValueError(f"need gcd(b, q) = 1, got gcd = {math.gcd(b, q)}")
     primes, a = _progression_roots(_prime_array(u // 2, config or DEFAULT), q, b)
-    return ClassTable(primes, a, np.full(len(primes), FORCED))
+    return ClassTable(primes, a, FORCED)
 
 
 def sieve_survivors(
     y: int, forced: ClassTable, *, config: Optional[Config] = None
-) -> list[int]:
-    """Ascending n in [0, y] avoiding every forced class.
-
-    forced is a ClassTable or any sequence of ResidueClass rows.
-    """
+) -> np.ndarray:
+    """Ascending n in [0, y] avoiding every forced class, as an int64 column."""
     cfg = config or DEFAULT
     if y < 0:
         raise ValueError("need y >= 0")
     if y + 1 > cfg.memory_budget:
         raise ResourceLimit(f"survivor sieve over [0, {y}] exceeds the memory budget")
-    forced = ClassTable.of(forced)
     repeat = _first_repeat(forced.p)
     if repeat is not None:
         raise ValueError(f"duplicate forced prime {forced.p[repeat]}")
-    return np.flatnonzero(~_strike(y, forced.a, forced.p)).tolist()
+    return np.flatnonzero(~_strike(y, forced.a, forced.p))
 
 
-def best_residue(survivors: list[int], p: int) -> tuple[int, int]:
+def _ascending(survivors, name: str) -> np.ndarray:
+    """survivors as an int64 column; ValueError unless ascending and distinct."""
+    column = np.asarray(survivors, dtype=np.int64)
+    if np.any(column[1:] <= column[:-1]):
+        raise ValueError(f"{name} must be ascending and distinct")
+    return column
+
+
+def best_residue(survivors: np.ndarray, p: int) -> tuple[int, int]:
     """Residue mod p hitting the most survivors; ties take the smallest.
 
-    Returns (residue, hit count); an empty survivor list gives (0, 0).
+    Returns (residue, hit count); no survivors give (0, 0).  The residues
+    are counted as runs of their sorted column, so nothing of size p is
+    allocated.
     """
-    if not survivors:
+    residues = np.sort(np.asarray(survivors, dtype=np.int64) % p)
+    if not residues.size:
         return 0, 0
-    counts: dict[int, int] = {}
-    for n in survivors:
-        r = n % p
-        counts[r] = counts.get(r, 0) + 1
-    top = max(counts.values())
-    return min(r for r, c in counts.items() if c == top), top
+    starts = np.flatnonzero(np.append(True, residues[1:] != residues[:-1]))
+    runs = np.diff(np.append(starts, residues.size))
+    top = int(np.argmax(runs))  # the first longest run has the smallest residue
+    return int(residues[starts[top]]), int(runs[top])
 
 
-def greedy_cover(
-    survivors: list[int], q: int, u: int
-) -> tuple[list[ResidueClass], list[int]]:
+def greedy_cover(survivors, q: int, u: int) -> tuple[ClassTable, np.ndarray]:
     """Greedily cover survivors with one class per prime p | q, p <= u/2.
 
     Primes are taken in ascending order; each step picks the residue hitting
     the most remaining survivors (covering at least a 1/p share).  The at
-    most one prime factor of q above u/2 is skipped.  Returns the chosen
-    classes and the still-uncovered survivors.
+    most one prime factor of q above u/2 is skipped.  survivors is an
+    ascending int64 column or list; returns the chosen classes and the
+    still-uncovered survivors as an int64 column.
     """
-    if any(a >= b for a, b in zip(survivors, survivors[1:])):
-        raise ValueError("survivors must be ascending and distinct")
-    classes = []
-    remaining = list(survivors)
+    remaining = _ascending(survivors, "survivors")
+    primes, residues = [], []
     for p, _ in factorize(q):
         if 2 * p > u:
             continue
         a, _hits = best_residue(remaining, p)
-        classes.append(ResidueClass(p, a, ClassKind.GREEDY))
-        remaining = [n for n in remaining if n % p != a]
-    return classes, remaining
+        primes.append(p)
+        residues.append(a)
+        remaining = remaining[remaining % p != a]
+    return ClassTable(primes, residues, GREEDY), remaining
 
 
 def match_large_primes(
-    remaining: list[int], u: int, *, config: Optional[Config] = None
+    remaining, u: int, *, config: Optional[Config] = None
 ) -> ClassTable:
     """Pair leftover survivors with distinct fresh primes in (u/2, u].
 
-    The i-th survivor (ascending) gets the i-th fresh prime (ascending) and
-    the class n mod p aimed straight at it.  Raises InsufficientPrimes when
-    the fresh primes run out, reporting whether the sufficient condition
-    |N'| <= u / (5 ln u) held.
+    remaining is an ascending int64 column or list.  The i-th survivor gets
+    the i-th fresh prime (ascending) and the class n mod p aimed straight
+    at it.  Raises InsufficientPrimes when the fresh primes run out,
+    reporting whether the sufficient condition |N'| <= u / (5 ln u) held.
     """
-    if any(a >= b for a, b in zip(remaining, remaining[1:])):
-        raise ValueError("remaining survivors must be ascending and distinct")
-    if not remaining:
-        return ClassTable.of(())
+    remaining = _ascending(remaining, "remaining survivors")
+    if not remaining.size:
+        return ClassTable([], [], MATCHED)
     fresh = primes_in_range(u // 2, u, config=config)
-    if len(remaining) > len(fresh):
-        holds = len(remaining) * 5 * math.log(u) <= u
-        raise InsufficientPrimes(len(remaining), len(fresh), holds)
-    fresh = fresh[: len(remaining)]
-    return ClassTable(fresh, [n % p for n, p in zip(remaining, fresh)],
-                      [MATCHED] * len(fresh))
+    if remaining.size > len(fresh):
+        holds = remaining.size * 5 * math.log(u) <= u
+        raise InsufficientPrimes(remaining.size, len(fresh), holds)
+    fresh = np.array(fresh[: remaining.size], dtype=np.int64)
+    return ClassTable(fresh, remaining % fresh, MATCHED)
 
 
 def _construct(
@@ -361,7 +360,7 @@ def verify_certificate(
         above | np.where(kind == GREEDY, ~divides_q, divides_q),
     )
     at = _first(misplaced)
-    placement = "" if at is None else _placement(table[at], cert.u)
+    placement = "" if at is None else _placement(int(p[at]), int(kind[at]), cert.u)
     report.add("kind_placement", not placement, placement)
     y_ok = cert.q > 0 and cert.y == (cert.x - cert.b) // cert.q
     report.add(
@@ -437,7 +436,7 @@ def verify_certificate(
         report.add(
             check,
             same,
-            "" if same else f"{KINDS[code].value} classes differ from deterministic re-run",
+            "" if same else f"{KINDS[code]} classes differ from deterministic re-run",
         )
     return report
 
@@ -462,17 +461,17 @@ def _same_pairs(one: ClassTable, other: ClassTable) -> bool:
     return bool(np.array_equal(pair_set(one), pair_set(other)))
 
 
-def _placement(c: ResidueClass, u: int) -> str:
-    """Why a class the kind_placement check flagged is misplaced."""
-    if c.p < 2:
-        return f"{c.kind.value} p={c.p} is below 2"
-    if c.kind is ClassKind.MATCHED:
-        return f"matched p={c.p} is not above u/2"
-    if 2 * c.p > u:
-        return f"{c.kind.value} p={c.p} is above u/2"
-    if c.kind is ClassKind.GREEDY:
-        return f"greedy p={c.p} does not divide q"
-    return f"forced p={c.p} divides q"
+def _placement(p: int, kind: int, u: int) -> str:
+    """Why the kind_placement check flagged the class of prime p and kind code kind."""
+    if p < 2:
+        return f"{KINDS[kind]} p={p} is below 2"
+    if kind == MATCHED:
+        return f"matched p={p} is not above u/2"
+    if 2 * p > u:
+        return f"{KINDS[kind]} p={p} is above u/2"
+    if kind == GREEDY:
+        return f"greedy p={p} does not divide q"
+    return f"forced p={p} divides q"
 
 
 def crt_witness(

@@ -5,18 +5,6 @@ class GapforgeError(Exception):
     """Base class for every error raised by this package."""
 
 
-class ZeroModulus(GapforgeError):
-    """Modulus smaller than 2 passed to a modular operation."""
-
-
-class NotInvertible(GapforgeError):
-    """gcd(a, m) > 1, so a has no inverse modulo m."""
-
-
-class DuplicateModulus(GapforgeError):
-    """Two residue classes share the same prime modulus."""
-
-
 class ResourceLimit(GapforgeError):
     """A scan or sieve would exceed the configured memory budget."""
 

@@ -13,9 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from enum import Enum
 from operator import itemgetter
 from typing import Optional
 
@@ -108,31 +106,15 @@ class Rational(_Record):
         return f"{self.num}/{self.den}"
 
 
-class ClassKind(Enum):
-    FORCED = "forced"
-    GREEDY = "greedy"
-    MATCHED = "matched"
-
-
 # the kind column holds each class's position in KINDS
-KINDS = (ClassKind.FORCED, ClassKind.GREEDY, ClassKind.MATCHED)
+KINDS = ("forced", "greedy", "matched")
 FORCED, GREEDY, MATCHED = range(len(KINDS))
-_KIND_CODE = {kind.value: code for code, kind in enumerate(KINDS)}
-_KIND_TEXT = [kind.value for kind in KINDS]
+_KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
 
 # p and a are int64 columns when every value lies in [-2**31, 2**31), where
 # a product of two residues stays below 2**62; otherwise both are object
 # columns of Python ints, which the same numpy expressions serve
 COLUMN_LIMIT = 2**31
-
-
-@dataclass(frozen=True)
-class ResidueClass:
-    """The class a mod p, tagged with how the pipeline chose it."""
-
-    p: int
-    a: int
-    kind: ClassKind
 
 
 def _columns(p, a) -> tuple[np.ndarray, np.ndarray]:
@@ -149,77 +131,42 @@ def _columns(p, a) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(p, dtype=object), np.asarray(a, dtype=object)
 
 
-class ClassTable(Sequence):
+class ClassTable:
     """Residue classes a mod p as three parallel columns: p, a and kind.
 
-    kind holds codes into KINDS.  Indexing and iteration give ResidueClass
-    rows; the tuple of all rows is built on first use.  A table equals
-    another table with the same columns, and a list or tuple of the same
-    rows.
+    kind holds codes into KINDS; one code stands for every class.  A table
+    equals another table with the same columns.
     """
 
-    __slots__ = ("p", "a", "kind", "_rows")
+    __slots__ = ("p", "a", "kind")
 
     def __init__(self, p, a, kind):
         self.p, self.a = _columns(p, a)
-        self.kind = np.asarray(kind, dtype=np.int8)
+        kind = np.asarray(kind, dtype=np.int8)
+        self.kind = np.full(len(self.p), kind) if kind.ndim == 0 else kind
         if not len(self.p) == len(self.a) == len(self.kind):
             raise ValueError("class columns differ in length")
-        self._rows = None
 
     @classmethod
-    def of(cls, classes) -> "ClassTable":
-        """A table of ResidueClass rows; a table is returned as it is."""
-        if isinstance(classes, ClassTable):
-            return classes
-        rows = tuple(classes)
-        table = cls([c.p for c in rows], [c.a for c in rows],
-                    [KINDS.index(c.kind) for c in rows])
-        table._rows = rows
-        return table
-
-    @classmethod
-    def concat(cls, *parts) -> "ClassTable":
-        """The classes of each part in turn; parts are tables or rows."""
-        tables = [cls.of(part) for part in parts]
+    def concat(cls, *tables: "ClassTable") -> "ClassTable":
+        """The classes of each table in turn."""
         return cls(*(np.concatenate([getattr(t, col) for t in tables])
                      for col in ("p", "a", "kind")))
 
     def select(self, mask: np.ndarray) -> "ClassTable":
         return ClassTable(self.p[mask], self.a[mask], self.kind[mask])
 
-    @property
-    def rows(self) -> tuple[ResidueClass, ...]:
-        if self._rows is None:
-            self._rows = tuple(map(ResidueClass, self.p.tolist(), self.a.tolist(),
-                                   [KINDS[k] for k in self.kind.tolist()]))
-        return self._rows
-
     def __len__(self) -> int:
         return len(self.kind)
 
-    def __getitem__(self, index):
-        if self._rows is None and isinstance(index, int):
-            i = range(len(self))[index]  # IndexError past either end
-            return ResidueClass(int(self.p[i]), int(self.a[i]), KINDS[self.kind[i]])
-        return self.rows[index]
-
-    def __iter__(self):
-        return iter(self.rows)
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, ClassTable):
-            return all(np.array_equal(getattr(self, col), getattr(other, col))
-                       for col in ("kind", "p", "a"))
-        if isinstance(other, (list, tuple)):
-            return self.rows == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
+        if not isinstance(other, ClassTable):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, col), getattr(other, col))
+                   for col in ("kind", "p", "a"))
 
     def __repr__(self) -> str:
-        return f"ClassTable({list(self.rows)!r})"
+        return f"ClassTable(p={self.p!r}, a={self.a!r}, kind={self.kind!r})"
 
 
 @dataclass(frozen=True)
@@ -291,11 +238,7 @@ class ScenarioResult(_Record):
 
 @dataclass(frozen=True)
 class CoveringCertificate:
-    """Everything needed to re-check one run of the covering construction.
-
-    classes may be given as any sequence of ResidueClass rows; it is held
-    as a ClassTable.
-    """
+    """Everything needed to re-check one run of the covering construction."""
 
     x: int
     q: int
@@ -308,7 +251,8 @@ class CoveringCertificate:
     survivors_after_greedy: int
 
     def __post_init__(self):
-        object.__setattr__(self, "classes", ClassTable.of(self.classes))
+        if not isinstance(self.classes, ClassTable):
+            raise TypeError(f"classes is a {type(self.classes).__name__}, not a ClassTable")
 
     def bound_rational(self) -> Rational:
         """The reported lower-bound form (x - b)/q."""
@@ -356,7 +300,7 @@ def certificate_to_dict(
 
 
 def _kind_texts(t: ClassTable) -> list[str]:
-    return [_KIND_TEXT[k] for k in t.kind.tolist()]
+    return [KINDS[k] for k in t.kind.tolist()]
 
 
 def _certificate_fields(
@@ -433,7 +377,7 @@ def _class_table(classes: list) -> ClassTable:
     p, a, kinds = (list(map(itemgetter(key), classes)) for key in ("p", "a", "kind"))
     try:
         codes = list(map(_KIND_CODE.__getitem__, kinds))
-    except (KeyError, TypeError):  # unknown or unhashable, as ClassKind(text)
+    except (KeyError, TypeError):  # unknown or unhashable; verify prints this text
         text = next(k for k in kinds if not isinstance(k, str) or k not in _KIND_CODE)
         raise ValueError(f"{text!r} is not a valid ClassKind") from None
     return ClassTable(_json_ints(p), _json_ints(a), codes)

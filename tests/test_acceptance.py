@@ -10,12 +10,13 @@ import random
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import gapforge as gf
 from gapforge.cli import main as cli_main
 from gapforge.config import Config
-from gapforge.model import ClassKind, Rational, ResidueClass
+from gapforge.model import ClassTable, Rational
 
 # Independently computed full-period oracle values (also re-derived live below).
 JACOBSTHAL_TABLE = {2: 2, 3: 4, 5: 6, 7: 10, 11: 14, 13: 22, 17: 26, 19: 34, 23: 40}
@@ -170,12 +171,12 @@ def test_criterion_6a_greedy_contraction():
         u = rng.randrange(4, 80)
         classes, rest = gf.greedy_cover(survivors, q, u)
         remaining = list(survivors)
-        for cls in classes:
+        for p, a in zip(classes.p.tolist(), classes.a.tolist()):
             before = len(remaining)
-            remaining = [n for n in remaining if n % cls.p != cls.a]
+            remaining = [n for n in remaining if n % p != a]
             # |S'| <= |S| (1 - 1/p), exactly, in integers
-            assert len(remaining) * cls.p <= before * (cls.p - 1)
-        assert remaining == rest
+            assert len(remaining) * p <= before * (p - 1)
+        assert remaining == rest.tolist()
     _report(6, "greedy contraction held for 1000 seeded instances")
 
 
@@ -191,10 +192,10 @@ def test_criterion_6b_forced_congruence():
         b = rng.choice(units)
         classes = gf.forced_classes(u, q, b)
         expect = {p for p in gf.primes_up_to(u // 2) if q % p != 0}
-        assert {c.p for c in classes} == expect
-        for cls in classes:
-            assert (q * cls.a + b) % cls.p == 0
-            assert 0 <= cls.a < cls.p
+        assert set(classes.p.tolist()) == expect
+        for p, a in zip(classes.p.tolist(), classes.a.tolist()):
+            assert (q * a + b) % p == 0
+            assert 0 <= a < p
             checked += 1
     assert checked > 1000
     _report(6, "forced-class congruence q*a+b == 0 (mod p) held for 1000 "
@@ -223,7 +224,7 @@ def test_criterion_6c_survivor_primality():
         u = gf.compute_u(x, q, delta)
         y = (x - b) // q
         survivors = gf.sieve_survivors(y, gf.forced_classes(u, q, b))
-        for n in survivors:
+        for n in survivors.tolist():
             m = q * n + b
             assert m == 1 or gf.is_prime(m), (x, q, b, n)
     _report(6, "survivor primality (q*n+b prime or 1) held for 1000 seeded "
@@ -239,10 +240,10 @@ def test_criterion_6d_matched_class_hits():
         remaining = sorted(rng.sample(range(5000), size))
         classes = gf.match_large_primes(remaining, u)
         assert len(classes) == size
-        for n, cls in zip(remaining, classes):
-            assert n % cls.p == cls.a
-            assert 2 * cls.p > u and cls.p <= u
-        assert [c.p for c in classes] == fresh[:size]
+        for n, p, a in zip(remaining, classes.p.tolist(), classes.a.tolist()):
+            assert n % p == a
+            assert 2 * p > u and p <= u
+        assert classes.p.tolist() == fresh[:size]
     _report(6, "matched classes hit their survivors for 1000 seeded instances")
 
 
@@ -258,9 +259,9 @@ def test_criterion_6e_survivor_accounting():
         assert len(survivors) <= count + slack, (x, q, b)
         classes, rest = gf.greedy_cover(survivors, q, u)
         num = den = 1
-        for cls in classes:
-            num *= cls.p - 1
-            den *= cls.p
+        for p in classes.p.tolist():
+            num *= p - 1
+            den *= p
         assert len(rest) * den <= len(survivors) * num
     _report(6, "survivor accounting |N| <= pi(x;q,b) (+1 when b=1) and the "
                "greedy product bound held for 1000 seeded instances")
@@ -277,20 +278,20 @@ def test_criterion_7_mutation_robustness(grid_certificates):
     false_accepts = []
     for _ in range(100):
         cert = rng.choice(bases)
-        classes = list(cert.classes)
+        p, a, kind = (col.copy() for col in (cert.classes.p, cert.classes.a,
+                                             cert.classes.kind))
         mutation = rng.randrange(3)
         if mutation == 0:
-            del classes[rng.randrange(len(classes))]
+            kept = np.arange(len(p)) != rng.randrange(len(p))
+            p, a, kind = p[kept], a[kept], kind[kept]
         elif mutation == 1:
-            j = rng.randrange(len(classes))
-            c = classes[j]
-            classes[j] = ResidueClass(c.p, (c.a + 1) % c.p, c.kind)
+            j = rng.randrange(len(p))
+            a[j] = (a[j] + 1) % p[j]
         else:
-            j, k = rng.sample(range(len(classes)), 2)
-            cj, ck = classes[j], classes[k]
-            classes[j] = ResidueClass(ck.p, cj.a, cj.kind)
-            classes[k] = ResidueClass(cj.p, ck.a, ck.kind)
-        mutant = replace(cert, classes=tuple(classes))
+            # the two classes trade primes and keep their residues and kinds
+            j, k = rng.sample(range(len(p)), 2)
+            p[[j, k]] = p[[k, j]]
+        mutant = replace(cert, classes=ClassTable(p, a, kind))
         if gf.verify_certificate(mutant, strict=True).ok:
             false_accepts.append((cert.x, cert.q, mutation))
     assert false_accepts == []

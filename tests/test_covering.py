@@ -5,6 +5,7 @@ import sys
 from dataclasses import replace
 from decimal import Decimal, localcontext
 
+import numpy as np
 import pytest
 
 from gapforge import sieve
@@ -31,11 +32,13 @@ from gapforge.errors import (
     ResourceLimit,
 )
 from gapforge.model import (
-    ClassKind,
+    FORCED,
+    GREEDY,
+    MATCHED,
+    ClassTable,
     CoveringCertificate,
     CrtWitness,
     Rational,
-    ResidueClass,
     _int_to_decimal,
     certificate_from_dict,
     certificate_to_dict,
@@ -82,51 +85,59 @@ def test_compute_u_validation_and_overflow():
         compute_u(10**18, 1, Rational(1))
 
 
+NO_CLASSES = ClassTable([], [], FORCED)
+
+
+def _triples(table):
+    """The (p, a, kind code) triples of a table, as Python ints."""
+    return list(zip(table.p.tolist(), table.a.tolist(), table.kind.tolist()))
+
+
 def test_forced_classes_examples():
-    assert forced_classes(10, 4, 3) == [
-        ResidueClass(3, 0, ClassKind.FORCED),
-        ResidueClass(5, 3, ClassKind.FORCED),
-    ]
-    assert forced_classes(5, 3, 2) == [ResidueClass(2, 0, ClassKind.FORCED)]
-    assert forced_classes(6, 6, 5) == []
+    assert forced_classes(10, 4, 3) == ClassTable([3, 5], [0, 3], FORCED)
+    assert forced_classes(5, 3, 2) == ClassTable([2], [0], FORCED)
+    assert forced_classes(6, 6, 5) == NO_CLASSES
 
 
 def test_sieve_survivors_examples():
-    forced = [ResidueClass(3, 0, ClassKind.FORCED), ResidueClass(5, 3, ClassKind.FORCED)]
-    assert sieve_survivors(10, forced) == [1, 2, 4, 5, 7, 10]
-    assert sieve_survivors(4, []) == [0, 1, 2, 3, 4]
-    forced = [ResidueClass(2, 0, ClassKind.FORCED), ResidueClass(3, 1, ClassKind.FORCED)]
-    assert sieve_survivors(5, forced) == [3, 5]
+    forced = ClassTable([3, 5], [0, 3], FORCED)
+    survivors = sieve_survivors(10, forced)
+    assert survivors.dtype == np.int64
+    assert survivors.tolist() == [1, 2, 4, 5, 7, 10]
+    assert sieve_survivors(4, NO_CLASSES).tolist() == [0, 1, 2, 3, 4]
+    forced = ClassTable([2, 3], [0, 1], FORCED)
+    assert sieve_survivors(5, forced).tolist() == [3, 5]
 
 
 def test_sieve_survivors_limits():
     tiny = Config(memory_budget=1 << 16, segment_size=1 << 16)
     with pytest.raises(ResourceLimit):
-        sieve_survivors(10**6, [], config=tiny)
+        sieve_survivors(10**6, NO_CLASSES, config=tiny)
     with pytest.raises(ValueError):
-        sieve_survivors(10, [ResidueClass(3, 0, ClassKind.FORCED)] * 2)
+        sieve_survivors(10, ClassTable([3, 3], [0, 0], FORCED))
 
 
 def test_greedy_cover_examples():
     classes, rest = greedy_cover([0, 1, 2, 3, 4, 5], 2, 10)
-    assert classes == [ResidueClass(2, 0, ClassKind.GREEDY)]
-    assert rest == [1, 3, 5]
+    assert classes == ClassTable([2], [0], GREEDY)
+    assert rest.dtype == np.int64
+    assert rest.tolist() == [1, 3, 5]
     classes, rest = greedy_cover([], 6, 10)
-    assert classes == [
-        ResidueClass(2, 0, ClassKind.GREEDY),
-        ResidueClass(3, 0, ClassKind.GREEDY),
-    ]
-    assert rest == []
-    classes, rest = greedy_cover([1, 4, 7, 8], 3, 10)
-    assert classes == [ResidueClass(3, 1, ClassKind.GREEDY)]
-    assert rest == [8]
+    assert classes == ClassTable([2, 3], [0, 0], GREEDY)
+    assert rest.tolist() == []
+    classes, rest = greedy_cover(np.array([1, 4, 7, 8]), 3, 10)
+    assert classes == ClassTable([3], [1], GREEDY)
+    assert rest.tolist() == [8]
+    for unordered in ([1, 1], [2, 1]):
+        with pytest.raises(ValueError, match="ascending and distinct"):
+            greedy_cover(unordered, 6, 10)
 
 
 def test_greedy_skips_large_prime_factor():
     # the one prime factor of q above u/2 gets no class
     classes, rest = greedy_cover([0, 1, 2], 22, 12)
-    assert [c.p for c in classes] == [2]
-    assert rest == [1]
+    assert classes.p.tolist() == [2]
+    assert rest.tolist() == [1]
 
 
 def test_best_residue_tie_break():
@@ -136,11 +147,10 @@ def test_best_residue_tie_break():
 
 
 def test_match_large_primes_examples():
-    assert match_large_primes([], 20) == []
-    assert match_large_primes([3, 8], 20) == [
-        ResidueClass(11, 3, ClassKind.MATCHED),
-        ResidueClass(13, 8, ClassKind.MATCHED),
-    ]
+    assert match_large_primes([], 20) == ClassTable([], [], MATCHED)
+    assert match_large_primes(np.array([3, 8]), 20) == ClassTable([11, 13], [3, 8], MATCHED)
+    with pytest.raises(ValueError, match="ascending and distinct"):
+        match_large_primes([8, 3], 20)
     with pytest.raises(InsufficientPrimes) as err:
         match_large_primes([0, 1, 2, 3, 4], 10)
     assert err.value.needed == 5
@@ -166,12 +176,12 @@ def test_build_certificate_empty_progression_path():
     assert cert.y == 3
     assert cert.survivors_initial == 1  # n = 0, where q*n + b = 1
     assert cert.survivors_after_greedy == 0
-    assert cert.classes == (
-        ResidueClass(2, 1, ClassKind.FORCED),
-        ResidueClass(3, 2, ClassKind.FORCED),
-        ResidueClass(7, 5, ClassKind.FORCED),
-        ResidueClass(5, 0, ClassKind.GREEDY),
-    )
+    assert _triples(cert.classes) == [
+        (2, 1, FORCED),
+        (3, 2, FORCED),
+        (7, 5, FORCED),
+        (5, 0, GREEDY),
+    ]
     assert verify_certificate(cert, strict=True).ok
 
 
@@ -233,10 +243,10 @@ def test_certificate_writer_matches_indented_dumps():
     big = random.Random(79).getrandbits(20_000)  # over 6000 digits
     for cert in (
         CoveringCertificate(x=2, q=1, b=0, delta=Rational(0), u=3, y=2,
-                            classes=(), survivors_initial=0,
+                            classes=NO_CLASSES, survivors_initial=0,
                             survivors_after_greedy=0),
         CoveringCertificate(x=0, q=1, b=0, delta=Rational(1, 3), u=2, y=0,
-                            classes=(ResidueClass(2, 0, ClassKind.MATCHED),),
+                            classes=ClassTable([2], [0], MATCHED),
                             survivors_initial=1, survivors_after_greedy=1),
         built,
     ):
@@ -266,28 +276,35 @@ def test_int_to_decimal_matches_str():
 def _mutate_drop(cert, idx):
     return CoveringCertificate(
         x=cert.x, q=cert.q, b=cert.b, delta=cert.delta, u=cert.u, y=cert.y,
-        classes=cert.classes[:idx] + cert.classes[idx + 1 :],
+        classes=cert.classes.select(np.arange(len(cert.classes)) != idx),
         survivors_initial=cert.survivors_initial,
         survivors_after_greedy=cert.survivors_after_greedy,
     )
 
 
 def _mutate_residue(cert, idx):
-    cls = cert.classes[idx]
-    bumped = ResidueClass(cls.p, (cls.a + 1) % cls.p, cls.kind)
+    t = cert.classes
+    a = t.a.copy()
+    a[idx] = (a[idx] + 1) % t.p[idx]
     return CoveringCertificate(
         x=cert.x, q=cert.q, b=cert.b, delta=cert.delta, u=cert.u, y=cert.y,
-        classes=cert.classes[:idx] + (bumped,) + cert.classes[idx + 1 :],
+        classes=ClassTable(t.p, a, t.kind),
         survivors_initial=cert.survivors_initial,
         survivors_after_greedy=cert.survivors_after_greedy,
     )
 
 
+def test_certificate_refuses_classes_that_are_not_a_table():
+    cert = build_certificate(100, 25, 1, Rational(0))
+    rows = tuple(_triples(cert.classes))
+    for classes in (rows, list(rows), ()):
+        with pytest.raises(TypeError, match="not a ClassTable"):
+            replace(cert, classes=classes)
+
+
 def test_verify_flags_deleted_class():
     cert = build_certificate(10**4, 101, 100)
-    matched_idx = next(
-        i for i, c in enumerate(cert.classes) if c.kind is ClassKind.MATCHED
-    )
+    matched_idx = int(np.flatnonzero(cert.classes.kind == MATCHED)[0])
     report = verify_certificate(_mutate_drop(cert, matched_idx))
     cover_entry = next(e for e in report.entries if e.check == "covers_range")
     assert not cover_entry.passed
@@ -347,11 +364,11 @@ def test_strict_report_pins_each_tampered_field():
         "greedy_classes_match",
         "matched_classes_match",
     }
-    greedy = next(i for i, c in enumerate(cert.classes) if c.kind is ClassKind.GREEDY)
+    greedy = int(np.flatnonzero(cert.classes.kind == GREEDY)[0])
     bumped = _mutate_residue(cert, greedy)
     assert _strict_failures(bumped) == {"covers_range", "greedy_classes_match"}
-    forced = sum(c.kind is ClassKind.FORCED for c in cert.classes)
-    reordered = cert.classes[forced - 1 :: -1] + cert.classes[forced:]
+    forced = int(np.count_nonzero(cert.classes.kind == FORCED))
+    reordered = cert.classes.select(np.r_[forced - 1 : -1 : -1, forced : len(cert.classes)])
     assert reordered != cert.classes
     assert _strict_failures(cert, classes=reordered) == set()
 
@@ -359,7 +376,7 @@ def test_strict_report_pins_each_tampered_field():
 def test_verify_never_raises_on_garbage():
     cert = CoveringCertificate(
         x=10, q=0, b=3, delta=Rational(0), u=2, y=5,
-        classes=(ResidueClass(4, 5, ClassKind.FORCED),),
+        classes=ClassTable([4], [5], FORCED),
         survivors_initial=0, survivors_after_greedy=0,
     )
     report = verify_certificate(cert, strict=True)
@@ -378,15 +395,15 @@ def test_crt_witness_end_to_end():
     w = crt_witness(cert)
     assert cert.y == 98
     assert 0 < w.T <= w.P
-    for cls in cert.classes:
-        assert (w.T + cls.a) % cls.p == 0
+    for p, a in zip(cert.classes.p.tolist(), cert.classes.a.tolist()):
+        assert (w.T + a) % p == 0
 
 
 def test_survivor_primality_holds_in_pipeline():
     cert = build_certificate(10**4, 101, 100)
     survivors = sieve_survivors(cert.y, forced_classes(cert.u, cert.q, cert.b))
     assert len(survivors) == cert.survivors_initial
-    for n in survivors:
+    for n in survivors.tolist():
         m = cert.q * n + cert.b
         assert m == 1 or is_prime(m)
 
@@ -427,14 +444,14 @@ def test_greedy_contraction_and_derivation():
         classes, rest = greedy_cover(survivors, q, u)
         # replay the steps and check each one contracts by at least 1/p
         remaining = list(survivors)
-        for cls in classes:
-            a, hits = best_residue(remaining, cls.p)
-            assert (a, cls.a) == (cls.a, a)
+        for p, a_p, _ in _triples(classes):
+            a, hits = best_residue(remaining, p)
+            assert (a, a_p) == (a_p, a)
             before = len(remaining)
-            remaining = [n for n in remaining if n % cls.p != a]
-            assert len(remaining) * cls.p <= before * (cls.p - 1)
-        assert remaining == rest
-        assert [c.p for c in classes] == sorted(
+            remaining = [n for n in remaining if n % p != a]
+            assert len(remaining) * p <= before * (p - 1)
+        assert remaining == rest.tolist()
+        assert classes.p.tolist() == sorted(
             p for p in primes if 2 * p <= u
         )
 
@@ -448,10 +465,10 @@ def _beyond_64_bit_certificate_dict():
     """
     obj = certificate_to_dict(build_certificate(10**4, 101, 100))
     for cls in obj["classes"]:
-        if cls["kind"] == ClassKind.MATCHED.value:
-            cls["kind"] = ClassKind.FORCED.value
+        if cls["kind"] == "matched":
+            cls["kind"] = "forced"
     obj["u"] = 2**89
-    obj["classes"].append({"p": 2**89 - 1, "a": 0, "kind": ClassKind.MATCHED.value})
+    obj["classes"].append({"p": 2**89 - 1, "a": 0, "kind": "matched"})
     return obj
 
 
@@ -473,7 +490,7 @@ def test_verify_fails_closed_above_64_bits(monkeypatch):
 
 def test_verify_keeps_its_prime_table_within_budget(monkeypatch):
     cert = build_certificate(10**4, 101, 100)
-    top = max(c.p for c in cert.classes)
+    top = int(cert.classes.p.max())
     tables = []
     prime_array = sieve._prime_array
 

@@ -14,10 +14,10 @@ import random
 import pytest
 
 from gapforge import arith, covering
-from gapforge.arith import _crt, _product_tree, crt_combine, multi_mod
+from gapforge.arith import _crt, _product_tree, multi_mod
 from gapforge.covering import build_certificate, crt_witness, witness_of_verified
 from gapforge.errors import InvalidCertificate
-from gapforge.model import ClassKind, ClassTable, Rational, ResidueClass
+from gapforge.model import MATCHED, ClassTable, Rational
 
 
 def _naive_crt(classes):
@@ -28,6 +28,11 @@ def _naive_crt(classes):
         T += P * t
         P *= p
     return T, P
+
+
+def _pairs(cert):
+    """The (p, a) pairs of a certificate's classes, as Python ints."""
+    return list(zip(cert.classes.p.tolist(), cert.classes.a.tolist()))
 
 
 def _primes_below(n):
@@ -45,7 +50,7 @@ def test_crt_combine_matches_naive_oracle(size):
     rng = random.Random(size)
     chosen = rng.sample(PRIMES, size)
     classes = [(p, rng.randrange(p)) for p in chosen]
-    w = crt_combine(classes)
+    w = _crt(_product_tree(chosen), [-a % p for p, a in classes])
     assert (w.T, w.P) == _naive_crt(classes)
 
 
@@ -53,7 +58,7 @@ def test_crt_combine_matches_naive_oracle(size):
                                      (10**4, 64, 63), (10**5, 113, 87)])
 def test_crt_witness_matches_naive_oracle(x, q, b):
     cert = build_certificate(x, q, b)
-    T, P = _naive_crt([(c.p, c.a) for c in cert.classes])
+    T, P = _naive_crt(_pairs(cert))
     w = crt_witness(cert)
     assert (w.T, w.P) == (T or P, P)
 
@@ -65,14 +70,14 @@ _LARGE = (101 * 20_000 + 100, 101, 100, Rational(1, 50))
 
 def _shared_count(cert):
     q, b = cert.q, cert.b
-    return sum(q % c.p != 0 and (q * c.a + b) % c.p == 0 for c in cert.classes)
+    return sum(q % p != 0 and (q * a + b) % p == 0 for p, a in _pairs(cert))
 
 
 def _assert_matches_oracle(cert):
-    T, P = _naive_crt([(c.p, c.a) for c in cert.classes])
+    T, P = _naive_crt(_pairs(cert))
     w, residues = witness_of_verified(cert)
     assert (w.T, w.P) == (T or P, P)
-    assert residues == [w.T % c.p for c in cert.classes]
+    assert residues == [w.T % p for p, _ in _pairs(cert)]
 
 
 def _rewritten(cert, q, b):
@@ -103,7 +108,7 @@ def test_witness_of_a_pipeline_certificate_matches_naive_oracle():
 ])
 def test_witness_of_a_rewritten_certificate_matches_naive_oracle(q, b, periods, shared):
     cert = build_certificate(10**4, 101, 100)
-    P = _naive_crt([(c.p, c.a) for c in cert.classes])[1]
+    P = _naive_crt(_pairs(cert))[1]
     cert = _rewritten(cert, q, b + periods * P)
     assert _shared_count(cert) == shared
     _assert_matches_oracle(cert)
@@ -112,7 +117,7 @@ def test_witness_of_a_rewritten_certificate_matches_naive_oracle(q, b, periods, 
 @pytest.mark.parametrize("q", [1, 10**9 + 7])
 def test_witness_with_every_class_shared_matches_naive_oracle(q):
     cert = build_certificate(10**4, 101, 100)
-    T, P = _naive_crt([(c.p, c.a) for c in cert.classes])
+    T, P = _naive_crt(_pairs(cert))
     # q*T == b (mod P) puts every class in the forced congruence
     cert = _rewritten(cert, q, q * T % P - P)
     assert _shared_count(cert) == len(cert.classes)
@@ -215,7 +220,7 @@ def test_packed_trees_match_unpacked_oracle(edge, size):
 
 def _with_classes(cert, pairs, q, b):
     """cert with matched classes (p, a) added, rewritten to q and b."""
-    extra = [ResidueClass(p, a, ClassKind.MATCHED) for p, a in pairs]
+    extra = ClassTable([p for p, _ in pairs], [a for _, a in pairs], MATCHED)
     return dataclasses.replace(cert, x=q * cert.y + b, q=q, b=b,
                                classes=ClassTable.concat(cert.classes, extra))
 
@@ -236,7 +241,7 @@ def test_witness_across_word_widths_matches_naive_oracle(edge, count, shared):
     cert = _with_classes(cert, pairs, q, b)
     if shared == "all":
         # q*T == b (mod P) puts every class in the forced congruence
-        T, P = _naive_crt([(c.p, c.a) for c in cert.classes])
+        T, P = _naive_crt(_pairs(cert))
         cert = _rewritten(cert, 1, T - P)
     want = {"some": 59, "none": 0, "all": len(cert.classes)}[shared]
     assert _shared_count(cert) == want

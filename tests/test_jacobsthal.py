@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from gapforge import arith, jacobsthal
@@ -9,10 +10,11 @@ from gapforge.covering import build_certificate, crt_witness, verify_certificate
 from gapforge.errors import InvalidCertificate, PeriodTooLarge, ResourceLimit
 from gapforge.jacobsthal import jacobsthal_bound_from_certificate, jacobsthal_exact
 from gapforge.model import (
-    ClassKind,
+    FORCED,
+    MATCHED,
+    ClassTable,
     CoveringCertificate,
     Rational,
-    ResidueClass,
     certificate_from_dict,
     certificate_to_dict,
 )
@@ -139,7 +141,7 @@ def _hand_cert(x, q, b, u, y, classes):
         delta=Rational(0),
         u=u,
         y=y,
-        classes=tuple(ResidueClass(p, a, ClassKind.MATCHED) for p, a in classes),
+        classes=ClassTable([p for p, _ in classes], [a for _, a in classes], MATCHED),
         survivors_initial=0,
         survivors_after_greedy=0,
     )
@@ -186,7 +188,7 @@ def test_bound_rejects_broken_certificate():
         delta=cert.delta,
         u=cert.u,
         y=cert.y,
-        classes=cert.classes[1:],  # drop one class
+        classes=cert.classes.select(np.arange(len(cert.classes)) > 0),  # drop one class
         survivors_initial=cert.survivors_initial,
         survivors_after_greedy=cert.survivors_after_greedy,
     )
@@ -254,10 +256,8 @@ def test_bound_flanks_when_every_prime_carries_a_class(monkeypatch):
     assert pairs is not None
     cert = CoveringCertificate(
         x=y, q=1, b=0, delta=Rational(0), u=u, y=y,
-        classes=tuple(
-            ResidueClass(p, a, ClassKind.FORCED if 2 * p <= u else ClassKind.MATCHED)
-            for p, a in pairs
-        ),
+        classes=ClassTable([p for p, _ in pairs], [a for _, a in pairs],
+                           [FORCED if 2 * p <= u else MATCHED for p, _ in pairs]),
         survivors_initial=0, survivors_after_greedy=0,
     )
     val = jacobsthal_bound_from_certificate(cert)
@@ -272,8 +272,8 @@ def _with_u(u):
     so the kind placement still holds at the new u."""
     obj = certificate_to_dict(build_certificate(10**4, 101, 100))
     for cls in obj["classes"]:
-        if cls["kind"] == ClassKind.MATCHED.value:
-            cls["kind"] = ClassKind.FORCED.value
+        if cls["kind"] == "matched":
+            cls["kind"] = "forced"
     obj["u"] = u
     return certificate_from_dict(obj)[0]
 

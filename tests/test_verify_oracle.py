@@ -1,7 +1,8 @@
 """The columnar verifier and the windowed flank search against per-class oracles.
 
 _oracle_report is the verifier written one Python loop per check over the
-ResidueClass rows, with a bytearray strike and a per-modulus is_prime.  Its
+classes as (p, a, kind) rows of its own, with a bytearray strike and a
+per-modulus is_prime.  Its
 report must equal verify_certificate's check by check, detail strings
 included, on a seeded fuzz corpus and on certificates whose columns fall
 back to Python ints or hold moduli below 2.  Every comparison runs with
@@ -14,6 +15,7 @@ several windows away.
 
 import json
 import warnings
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -27,13 +29,23 @@ from gapforge.covering import _construct, build_certificate, crt_witness, verify
 from gapforge.errors import GapforgeError
 from gapforge.jacobsthal import jacobsthal_bound_from_certificate
 from gapforge.model import (
-    ClassKind,
     Rational,
     VerificationReport,
     certificate_from_dict,
     certificate_to_dict,
 )
 from gapforge.sieve import prime_count_ap, primes_up_to
+
+
+# one class, kind as its text; the kind codes 0, 1 and 2 name these texts
+Row = namedtuple("Row", "p a kind")
+KIND_TEXT = ("forced", "greedy", "matched")
+
+
+def _rows(table):
+    """The classes of a table as Rows of Python ints and kind texts."""
+    return [Row(p, a, KIND_TEXT[k])
+            for p, a, k in zip(table.p.tolist(), table.a.tolist(), table.kind.tolist())]
 
 
 def _oracle_strike(y, pairs):
@@ -49,7 +61,7 @@ def _oracle_strike(y, pairs):
 def _oracle_report(cert, strict=False):
     """verify_certificate, one loop per check over the class rows."""
     report = VerificationReport()
-    classes = list(cert.classes)
+    classes = _rows(cert.classes)
     primes = [c.p for c in classes]
     distinct = len(set(primes)) == len(primes)
     report.add("class_primes_distinct", distinct, "" if distinct else "a modulus repeats")
@@ -70,15 +82,15 @@ def _oracle_report(cert, strict=False):
     placement = ""
     for c in classes:
         if c.p < 2:
-            placement = f"{c.kind.value} p={c.p} is below 2"
-        elif c.kind is ClassKind.MATCHED:
+            placement = f"{c.kind} p={c.p} is below 2"
+        elif c.kind == "matched":
             if 2 * c.p <= cert.u:
                 placement = f"matched p={c.p} is not above u/2"
         elif 2 * c.p > cert.u:
-            placement = f"{c.kind.value} p={c.p} is above u/2"
-        elif c.kind is ClassKind.GREEDY and cert.q % c.p != 0:
+            placement = f"{c.kind} p={c.p} is above u/2"
+        elif c.kind == "greedy" and cert.q % c.p != 0:
             placement = f"greedy p={c.p} does not divide q"
-        elif c.kind is ClassKind.FORCED and cert.q % c.p == 0:
+        elif c.kind == "forced" and cert.q % c.p == 0:
             placement = f"forced p={c.p} divides q"
         if placement:
             break
@@ -99,9 +111,9 @@ def _oracle_report(cert, strict=False):
         return report
 
     def of_kind(rows, kind):
-        return [c for c in rows if c.kind is kind]
+        return [c for c in rows if c.kind == kind]
 
-    forced = of_kind(classes, ClassKind.FORCED)
+    forced = of_kind(classes, "forced")
     bad_cong = next(
         (c for c in forced if c.p < 2 or (cert.q * c.a + cert.b) % c.p != 0), None)
     report.add("forced_congruence", bad_cong is None,
@@ -118,8 +130,8 @@ def _oracle_report(cert, strict=False):
         report.add("delta_hypothesis", *hypothesis)
         report.add("pipeline_re_run", False, str(exc))
         return report
-    redone = list(rebuilt.classes)
-    same = set(forced) == set(of_kind(redone, ClassKind.FORCED))
+    redone = _rows(rebuilt.classes)
+    same = set(forced) == set(of_kind(redone, "forced"))
     report.add("forced_classes_match", same,
                "" if same else "forced classes differ from re-derivation")
     report.add("delta_hypothesis", *hypothesis)
@@ -130,11 +142,11 @@ def _oracle_report(cert, strict=False):
     report.add("survivor_accounting", counts == recorded,
                f"|N|={counts[0]} recorded {recorded[0]}; "
                f"|N'|={counts[1]} recorded {recorded[1]}")
-    for kind, check in ((ClassKind.GREEDY, "greedy_classes_match"),
-                        (ClassKind.MATCHED, "matched_classes_match")):
+    for kind, check in (("greedy", "greedy_classes_match"),
+                        ("matched", "matched_classes_match")):
         same = of_kind(redone, kind) == of_kind(classes, kind)
         report.add(check, same,
-                   "" if same else f"{kind.value} classes differ from deterministic re-run")
+                   "" if same else f"{kind} classes differ from deterministic re-run")
     return report
 
 
@@ -164,7 +176,7 @@ def _copy():
                 st.integers(2**63 - 3, 2**63 + 3),
                 st.integers(2**64 - 3, 2**64 + 3)),
     a=st.one_of(st.integers(-3, U + 3), st.integers(-(2**70), 2**70)),
-    kind=st.sampled_from([k.value for k in ClassKind]),
+    kind=st.sampled_from(KIND_TEXT),
     y=st.integers(Y - 10, Y + 10),
 )
 def test_columnar_verifier_matches_oracle_on_fuzz(index, p, a, kind, y):
