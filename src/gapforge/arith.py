@@ -43,24 +43,23 @@ _WORDS = ((2**20, 3), (2**31, 2))
 _FERMAT_LIMIT = 2**31
 
 
-def _prime_inverses(values: Sequence[int], primes: Sequence[int]) -> list[int]:
-    """values[i]**-1 mod primes[i] for each i; every modulus must be prime.
+def _prime_inverses(values: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """values[i]**-1 mod primes[i] for each i, as a column of the primes' dtype.
 
-    Moduli below 2**31 take values[i]**(p-2) mod p, by square-and-multiply
-    in numpy int64 over the whole batch (their values must fit in int64);
-    larger moduli take pow(v, -1, p).  A value divisible by its prime raises
-    ValueError, as pow does.
+    Every modulus must be prime.  Moduli below 2**31 take values[i]**(p-2)
+    mod p, by square-and-multiply in numpy int64 over the whole batch (their
+    values must fit in int64); larger moduli take pow(v, -1, p).  A value
+    divisible by its prime raises ValueError, as pow does.
     """
-    if primes and max(primes) >= _FERMAT_LIMIT:
-        small = [i for i, p in enumerate(primes) if p < _FERMAT_LIMIT]
-        out = [pow(v, -1, p) if p >= _FERMAT_LIMIT else 0
-               for v, p in zip(values, primes)]
-        found = _prime_inverses([values[i] for i in small], [primes[i] for i in small])
-        for i, inv in zip(small, found):
-            out[i] = inv
+    big = primes >= _FERMAT_LIMIT
+    if big.any():
+        out = np.empty_like(primes)
+        out[big] = [pow(v, -1, p)
+                    for v, p in zip(values[big].tolist(), primes[big].tolist())]
+        out[~big] = _prime_inverses(values[~big], primes[~big])
         return out
-    mods = np.array(primes, dtype=np.int64)
-    base = np.array(values, dtype=np.int64) % mods
+    mods = primes.astype(np.int64)
+    base = values.astype(np.int64) % mods
     if not base.all():
         i = int(np.argmin(base))
         raise ValueError(f"{values[i]} is not invertible modulo {primes[i]}")
@@ -70,7 +69,7 @@ def _prime_inverses(values: Sequence[int], primes: Sequence[int]) -> list[int]:
         inv = np.where(exp & 1, inv * base % mods, inv)
         base = base * base % mods
         exp >>= 1
-    return inv.tolist()
+    return inv.astype(primes.dtype, copy=False)
 
 
 def is_prime(n: int) -> bool:
@@ -299,16 +298,17 @@ def _leaf_values(level: Sequence[int], mods: np.ndarray) -> np.ndarray:
     return np.repeat(np.array(level, dtype=mods.dtype), width)[: mods.size]
 
 
-def _tree_mod(value: int, tree: list) -> list[int]:
-    """value mod each modulus of a product tree, reduced from the root down.
+def _tree_mod(value: int, tree: list) -> np.ndarray:
+    """value mod each modulus of a product tree, a column of the moduli's dtype.
 
-    Division stops at the leaf words; one numpy % takes each word's
-    remainder to the remainders by its moduli.
+    The remainders go from the root down; division stops at the leaf words,
+    and one numpy % takes each word's remainder to the remainders by its
+    moduli.
     """
     rems = [value]
     for level in reversed(tree[1:]):
         rems = _reduce_level([rems[i // 2] for i in range(len(level))], level)
-    return (_leaf_values(rems, tree[0]) % tree[0]).tolist()
+    return _leaf_values(rems, tree[0]) % tree[0]
 
 
 def multi_mod(value: int, mods: Sequence[int]) -> list[int]:
@@ -321,21 +321,21 @@ def multi_mod(value: int, mods: Sequence[int]) -> list[int]:
     """
     if len(mods) == 0:
         return []
-    return _tree_mod(value, _product_tree(mods))
+    return _tree_mod(value, _product_tree(mods)).tolist()
 
 
-def _crt(tree: list, residues: Sequence[int]) -> CrtWitness:
+def _crt(tree: list, residues: np.ndarray) -> CrtWitness:
     """T in [0, P) with T == residues[i] (mod primes[i]), primes distinct.
 
     tree is the product tree of the primes, whose moduli they are, and
-    residues[i] lies in [0, primes[i]).  The tree serves both passes, with
-    no big-integer inverse, and callers may reuse it to reduce by the same
-    primes.  Downwards, each node N = L*R hands its children the scaled
-    remainders c_L = c_N*R mod L and c_R = c_N*L mod R from c_root = 1, so
-    every leaf word w receives (P/w) mod w (Bernstein's scaled remainder
-    tree); levels of big nodes divide with _divmod.  Each prime p of w then
-    takes (P/p) mod p = (P/w mod p) * (w/p mod p) mod p, and the inverses
-    come in one _prime_inverses batch.  Upwards, the values
+    residues is a column with residues[i] in [0, primes[i]).  The tree
+    serves both passes, with no big-integer inverse, and callers may reuse
+    it to reduce by the same primes.  Downwards, each node N = L*R hands its
+    children the scaled remainders c_L = c_N*R mod L and c_R = c_N*L mod R
+    from c_root = 1, so every leaf word w receives (P/w) mod w (Bernstein's
+    scaled remainder tree); levels of big nodes divide with _divmod.  Each
+    prime p of w then takes (P/p) mod p = (P/w mod p) * (w/p mod p) mod p,
+    and the inverses come in one _prime_inverses batch.  Upwards, the values
     v = sum(c_i * N/p_i) start at each word as a numpy sum over its primes,
     which the word widths keep below 2**63, and combine as v_L*R + v_R*L,
     with the node products read from the tree.
@@ -352,9 +352,7 @@ def _crt(tree: list, residues: Sequence[int]) -> CrtWitness:
         )
     cofactor = _leaf_values(tree[1], primes) // primes
     scaled = _leaf_values(scaled, primes) % primes * (cofactor % primes) % primes
-    inverses = np.array(_prime_inverses(scaled.tolist(), primes.tolist()),
-                        dtype=primes.dtype)
-    values = np.asarray(residues, dtype=primes.dtype) * inverses % primes
+    values = residues * _prime_inverses(scaled, primes) % primes
     width = _word_width(primes)
     values = np.add.reduceat(values * cofactor, np.arange(0, primes.size, width)).tolist()
     for level in tree[1:-1]:

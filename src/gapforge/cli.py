@@ -268,8 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output format (default: table)")
     common.add_argument("--memory-budget", type=int, default=argparse.SUPPRESS,
                         help="memory budget in bytes")
-    common.add_argument("--segment-size", type=int, default=argparse.SUPPRESS,
-                        help="odd numbers per sieve segment")
 
     parser = argparse.ArgumentParser(
         prog="gapforge",
@@ -350,10 +348,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.format = getattr(args, "format", "table")  # a SUPPRESS default
     try:
-        cfg = config_mod.from_env(
-            memory_budget=getattr(args, "memory_budget", None),
-            segment_size=getattr(args, "segment_size", None),
-        )
+        cfg = config_mod.from_env(getattr(args, "memory_budget", None))
     except ValueError as exc:
         print(f"bad configuration: {exc}", file=sys.stderr)
         return EXIT_ARGS

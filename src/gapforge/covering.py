@@ -54,11 +54,11 @@ from .model import (
 from .sieve import (
     _mod,
     _prime_array,
+    _primes,
     _progression_roots,
     _strike,
     first_non_prime,
     prime_count_ap,
-    primes_in_range,
 )
 
 logger = logging.getLogger(__name__)
@@ -234,11 +234,11 @@ def match_large_primes(
     remaining = _ascending(remaining, "remaining survivors")
     if not remaining.size:
         return ClassTable([], [], MATCHED)
-    fresh = primes_in_range(u // 2, u, config=config)
-    if remaining.size > len(fresh):
+    fresh = _primes(u // 2, u, config or DEFAULT)
+    if remaining.size > fresh.size:
         holds = remaining.size * 5 * math.log(u) <= u
-        raise InsufficientPrimes(remaining.size, len(fresh), holds)
-    fresh = np.array(fresh[: remaining.size], dtype=np.int64)
+        raise InsufficientPrimes(remaining.size, fresh.size, holds)
+    fresh = fresh[: remaining.size]
     return ClassTable(fresh, remaining % fresh, MATCHED)
 
 
@@ -502,8 +502,9 @@ def require_verified(
 
 def witness_of_verified(
     cert: CoveringCertificate,
-) -> tuple[CrtWitness, list[int]]:
-    """The CRT witness of a verified certificate, and T mod each class prime.
+) -> tuple[CrtWitness, np.ndarray]:
+    """The CRT witness of a verified certificate, and T mod each class prime
+    as a column of the class primes' dtype.
 
     The certificate must have passed verify_certificate.  T solves
     T == -a_p (mod p) over every class.  A class with p not dividing q and
@@ -533,12 +534,10 @@ def witness_of_verified(
         # T = W - m*P_S == W - m*V (mod P_R)
         qP_R = q * tree[-1][0]
         V = _divmod(P_S, qP_R)[1]
-        inverses = np.array(_prime_inverses(_tree_mod(V, tree), tree[0].tolist()),
-                            dtype=p.dtype)
+        inverses = _prime_inverses(_tree_mod(V, tree), tree[0])
         T_R = (b + k * V) % qP_R // q - m * V
-        t_R = np.array(_tree_mod(T_R, tree), dtype=p.dtype)
-        steps = (-rest_a - t_R) % rest_p * inverses % rest_p
-        combined = _crt(tree, steps.tolist())
+        steps = (-rest_a - _tree_mod(T_R, tree)) % rest_p * inverses % rest_p
+        combined = _crt(tree, steps)
         T += P_S * combined.T
         P *= combined.P
     if T == 0:
@@ -550,9 +549,9 @@ def _covered_residues(
     cert: CoveringCertificate,
     shared: np.ndarray,
     P_S: int,
-    tree: list[list[int]],
+    tree: list,
     T: int,
-) -> list[int]:
+) -> np.ndarray:
     """T mod each class prime, in class order, once T is checked.
 
     The check reads T, not the values it was built from.  P_S must divide
@@ -571,7 +570,7 @@ def _covered_residues(
     miss = _first(~_strike(cert.y, -residues, p))
     if miss is not None:
         raise InvalidCertificate(f"gcd(T+{miss}, P) = 1; witness is not covered")
-    return residues.tolist()
+    return residues
 
 
 def scenario_bound(log_q: float, delta: float, B: float) -> ScenarioResult:

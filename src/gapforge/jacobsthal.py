@@ -105,7 +105,8 @@ def jacobsthal_bound_from_certificate(
     w, residues = covering.witness_of_verified(cert)
     classed = cert.classes.p.astype(np.int64)
     unclassed = primes[~np.isin(primes, classed)]
-    rems = np.array(residues + multi_mod(w.T, unclassed), dtype=np.int64)
+    rems = np.concatenate([residues.astype(np.int64),
+                           np.array(multi_mod(w.T, unclassed), dtype=np.int64)])
     mods = np.concatenate([classed, unclassed])
     lo = w.T + _flank(rems, mods, -1, -1)
     hi = w.T + _flank(rems, mods, cert.y + 1, 1)

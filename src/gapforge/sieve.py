@@ -6,9 +6,10 @@ gaps, least primes in progressions, and gap scans over rough numbers
 segment kernel, _segments, which strikes the terms b + k*q of a
 progression segment by segment with _strike, the [0, y] strike the
 covering module shares; prime lists and rough scans walk the odd numbers
-as the progression 1 mod 2.
-Memory stays bounded by the configured segment size and results are
-independent of the segmentation, which the test suite checks explicitly.
+as the progression 1 mod 2.  _primes is the one producer of prime columns,
+the kernel's own base primes included.  Memory stays bounded by the segment
+length _SEGMENT, and results are independent of it, which the test suite
+checks explicitly.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .arith import PROVEN_LIMIT, _prime_inverses, is_prime, small_primes_up_to, totient
+from .arith import PROVEN_LIMIT, _prime_inverses, is_prime, totient
 from .config import DEFAULT, Config
 from .errors import BadProgression, DomainError, EmptyRange, ResourceLimit
 from .model import COLUMN_LIMIT, GapRecord, ProgressionStats, Rational
@@ -33,6 +34,15 @@ from .model import COLUMN_LIMIT, GapRecord, ProgressionStats, Rational
 _SPARSE = 128
 _LISTED = 64
 
+# Terms per kernel segment: odd numbers on the line, b + k*q in a progression.
+_SEGMENT = 1 << 20
+
+# What one row of scan_deficits costs until the scan command has printed it:
+# the peak RSS of `scan --x 1000 --qmin 2 --qmax 1000 --top 10**9`, 303,791
+# rows, less that of a 2-row scan, is 1,090 bytes a row as JSON and 940 as
+# a table (Python 3.11, numpy 2.4).
+_ROW_BYTES = 1100
+
 
 def _check_window(span: int, cfg: Config, what: str) -> None:
     if span > cfg.scan_limit:
@@ -41,14 +51,13 @@ def _check_window(span: int, cfg: Config, what: str) -> None:
         )
 
 
-def _base_primes(n: int, cfg: Config, what: str) -> np.ndarray:
-    """The primes <= n as an int64 column to strike with; n + 1 must fit the budget."""
+def _check_table(n: int, cfg: Config, what: str) -> None:
+    """Refuse unless the primes up to n fit the budget: their sieve takes n + 1 bytes."""
     if n + 1 > cfg.memory_budget:
         raise ResourceLimit(
             f"{what} needs the primes up to {n}, "
             f"over the {cfg.memory_budget}-byte budget"
         )
-    return np.array(small_primes_up_to(n), dtype=np.int64)
 
 
 def _mod(n: int, p: np.ndarray) -> np.ndarray:
@@ -113,18 +122,18 @@ def _strike_listed(flags: np.ndarray, start: np.ndarray, p: np.ndarray) -> None:
 
 def _segments(
     q: int, b: int, k_lo: int, k_hi: int, primes: np.ndarray, roots: np.ndarray,
-    spared: np.ndarray, span: int,
+    spared: np.ndarray,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The segment kernel over the terms n = b + k*q, k_lo <= k < k_hi.
 
     The term at k is struck when k == roots[i] (mod primes[i]) for some i,
     unless k is listed in spared.  Yields (first term, struck) per segment
-    of up to span terms, struck[i] telling whether the segment's i-th term
-    is struck.  k and the first term stay Python ints, so windows past
+    of up to _SEGMENT terms, struck[i] telling whether the segment's i-th
+    term is struck.  k and the first term stay Python ints, so windows past
     2**63 are exact.
     """
-    for k in range(k_lo, k_hi, span):
-        stop = min(k + span, k_hi)  # exclusive
+    for k in range(k_lo, k_hi, _SEGMENT):
+        stop = min(k + _SEGMENT, k_hi)  # exclusive
         struck = _strike(stop - 1 - k, roots - _mod(k, primes), primes)
         hit = spared[(spared >= k) & (spared < stop)]
         if hit.size:  # so k < 2**63, and hit - k stays int64
@@ -137,12 +146,32 @@ def _odd_primes(lo: int, hi: int, cfg: Config) -> Iterator[tuple[int, np.ndarray
 
     An odd prime p divides 1 + 2k at k == (p - 1)/2 (mod p), whose least
     term is p itself, so that k is spared; any other odd multiple of p
-    below p*p has a smaller odd prime factor, which strikes it.
+    below p*p has a smaller odd prime factor, which strikes it.  The odd
+    primes up to isqrt(hi) come from _primes, which recurses down to a
+    root below 3, where there are none.
     """
-    odd = _base_primes(math.isqrt(max(hi, 0)), cfg, "prime sieve")[1:]
+    root = math.isqrt(max(hi, 0))
+    _check_table(root, cfg, "prime sieve")
+    odd = _primes(2, root, cfg) if root >= 3 else np.zeros(0, dtype=np.int64)
     half = (odd - 1) // 2
-    return _segments(2, 1, max(3, lo) // 2, (hi + 1) // 2, odd, half, half,
-                     cfg.segment_size)
+    return _segments(2, 1, max(3, lo) // 2, (hi + 1) // 2, odd, half, half)
+
+
+def _primes(lo: int, hi: int, cfg: Config) -> np.ndarray:
+    """The primes p with lo < p <= hi, ascending, as a column.
+
+    int64 while hi < 2**63, dtype=object past it, so every prime is exact.
+    Raises ValueError unless lo <= hi, and ResourceLimit when the window
+    passes the scan limit or its base primes the memory budget.
+    """
+    if lo > hi:
+        raise ValueError("need lo <= hi")
+    _check_window(hi - lo, cfg, "prime range scan")
+    dtype = np.int64 if hi < 2**63 else object
+    parts = [np.array([2] if lo < 2 <= hi else [], dtype=dtype)]
+    parts += [base + 2 * np.flatnonzero(~struck).astype(dtype, copy=False)
+              for base, struck in _odd_primes(lo + 1, hi, cfg)]
+    return np.concatenate(parts)
 
 
 def _progression_roots(
@@ -158,9 +187,7 @@ def _progression_roots(
         primes = primes.astype(object)
     q_mod = _mod(q, primes)
     primes, q_mod = primes[q_mod != 0], q_mod[q_mod != 0]
-    inverses = np.array(_prime_inverses(q_mod.tolist(), primes.tolist()),
-                        dtype=primes.dtype)
-    return primes, _mod(-b, primes) * inverses % primes
+    return primes, _mod(-b, primes) * _prime_inverses(q_mod, primes) % primes
 
 
 def _has_run(struck: np.ndarray, k: int) -> bool:
@@ -229,19 +256,12 @@ def _max_gap(
     return best, found
 
 
-def _prime_array(n: int, cfg: Config) -> np.ndarray:
-    """All primes <= n as an int64 array (n fits the memory budget, so int64)."""
+def _prime_array(n: int, cfg: Config, what: str = "prime list") -> np.ndarray:
+    """All primes <= n as a _primes column; n + 1 must fit the memory budget."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n + 1 > cfg.memory_budget:
-        raise ResourceLimit(
-            f"prime list up to {n} exceeds the {cfg.memory_budget}-byte budget"
-        )
-    parts = [np.array([2] if n >= 2 else [], dtype=np.int64)]
-    parts += [
-        base + 2 * np.flatnonzero(~struck) for base, struck in _odd_primes(3, n, cfg)
-    ]
-    return np.concatenate(parts)
+    _check_table(n, cfg, what)
+    return _primes(0, n, cfg)
 
 
 def primes_up_to(n: int, *, config: Optional[Config] = None) -> list[int]:
@@ -255,14 +275,7 @@ def primes_in_range(lo: int, hi: int, *, config: Optional[Config] = None) -> lis
     Raises ResourceLimit when the window or the sieve of its base primes,
     those up to isqrt(hi), exceeds the budget.
     """
-    cfg = config or DEFAULT
-    if lo > hi:
-        raise ValueError("need lo <= hi")
-    _check_window(hi - lo, cfg, "prime range scan")
-    out = [2] if lo < 2 <= hi else []
-    for base, struck in _odd_primes(lo + 1, hi, cfg):
-        out += [base + o for o in (2 * np.flatnonzero(~struck)).tolist()]
-    return out
+    return _primes(lo, hi, config or DEFAULT).tolist()
 
 
 def first_non_prime(
@@ -284,9 +297,11 @@ def first_non_prime(
     if top + 1 > cfg.memory_budget:
         values = values.tolist()
         return next((v for v in values if v >= PROVEN_LIMIT or not is_prime(v)), None)
-    # values outside [2, top] become 0, which no prime table holds
+    # values outside [2, top] become 0, which no prime table holds; the
+    # table ends at top + 1, so each value's sorted place lies within it
+    table = np.append(_prime_array(top, cfg), top + 1)
     arr = np.where(testable, values, 0).astype(np.int64)
-    bad = np.flatnonzero(~np.isin(arr, _prime_array(top, cfg)))
+    bad = np.flatnonzero(table[np.searchsorted(table, arr)] != arr)
     return int(values[bad[0]]) if bad.size else None
 
 
@@ -296,7 +311,7 @@ def prime_count_ap(
     """Count primes p <= x with p == b (mod q); delta is exact.
 
     Sieves only the terms n = b + k*q, 0 <= k <= (x - b) // q, in segments
-    of cfg.segment_size terms, so the work is O(x/q) plus one strike per
+    of _SEGMENT terms, so the work is O(x/q) plus one strike per
     sieving prime and segment.  Each prime p <= sqrt(x) not dividing q hits
     the progression exactly at k == -b/q (mod p); the roots come in one
     batch and the segment kernel strikes them from k = 0, sparing the terms
@@ -314,18 +329,13 @@ def prime_count_ap(
     terms = (x - b) // q + 1
     _check_window(terms, cfg, "progression sieve")
     root = math.isqrt(x)
-    if root + 1 > cfg.memory_budget:
-        raise ResourceLimit(
-            f"progression sieve needs the primes up to {root}, "
-            f"over the {cfg.memory_budget}-byte budget"
-        )
-    base = _prime_array(root, cfg)
+    base = _prime_array(root, cfg, "progression sieve")
     primes, roots = _progression_roots(base, q, b)
     # the k of the terms that are base primes: n % q == n % reach for every
     # n <= root, and past q > root only n = b, at k = 0, is that small
     reach = min(q, root + 1)
     own = (base[base % reach == b] - b) // reach if b <= root else base[:0]
-    segments = _segments(q, b, 0, terms, primes, roots, own, cfg.segment_size)
+    segments = _segments(q, b, 0, terms, primes, roots, own)
     # n = 1 (b = 1, k = 0) has no prime factor, so it survives every strike
     count = sum(s.size - int(np.count_nonzero(s)) for _, s in segments) - (b == 1)
     delta = Rational(count * totient(q), x)
@@ -380,9 +390,8 @@ def rough_gap_scan(
     if lo >= hi:
         raise ValueError("need lo < hi")
     _check_window(hi - lo, cfg, "rough gap scan")
-    odd = _base_primes(u, cfg, "rough gap scan")[1:]
-    segments = _segments(2, 1, lo // 2, (hi + 1) // 2, odd, (odd - 1) // 2, odd[:0],
-                         cfg.segment_size)
+    odd = _prime_array(u, cfg, "rough gap scan")[1:]
+    segments = _segments(2, 1, lo // 2, (hi + 1) // 2, odd, (odd - 1) // 2, odd[:0])
     best, found = _max_gap(segments)
     if found < 2:
         raise EmptyRange(
@@ -403,7 +412,8 @@ def scan_deficits(
     so a stable argsort picks each modulus's top units before any row is
     built, and the merged selections are cut back to top whenever they pass
     2 * top: at most 3 * top rows are held.  Raises ValueError for a
-    negative top.
+    negative top, and ResourceLimit, with no rows, as soon as the rows held
+    would pass the memory budget at _ROW_BYTES each.
     """
     if top < 0:
         raise ValueError(f"need top >= 0, got {top}")
@@ -416,6 +426,12 @@ def scan_deficits(
             counts = np.bincount(primes % q, minlength=q)
             units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
             units = units[np.argsort(counts[units], kind="stable")[:top]]
+            held = len(ranking) + units.size
+            if held * _ROW_BYTES > cfg.memory_budget:
+                raise ResourceLimit(
+                    f"scan holds {held} rows of about {_ROW_BYTES} bytes, "
+                    f"over the {cfg.memory_budget}-byte budget"
+                )
             ranking += [
                 (count * phi, q, b, count)
                 for b, count in zip(units.tolist(), counts[units].tolist())

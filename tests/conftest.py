@@ -1,5 +1,7 @@
 import pytest
 
+from gapforge import sieve
+
 
 def _rough_gap_oracle(u, lo, hi):
     """(gap, lo, hi) of the first maximal gap between u-rough integers in [lo, hi].
@@ -26,3 +28,12 @@ def _rough_gap_oracle(u, lo, hi):
 @pytest.fixture
 def rough_gap_oracle():
     return _rough_gap_oracle
+
+
+@pytest.fixture
+def segment(monkeypatch):
+    """segment(n) makes the sieve kernel take n terms per segment until the
+    test ends; the results must not depend on it."""
+    def set_segment(n):
+        monkeypatch.setattr(sieve, "_SEGMENT", n)
+    return set_segment

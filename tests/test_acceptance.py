@@ -15,7 +15,6 @@ import pytest
 
 import gapforge as gf
 from gapforge.cli import main as cli_main
-from gapforge.config import Config
 from gapforge.model import ClassTable, Rational
 
 # Independently computed full-period oracle values (also re-derived live below).
@@ -331,7 +330,7 @@ def test_criterion_8_scenario_scaling():
 # ---------------------------------------------------------------- criterion 9
 
 
-def test_criterion_9_determinism(tmp_path, capsys):
+def test_criterion_9_determinism(tmp_path, capsys, segment):
     paths = [tmp_path / "one.json", tmp_path / "two.json"]
     for p in paths:
         code = cli_main(
@@ -342,11 +341,11 @@ def test_criterion_9_determinism(tmp_path, capsys):
     capsys.readouterr()
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    segmented = Config(segment_size=1 << 16)
-    unsegmented = Config(segment_size=1 << 20)  # one segment covers 10**6
     for x in (123_456, 999_983, 10**6):
-        a = gf.max_prime_gap(x, config=segmented)
-        b = gf.max_prime_gap(x, config=unsegmented)
+        segment(1 << 16)
+        a = gf.max_prime_gap(x)
+        segment(1 << 20)  # one segment covers 10**6
+        b = gf.max_prime_gap(x)
         assert a == b, x
     assert gf.max_prime_gap(10**6).gap == 114
     _report(9, "byte-identical certificates and segmentation-independent "

@@ -121,7 +121,8 @@ def test_primorial_divisibility():
 
 def _crt_of(classes):
     """_crt of the (p, a) pairs: T == -a (mod p) for each pair."""
-    return _crt(_product_tree([p for p, _ in classes]), [-a % p for p, a in classes])
+    tree = _product_tree([p for p, _ in classes])
+    return _crt(tree, np.array([-a % p for p, a in classes], dtype=tree[0].dtype))
 
 
 def test_crt_combine_examples():
@@ -225,21 +226,30 @@ def test_prime_inverses_match_pow():
         for v in (1, p - 1, 2 % p or 1, (p // 3) or 1):
             values.append(v)
             moduli.append(p)
-    assert _prime_inverses(values, moduli) == [pow(v, -1, p) for v, p in zip(values, moduli)]
-    small = [(v, p) for v, p in zip(values, moduli) if p < 2**31]
-    assert _prime_inverses(*zip(*small)) == [pow(v, -1, p) for v, p in small]
-    assert _prime_inverses([], []) == []
+    want = [pow(v, -1, p) for v, p in zip(values, moduli)]
+    # the inverses come back as a column of the moduli's dtype
+    values, moduli = np.array(values, dtype=object), np.array(moduli, dtype=object)
+    found = _prime_inverses(values, moduli)
+    assert found.dtype == object and found.tolist() == want
+    small = moduli < 2**31
+    found = _prime_inverses(values[small].astype(np.int64), moduli[small].astype(np.int64))
+    assert found.dtype == np.int64
+    assert found.tolist() == [w for w, s in zip(want, small) if s]
+    found = _prime_inverses(values[small], moduli[small])
+    assert found.dtype == object and found.tolist() == [w for w, s in zip(want, small) if s]
+    assert _prime_inverses(np.zeros(0, np.int64), np.zeros(0, np.int64)).size == 0
     rng = random.Random(71)
     primes = small_primes_up_to(50_000)
     values = [rng.randrange(1, p) if p > 2 else 1 for p in primes]
-    assert _prime_inverses(values, primes) == [pow(v, -1, p) for v, p in zip(values, primes)]
+    found = _prime_inverses(np.array(values), np.array(primes))
+    assert found.tolist() == [pow(v, -1, p) for v, p in zip(values, primes)]
 
 
 @pytest.mark.parametrize("p", [2, 3, 2**31 - 1, 2**31 + 11])
 def test_prime_inverses_refuse_zero(p):
     for v in (0, p):
         with pytest.raises(ValueError):
-            _prime_inverses([1, v], [5, p])
+            _prime_inverses(np.array([1, v], dtype=object), np.array([5, p], dtype=object))
 
 
 def test_crt_tree_levels_past_the_cutoff():
@@ -249,7 +259,7 @@ def test_crt_tree_levels_past_the_cutoff():
     primes = rng.sample(small_primes_up_to(200_000)[1000:], 1200)
     residues = [rng.randrange(p) for p in primes]
     tree = _product_tree(primes)
-    w = _crt(tree, residues)
+    w = _crt(tree, np.array(residues))
     assert tree[-2][0].bit_length() > CUTOFF
     assert w.P == math.prod(primes)
     T, P = 0, 1
@@ -258,7 +268,7 @@ def test_crt_tree_levels_past_the_cutoff():
         P *= p
     assert w.T == T
     assert multi_mod(w.T, primes) == residues
-    assert arith._tree_mod(w.T, tree) == residues
+    assert arith._tree_mod(w.T, tree).tolist() == residues
 
 
 # least strong pseudoprime to bases 2, 7 and 61: the end of their proven range

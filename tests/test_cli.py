@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -317,6 +318,27 @@ def test_scan_refuses_negative_top(capsys):
     assert err == "invalid parameters: need top >= 0, got -2\n"
 
 
+def test_scan_refuses_rows_past_the_budget(capsys):
+    # every unit of every q < 3000 is a row under this top: 2.7M rows, which
+    # used to peak near 3 GB; the scan now stops at the 940th row held
+    code, out, err = run(capsys, "scan", "--x", "3000", "--qmin", "2", "--qmax", "3000",
+                         "--top", "1000000000", "--format", "json",
+                         "--memory-budget", "1000000")
+    assert (code, out) == (2, "")
+    assert err == ("resource limit: scan holds 939 rows of about 1100 bytes, "
+                   "over the 1000000-byte budget\n")
+
+
+def test_scan_huge_top_returns_every_row(capsys):
+    top = ["--x", "10000", "--qmin", "3", "--qmax", "50", "--format", "json"]
+    code, out, _ = run(capsys, "scan", *top, "--top", "1000000000")
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == sum(gf.totient(q) for q in range(3, 51))
+    code, exact, _ = run(capsys, "scan", *top, "--top", str(len(rows)))
+    assert code == 0 and exact == out
+
+
 def test_scan_empty_range(capsys):
     code, out, _ = run(capsys, "scan", "--x", "100", "--qmin", "50",
                        "--qmax", "10", "--format", "csv")
@@ -401,6 +423,19 @@ def test_env_names_a_malformed_variable(capsys, monkeypatch):
     assert err.strip() == "bad configuration: GAPFORGE_MEMORY_BUDGET='1e6' is not an integer"
 
 
+def test_memory_budget_is_the_only_setting(capsys, monkeypatch):
+    assert [f.name for f in dataclasses.fields(gf.Config)] == ["memory_budget"]
+    # the segment length is no setting: its variable is not read, its flag
+    # is not an option
+    monkeypatch.setenv("GAPFORGE_SEGMENT_SIZE", "junk")
+    code, out, _ = run(capsys, "gaps", "--limit", "100")
+    assert (code, out) == (0, "G(100) = 8 (89 → 97)\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["gaps", "--limit", "100", "--segment-size", "65536"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --segment-size" in capsys.readouterr().err
+
+
 def test_memory_budget_must_be_positive(capsys):
     for budget in ("0", "-1"):
         code, _, err = run(capsys, "gaps", "--limit", "100", "--memory-budget", budget)
@@ -434,7 +469,8 @@ def test_forced_classes_respect_the_memory_budget(capsys):
     code, _, err = run(capsys, *argv, "--memory-budget", str(half))
     assert code == 2
     # the table's own check refuses before the sieve allocates
-    assert f"prime list up to {half} exceeds the {half}-byte budget" in err
+    assert err == (f"resource limit: prime list needs the primes up to {half}, "
+                   f"over the {half}-byte budget\n")
 
 
 def test_cached_parser_leaks_no_state(capsys):

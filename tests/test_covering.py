@@ -110,7 +110,7 @@ def test_sieve_survivors_examples():
 
 
 def test_sieve_survivors_limits():
-    tiny = Config(memory_budget=1 << 16, segment_size=1 << 16)
+    tiny = Config(memory_budget=1 << 16)
     with pytest.raises(ResourceLimit):
         sieve_survivors(10**6, NO_CLASSES, config=tiny)
     with pytest.raises(ValueError):

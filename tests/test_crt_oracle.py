@@ -11,6 +11,7 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 
 from gapforge import arith, covering
@@ -50,7 +51,7 @@ def test_crt_combine_matches_naive_oracle(size):
     rng = random.Random(size)
     chosen = rng.sample(PRIMES, size)
     classes = [(p, rng.randrange(p)) for p in chosen]
-    w = _crt(_product_tree(chosen), [-a % p for p, a in classes])
+    w = _crt(_product_tree(chosen), np.array([-a % p for p, a in classes]))
     assert (w.T, w.P) == _naive_crt(classes)
 
 
@@ -77,7 +78,9 @@ def _assert_matches_oracle(cert):
     T, P = _naive_crt(_pairs(cert))
     w, residues = witness_of_verified(cert)
     assert (w.T, w.P) == (T or P, P)
-    assert residues == [w.T % p for p, _ in _pairs(cert)]
+    # T mod each class prime, as a column of the class primes' dtype
+    assert residues.dtype == cert.classes.p.dtype
+    assert residues.tolist() == [w.T % p for p, _ in _pairs(cert)]
 
 
 def _rewritten(cert, q, b):
@@ -213,7 +216,7 @@ def test_packed_trees_match_unpacked_oracle(edge, size):
     assert multi_mod(value, primes) == _unpacked_tree_mod(value, unpacked) == want
     assert multi_mod(value, tree[0]) == want
     residues = [rng.randrange(p) for p in primes]
-    w = _crt(tree, residues)
+    w = _crt(tree, np.array(residues, dtype=tree[0].dtype))
     assert (w.T, w.P) == _unpacked_crt(unpacked, residues)
     assert (w.T, w.P) == _naive_crt([(p, -r % p) for p, r in zip(primes, residues)])
 

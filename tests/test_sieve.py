@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gapforge.arith import is_prime, primorial
+from gapforge.arith import is_prime, primorial, small_primes_up_to, totient
 from gapforge.config import Config
 from gapforge.errors import BadProgression, DomainError, EmptyRange, ResourceLimit
 from gapforge.model import Rational
@@ -22,7 +22,7 @@ from gapforge.sieve import (
     scan_deficits,
 )
 
-TINY = Config(memory_budget=1 << 16, segment_size=1 << 16)
+TINY = Config(memory_budget=1 << 16)
 
 
 def test_primes_up_to_examples():
@@ -51,12 +51,11 @@ def test_primes_in_range_equals_filtered_primes_up_to():
         assert primes_in_range(lo, hi) == expected, (lo, hi)
 
 
-def test_primes_in_range_segmentation_independent():
-    small = Config(segment_size=1 << 16)
-    big = Config(segment_size=1 << 22)
-    assert primes_in_range(0, 3 * 10**5, config=small) == primes_in_range(
-        0, 3 * 10**5, config=big
-    )
+def test_primes_in_range_segmentation_independent(segment):
+    segment(1 << 16)
+    small = primes_in_range(0, 3 * 10**5)
+    segment(1 << 22)
+    assert small == primes_in_range(0, 3 * 10**5)
 
 
 def test_prime_count_ap_examples():
@@ -205,21 +204,22 @@ def test_prime_count_ap_matches_trial_division_at_certify_sizes():
         assert prime_count_ap(x, q, b).count == _trial_division_count(x, q, b), (x, q, b)
 
 
-def test_prime_count_ap_many_segments():
-    small = Config(segment_size=1 << 16)
+def test_prime_count_ap_many_segments(segment):
+    segment(1 << 16)
     for x, q, b in ((10**6, 6, 1), (10**6, 3, 2), (10**6, 2, 1), (10**6, 4, 3)):
         assert (x - b) // q + 1 > 1 << 16
-        assert prime_count_ap(x, q, b, config=small).count == _whole_line_count(x, q, b)
+        assert prime_count_ap(x, q, b).count == _whole_line_count(x, q, b)
 
 
-def test_prime_count_ap_segmentation_independent():
-    sizes = (Config(segment_size=1 << 16), Config(segment_size=(1 << 16) + 1),
-             Config(segment_size=1 << 22))
+def test_prime_count_ap_segmentation_independent(segment):
     # (x - b) // q + 1 exactly 2^17 terms: the last segment ends on a boundary
     exact = 1 + ((1 << 17) - 1) * 6
     for x, q, b in ((10**6, 2, 1), (10**6, 30, 7), (exact, 6, 1), (exact + 5, 6, 1),
                     (999_983, 5, 3)):
-        counts = {prime_count_ap(x, q, b, config=cfg).count for cfg in sizes}
+        counts = set()
+        for size in (1 << 16, (1 << 16) + 1, 1 << 22):
+            segment(size)
+            counts.add(prime_count_ap(x, q, b).count)
         assert len(counts) == 1, (x, q, b, counts)
 
 
@@ -303,12 +303,12 @@ def test_rough_gap_scan_periodic_shift():
         assert shifted.hi == base.hi + period
 
 
-def test_rough_gap_scan_segmentation_independent():
-    small = Config(segment_size=1 << 16)
-    big = Config(segment_size=1 << 22)
+def test_rough_gap_scan_segmentation_independent(segment):
     for u in (7, 13):
-        a = rough_gap_scan(u, 1, 400_000, config=small)
-        b = rough_gap_scan(u, 1, 400_000, config=big)
+        segment(1 << 16)
+        a = rough_gap_scan(u, 1, 400_000)
+        segment(1 << 22)
+        b = rough_gap_scan(u, 1, 400_000)
         assert a == b
 
 
@@ -377,6 +377,72 @@ def test_first_non_prime_matches_trial_division():
         assert first_non_prime(values) == expected, values
 
 
+def _isin_first_non_prime(values):
+    """The lookup before np.searchsorted: np.isin of the values in [2, top]
+    against the whole prime table up to top."""
+    values = np.array(values, dtype=object)
+    testable = (values >= 2) & (values < 2**64)
+    top = int(values[testable].max()) if testable.any() else 1
+    arr = np.where(testable, values, 0).astype(np.int64)
+    bad = np.flatnonzero(~np.isin(arr, np.array(primes_up_to(top), dtype=np.int64)))
+    return int(values[bad[0]]) if bad.size else None
+
+
+def test_first_non_prime_matches_isin_lookup():
+    rng = random.Random(2031)
+    # the isin table runs up to the largest value below 2**64, so those stay small
+    pool = [v for v in HOSTILE if v < 10**6 or v >= 2**64]
+    pool += [rng.randrange(-10, 10**5) for _ in range(300)]
+    table = primes_up_to(10**5)
+    for _ in range(200):
+        values = rng.sample(table, rng.randrange(0, 20))
+        at = rng.randrange(len(values) + 1)
+        values[at:at] = rng.sample(pool, rng.randrange(3))
+        assert first_non_prime(values) == _isin_first_non_prime(values), values
+
+
+def test_prime_producer_matches_plain_eratosthenes():
+    # n <= 8 are the kernel's base cases, with no odd base prime; past them
+    # every prime square p*p puts p among the base primes of n = p*p on
+    for n in range(2001):
+        assert sieve._prime_array(n, Config()).tolist() == small_primes_up_to(n), n
+    for lo in range(0, 200):
+        for hi in (lo, lo + 1, lo + 37, 2000):
+            want = [p for p in small_primes_up_to(hi) if p > lo]
+            assert sieve._primes(lo, hi, Config()).tolist() == want, (lo, hi)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3])
+def test_prime_producer_refusals_at_tiny_budgets(budget):
+    # a list up to n needs n + 1 bytes, its base primes up to isqrt(n) as
+    # many, and a window of w integers w <= 8 * budget
+    cfg = Config(memory_budget=budget)
+    for n in range(40):
+        if n + 1 > budget:
+            refusal = f"^prime list needs the primes up to {n},"
+            with pytest.raises(ResourceLimit, match=refusal):
+                primes_up_to(n, config=cfg)
+        else:
+            assert primes_up_to(n, config=cfg) == small_primes_up_to(n)
+        for lo in range(n + 1):
+            if n - lo > 8 * budget:
+                with pytest.raises(ResourceLimit, match="^prime range scan covers"):
+                    primes_in_range(lo, n, config=cfg)
+            elif math.isqrt(n) + 1 > budget:
+                with pytest.raises(ResourceLimit, match=f"^prime sieve needs the primes "
+                                                        f"up to {math.isqrt(n)},"):
+                    primes_in_range(lo, n, config=cfg)
+            else:
+                want = [p for p in small_primes_up_to(n) if p > lo]
+                assert primes_in_range(lo, n, config=cfg) == want
+        if n >= 5 and n <= 8 * budget:
+            if math.isqrt(n) + 1 > budget:
+                with pytest.raises(ResourceLimit, match="^prime sieve needs"):
+                    max_prime_gap(n, config=cfg)
+            else:
+                assert max_prime_gap(n, config=cfg).hi <= n
+
+
 def test_first_non_prime_sieves_while_the_table_fits(monkeypatch):
     tables, tested = [], []
     prime_array, is_prime_ = sieve._prime_array, sieve.is_prime
@@ -419,8 +485,8 @@ def _record_straddles(rec, boundary):
     return rec.lo < boundary <= rec.hi
 
 
-def test_max_prime_gap_record_across_segment_boundary():
-    # odd-only segments of s numbers start at 3 + 2*s*k; at the minimum size
+def test_max_prime_gap_record_across_segment_boundary(segment):
+    # odd-only segments of s numbers start at 3 + 2*s*k; at the size 2**16
     # no boundary falls inside the record below 5e5, so two sizes put the
     # boundary just past its left end and exactly on its right end
     x = 500_000
@@ -430,41 +496,45 @@ def test_max_prime_gap_record_across_segment_boundary():
     for size, boundary in sizes.items():
         if boundary is not None:
             assert 3 + 2 * size == boundary and _record_straddles(rec, boundary)
-        assert max_prime_gap(x, config=Config(segment_size=size)) == rec, size
+        segment(size)
+        assert max_prime_gap(x) == rec, size
 
 
-def test_rough_gap_scan_record_across_segment_boundary():
+def test_rough_gap_scan_record_across_segment_boundary(segment):
     # a sub-window holding the record keeps it; start it so the first
-    # boundary at the minimum size (start + 2**17) lands inside the record
+    # boundary at the size 2**16 (start + 2**17) lands inside the record
     # gap, then exactly on its right end
-    small = Config(segment_size=1 << 16)
     for u, lo, hi in ((50, 10**6, 2 * 10**6), (300, 10**7, 10**7 + 600_000)):
+        segment(1 << 20)
         rec = rough_gap_scan(u, lo, hi)
         for start in (rec.lo + 2 - (1 << 17), rec.hi - (1 << 17)):
             assert start >= lo and start % 2 == 1
             assert _record_straddles(rec, start + (1 << 17))
-            assert rough_gap_scan(u, start, hi) == rec
-            assert rough_gap_scan(u, start, hi, config=small) == rec, (u, start)
+            for size in (1 << 20, 1 << 16):
+                segment(size)
+                assert rough_gap_scan(u, start, hi) == rec, (u, start, size)
 
 
-def test_rough_gap_scan_tie_across_segment_boundary(rough_gap_oracle):
+def test_rough_gap_scan_tie_across_segment_boundary(rough_gap_oracle, segment):
     # J(13) = 22 recurs every period, so a window can hold an earlier
-    # 22-gap and a later one straddling the first boundary at the minimum
-    # size (start + 2**17); the earlier one must keep the record
+    # 22-gap and a later one straddling the first boundary at the size 2**16
+    # (start + 2**17); the earlier one must keep the record
     period = primorial(13)
     later = rough_gap_scan(13, 1, period + 1).lo + 5 * period
     start = later + 2 - (1 << 17)
     expect = rough_gap_oracle(13, start, later + 100)
     assert expect[0] == 22 and expect[1] < later
-    for cfg in (Config(segment_size=1 << 16), Config()):
-        rec = rough_gap_scan(13, start, later + 100, config=cfg)
+    for size in (1 << 16, 1 << 20):
+        segment(size)
+        rec = rough_gap_scan(13, start, later + 100)
         assert (rec.gap, rec.lo, rec.hi) == expect
 
 
-def test_rough_gap_scan_exact_past_int64(rough_gap_oracle):
+def test_rough_gap_scan_exact_past_int64(rough_gap_oracle, segment):
+    segment(1 << 16)
     lo = 2**70
     for u in (19, 23, 97):
-        rec = rough_gap_scan(u, lo, lo + 10**5, config=Config(segment_size=1 << 16))
+        rec = rough_gap_scan(u, lo, lo + 10**5)
         assert (rec.gap, rec.lo, rec.hi) == rough_gap_oracle(u, lo, lo + 10**5), u
 
 
@@ -506,6 +576,20 @@ def test_scan_deficits_matches_brute_force_oracle():
         with pytest.raises(ValueError, match="top >= 0"):
             scan_deficits(x, qmin, qmax, -2)
     assert empty_seen
+
+
+def test_scan_deficits_refuses_rows_past_the_budget():
+    rows = scan_deficits(10**4, 3, 50, 10**9)
+    assert len(rows) == sum(totient(q) for q in range(3, 51))
+    # no top cuts these rows, so all of them are held at the last modulus
+    fit = Config(memory_budget=len(rows) * sieve._ROW_BYTES)
+    assert scan_deficits(10**4, 3, 50, 10**9, config=fit) == rows
+    short = Config(memory_budget=len(rows) * sieve._ROW_BYTES - 1)
+    with pytest.raises(ResourceLimit, match=f"^scan holds {len(rows)} rows "):
+        scan_deficits(10**4, 3, 50, 10**9, config=short)
+    # a top-10 scan holds at most 30 rows, however many moduli it ranks
+    few = Config(memory_budget=30 * sieve._ROW_BYTES)
+    assert scan_deficits(10**4, 2, 3000, 10, config=few) == scan_deficits(10**4, 2, 3000, 10)
 
 
 def test_scan_deficits_budget_and_domain():
@@ -607,37 +691,37 @@ def _prime_gap_oracle(x):
     return best
 
 
-def test_gated_scans_match_oracles_on_seeded_windows(rough_gap_oracle):
-    # at the minimum segment size every window spans several segments, so
+def test_gated_scans_match_oracles_on_seeded_windows(rough_gap_oracle, segment):
+    # at the segment size 2**16 every window spans several segments, so
     # the gate reads most of them only at their ends
-    small = Config(segment_size=1 << 16)
+    segment(1 << 16)
     rng = random.Random(2024)
     for _ in range(20):
         u = rng.choice([2, 3, 5, 7, 11, 13, 23, 31, 61, 127])
         lo = rng.randrange(1, 10**12)
         hi = lo + rng.randrange(270_000, 600_000)
-        rec = rough_gap_scan(u, lo, hi, config=small)
+        rec = rough_gap_scan(u, lo, hi)
         assert (rec.gap, rec.lo, rec.hi) == rough_gap_oracle(u, lo, hi), (u, lo, hi)
     for _ in range(20):
         x = rng.randrange(300_000, 1_500_000)
-        rec = max_prime_gap(x, config=small)
+        rec = max_prime_gap(x)
         assert (rec.gap, rec.lo, rec.hi) == _prime_gap_oracle(x), x
 
 
 # the segment kernel's base primes: small enough that their spared k lie in
-# the first few segments at spans 1, 7 and 64, which no Config reaches
-# (its 2**16 segment floor puts every base prime in the first segment)
+# the first few segments at spans 1, 7 and 64, far below the real segment
+# length, which puts every base prime in the first segment
 KERNEL_PRIMES = [p for p in range(2, 60) if all(p % d for d in range(2, p))]
 
 
-def _kernel_rows(q, b, k_lo, k_hi, base, roots, spared, span):
+def _kernel_rows(q, b, k_lo, k_hi, base, roots, spared):
     """Every row the kernel yields, with its first term and length checked."""
     col = lambda values: np.array(values, dtype=np.int64)  # noqa: E731
     struck, k = [], k_lo
     for first, seg in sieve._segments(q, b, k_lo, k_hi, col(base), col(roots),
-                                      col(spared), span):
+                                      col(spared)):
         assert first == b + k * q
-        assert seg.dtype == bool and seg.size == min(span, k_hi - k)
+        assert seg.dtype == bool and seg.size == min(sieve._SEGMENT, k_hi - k)
         struck += seg.tolist()
         k += seg.size
     assert k == max(k_lo, k_hi)
@@ -646,7 +730,7 @@ def _kernel_rows(q, b, k_lo, k_hi, base, roots, spared, span):
 
 @pytest.mark.parametrize("q, b", [(2, 1), (4, 3), (6, 5), (30, 7), (7, 1)])
 @pytest.mark.parametrize("prime_sieve", [True, False])
-def test_segment_kernel_matches_trial_division(q, b, prime_sieve):
+def test_segment_kernel_matches_trial_division(q, b, prime_sieve, segment):
     # a prime sieve spares the terms that are base primes themselves; a
     # rough scan strikes every term with a base prime factor
     base = [p for p in KERNEL_PRIMES if q % p]
@@ -658,11 +742,12 @@ def test_segment_kernel_matches_trial_division(q, b, prime_sieve):
         want = [any(n % p == 0 and not (prime_sieve and n == p) for p in base)
                 for n in range(b + k_lo * q, b + k_hi * q, q)]
         for span in (1, 7, 64):
-            got = _kernel_rows(q, b, k_lo, k_hi, base, roots, spared, span)
+            segment(span)
+            got = _kernel_rows(q, b, k_lo, k_hi, base, roots, spared)
             assert got == want, (k_lo, k_hi, span)
 
 
-def test_segment_kernel_rough_window_past_int64():
+def test_segment_kernel_rough_window_past_int64(segment):
     # k itself passes 2**63, so the roots are shifted by an exact k mod p
     base = KERNEL_PRIMES[1:]
     roots = [(p - 1) // 2 for p in base]
@@ -670,7 +755,8 @@ def test_segment_kernel_rough_window_past_int64():
     want = [any(n % p == 0 for p in base)
             for n in range(1 + 2 * k_lo, 1 + 2 * (k_lo + 150), 2)]
     for span in (1, 7, 64):
-        assert _kernel_rows(2, 1, k_lo, k_lo + 150, base, roots, [], span) == want
+        segment(span)
+        assert _kernel_rows(2, 1, k_lo, k_lo + 150, base, roots, []) == want
 
 
 def _slice_strike(y, residues, moduli):

@@ -43,9 +43,9 @@ def counts(monkeypatch):
         calls["is_prime"][n] += 1
         return is_prime(n)
 
-    def recording_prime_array(n, cfg):
+    def recording_prime_array(n, cfg, *what):
         calls["tables"].append(n)
-        return prime_array(n, cfg)
+        return prime_array(n, cfg, *what)
 
     for name, original, wrapper in (
         ("verify_certificate", verify, counting_verify),
