@@ -7,9 +7,10 @@ Budget semantics: operations that materialize a whole window (``primes_up_to``,
 ``sieve_survivors``) require the window to fit in ``memory_budget`` bytes;
 segmented scans only allocate one segment at a time and are instead capped at
 ``memory_budget * 8`` scanned integers (the bit-array reading of the budget).
-That cap also bounds exact J(u): its half-period scan must fit it, so the
-default budget admits J(29) and refuses J(31).  ``scan`` counts each row it
-holds at about a kilobyte of the budget.
+That cap also bounds exact J(u), though its covering search scans nothing:
+the half-period window of its period must fit it, so the default budget
+admits J(29) and refuses J(31).  ``scan`` counts each row it holds at about
+a kilobyte of the budget.
 """
 
 import os

@@ -18,7 +18,11 @@ class EmptyRange(GapforgeError):
 
 
 class PeriodTooLarge(GapforgeError):
-    """primorial(u) puts the exact J(u) scan past the budget; never approximated."""
+    """The half-period window of primorial(u) is past the scan budget.
+
+    Exact J(u) keeps that window rule, though it scans nothing; the value is
+    refused, never approximated.
+    """
 
 
 class Overflow(GapforgeError):

@@ -7,9 +7,9 @@ segment kernel, _segments, which strikes the terms b + k*q of a
 progression segment by segment with _strike, the [0, y] strike the
 covering module shares; prime lists and rough scans walk the odd numbers
 as the progression 1 mod 2.  _primes is the one producer of prime columns,
-the kernel's own base primes included.  Memory stays bounded by the segment
-length _SEGMENT, and results are independent of it, which the test suite
-checks explicitly.
+the kernel's own base primes included, and holds the primes below 64 as a
+table.  Memory stays bounded by the segment length _SEGMENT, and results
+are independent of it, which the test suite checks explicitly.
 """
 
 from __future__ import annotations
@@ -36,6 +36,10 @@ _LISTED = 64
 
 # Terms per kernel segment: odd numbers on the line, b + k*q in a progression.
 _SEGMENT = 1 << 20
+
+# The primes below 64, which _primes lists without the kernel.
+_SMALL_PRIMES = np.array((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+                          53, 59, 61), dtype=np.int64)
 
 # What one row of scan_deficits costs until the scan command has printed it:
 # the peak RSS of `scan --x 1000 --qmin 2 --qmax 1000 --top 10**9`, 303,791
@@ -148,7 +152,7 @@ def _odd_primes(lo: int, hi: int, cfg: Config) -> Iterator[tuple[int, np.ndarray
     term is p itself, so that k is spared; any other odd multiple of p
     below p*p has a smaller odd prime factor, which strikes it.  The odd
     primes up to isqrt(hi) come from _primes, which recurses down to a
-    root below 3, where there are none.
+    root below 64, whose primes it holds as a table.
     """
     root = math.isqrt(max(hi, 0))
     _check_table(root, cfg, "prime sieve")
@@ -161,14 +165,19 @@ def _primes(lo: int, hi: int, cfg: Config) -> np.ndarray:
     """The primes p with lo < p <= hi, ascending, as a column.
 
     int64 while hi < 2**63, dtype=object past it, so every prime is exact.
-    Raises ValueError unless lo <= hi, and ResourceLimit when the window
-    passes the scan limit or its base primes the memory budget.
+    Below 64 the primes come from _SMALL_PRIMES, with no kernel pass, which
+    also ends the recursion of the kernel's base primes.  Raises ValueError
+    unless lo <= hi, and ResourceLimit when the window passes the scan
+    limit or its base primes the memory budget.
     """
     if lo > hi:
         raise ValueError("need lo <= hi")
     _check_window(hi - lo, cfg, "prime range scan")
+    if hi < 64:
+        _check_table(math.isqrt(max(hi, 0)), cfg, "prime sieve")
+        return _SMALL_PRIMES[(_SMALL_PRIMES > lo) & (_SMALL_PRIMES <= hi)]
     dtype = np.int64 if hi < 2**63 else object
-    parts = [np.array([2] if lo < 2 <= hi else [], dtype=dtype)]
+    parts = [np.array([2] if lo < 2 else [], dtype=dtype)]
     parts += [base + 2 * np.flatnonzero(~struck).astype(dtype, copy=False)
               for base, struck in _odd_primes(lo + 1, hi, cfg)]
     return np.concatenate(parts)

@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from gapforge import arith, jacobsthal
+from gapforge import arith, jacobsthal, sieve
 from gapforge.arith import primorial, small_primes_up_to
 from gapforge.config import Config
 from gapforge.covering import build_certificate, crt_witness, verify_certificate
@@ -45,9 +46,52 @@ def test_exact_flags_and_witnesses():
         )
 
 
+def _assignment_oracle(u):
+    """(J(u), least witness lo) over every class assignment c_p, p <= u.
+
+    lo == -c_p (mod p) for each p, so offset i of lo is struck by p exactly
+    when i == c_p (mod p): lo is rough when no c_p is 0, and its gap then
+    ends at the first offset no class strikes.  lo comes from the CRT by
+    pow, so neither the covering search nor the sieve kernel is used.
+    """
+    primes = [k for k in range(2, u + 1) if all(k % d for d in range(2, k))]
+    period = math.prod(primes)
+    best = (0, 0)
+    for cs in itertools.product(*(range(p) for p in primes)):
+        if 0 in cs:
+            continue
+        gap = 1
+        while any(gap % p == c for p, c in zip(primes, cs)):
+            gap += 1
+        lo = sum(-c * (period // p) * pow(period // p, -1, p)
+                 for p, c in zip(primes, cs)) % period
+        if gap > best[0] or (gap == best[0] and lo < best[1]):
+            best = (gap, lo)
+    return best
+
+
+def test_exact_agrees_with_assignment_oracle():
+    # 2,310 assignments at u = 11; a composite u has the primes below it
+    for u in range(2, 13):
+        gap, lo = _assignment_oracle(u)
+        val = jacobsthal_exact(u)
+        assert (val.value, val.witness.lo, val.witness.hi) == (gap, lo, lo + gap), u
+
+
+def test_exact_runs_no_sieve_pass(monkeypatch):
+    # the covering search takes the primes up to 23 from the sieve
+    # module's table, and nothing else from the sieve
+    def no_pass(*args):
+        raise AssertionError("a sieve kernel pass ran")
+
+    monkeypatch.setattr(sieve, "_segments", no_pass)
+    val = jacobsthal_exact(23)
+    assert (val.value, val.witness.lo, val.witness.hi) == (40, 20332471, 20332511)
+
+
 def test_exact_agrees_with_rough_scan_oracle(rough_gap_oracle):
-    # a pure-Python bytearray scan, since jacobsthal_exact runs on the
-    # sieve module's segment kernel
+    # a pure-Python bytearray scan of the whole period, which shares no
+    # code with the covering search
     for u in range(2, 14):
         period = primorial(u)
         gap, lo, hi = rough_gap_oracle(u, 1, period + 2)
@@ -107,8 +151,8 @@ def test_scan_budget_refuses_before_sieving_up_to_u(monkeypatch):
 
 
 def test_half_period_scan_equals_full_period_scan():
-    # jacobsthal_exact scans [1, P - r + 2] only; the full period [1, P + 1]
-    # must give the same record, witness included
+    # the covering search's value and least witness must be the record of a
+    # kernel scan of the full period [1, P + 1], witness included
     for u in (2, 3, 5, 7, 11, 13, 17, 19, 23):
         full = rough_gap_scan(u, 1, primorial(u) + 1)
         assert jacobsthal_exact(u).witness == full, u
@@ -122,10 +166,20 @@ def test_exact_witnesses_pinned():
 
 
 def test_exact_j29_at_the_default_budget():
-    # the witness comes from a scan of the full period [1, P + 1]; the half
-    # period, a window of 3,234,846,618 integers, takes about 2 s
+    # the witness is the one a kernel scan of the half period, a window of
+    # 3,234,846,618 integers, gave; the covering search takes milliseconds
     val = jacobsthal_exact(29, config=Config())
     assert (val.value, val.witness.lo, val.witness.hi) == (46, 417086647, 417086693)
+
+
+def test_exact_j31_at_the_least_budget_holding_its_window():
+    # the half-period window is 100,280,245,068 integers, so 12,535,030,634
+    # bytes is the least budget whose 8x scan limit holds it; the witness is
+    # the one a kernel scan of that window gave in about 70 s
+    val = jacobsthal_exact(31, config=Config(memory_budget=12535030634))
+    assert (val.value, val.witness.lo, val.witness.hi) == (58, 74959204291, 74959204349)
+    with pytest.raises(PeriodTooLarge):
+        jacobsthal_exact(31, config=Config(memory_budget=12535030633))
 
 
 def test_rejects_u_below_two():
@@ -220,12 +274,25 @@ def _oracle_flanks(T, y, u):
 @pytest.mark.parametrize("x, q, b", [(10**3, 7, 2), (10**4, 101, 100),
                                      (10**4, 64, 63), (10**5, 113, 87),
                                      (10**5, 97, 5)])
-def test_bound_flanks_match_trial_division_oracle(x, q, b):
+def test_bound_flanks_match_trial_division_oracle(monkeypatch, x, q, b):
+    # the one remainder pass must also run over exactly the primes <= u
+    # that carry no class, as np.isin picks them
+    passes = []
+    original = jacobsthal.multi_mod
+
+    def recording(value, mods):
+        passes.append([int(m) for m in mods])
+        return original(value, mods)
+
+    monkeypatch.setattr(jacobsthal, "multi_mod", recording)
     cert = build_certificate(x, q, b)
     val = jacobsthal_bound_from_certificate(cert)
     lo, hi = _oracle_flanks(crt_witness(cert).T, cert.y, cert.u)
     assert (val.witness.gap, val.witness.lo, val.witness.hi) == (hi - lo, lo, hi)
     assert val.value == cert.y + 2 <= val.witness.gap
+    primes = np.array(small_primes_up_to(cert.u), dtype=np.int64)
+    unclassed = primes[~np.isin(primes, cert.classes.p.astype(np.int64))]
+    assert passes == [unclassed.tolist()] and 0 < len(passes[0]) < primes.size
 
 
 def _classes_for_every_prime(u, y):
