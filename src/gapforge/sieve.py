@@ -8,8 +8,11 @@ progression segment by segment with _strike, the [0, y] strike the
 covering module shares; prime lists and rough scans walk the odd numbers
 as the progression 1 mod 2.  _primes is the one producer of prime columns,
 the kernel's own base primes included, and holds the primes below 64 as a
-table.  Memory stays bounded by the segment length _SEGMENT, and results
-are independent of it, which the test suite checks explicitly.
+table.  The deficit scan reads no column: it writes the odd-line segments
+into one flag per odd number, x / 2 bytes for the primes up to x, and
+counts each modulus's residues by column sums of those flags.  Memory
+stays bounded by the segment length _SEGMENT, and results are independent
+of it, which the test suite checks explicitly.
 """
 
 from __future__ import annotations
@@ -40,6 +43,13 @@ _SEGMENT = 1 << 20
 # The primes below 64, which _primes lists without the kernel.
 _SMALL_PRIMES = np.array((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                           53, 59, 61), dtype=np.int64)
+
+# _residue_counts sums rows of at least _ROW flag bytes.  Per modulus, q in
+# [200, 270): at x = 9.9e6 1.8-1.9 ms at 64 bytes, 0.56-0.58 at 1024,
+# 0.44-0.46 at 2048 and 0.41-0.42 at 16384; at x = 9.9e5 0.057 ms at 2048
+# and 0.087 at 16384 (numpy 2.4, 2-core x86 host).  A short row costs a
+# numpy inner loop of its own, a long one more columns to fold.
+_ROW = 2048
 
 # What one row of scan_deficits costs until the scan command has printed it:
 # the peak RSS of `scan --x 1000 --qmin 2 --qmax 1000 --top 10**9`, 303,791
@@ -202,14 +212,17 @@ def _progression_roots(
 def _has_run(struck: np.ndarray, k: int) -> bool:
     """True when struck holds k >= 1 consecutive True entries.
 
-    Log-doubling: after each in-place AND of run with itself shifted by
-    step, run[i] tells whether struck[i : i + length] is all True, so about
-    log2(k) passes over the segment decide it.
+    Log-doubling: run starts as the AND of neighbours, a new array, so
+    struck is never copied; after each in-place AND of run with itself
+    shifted by step, run[i] tells whether struck[i : i + length] is all
+    True, so about log2(k) passes over the segment decide it.
     """
     if k > struck.size:
         return False
-    run = struck.copy()
-    n, length = run.size, 1
+    if k == 1:
+        return bool(struck.any())
+    run = np.logical_and(struck[:-1], struck[1:])
+    n, length = run.size, 2
     while length < k:
         step = min(length, k - length)
         n -= step
@@ -271,6 +284,52 @@ def _prime_array(n: int, cfg: Config, what: str = "prime list") -> np.ndarray:
         raise ValueError("n must be non-negative")
     _check_table(n, cfg, what)
     return _primes(0, n, cfg)
+
+
+def _odd_prime_flags(n: int, cfg: Config) -> np.ndarray:
+    """flags[k] tells whether 1 + 2k is a prime <= n, for 0 <= k < (n + 1) // 2.
+
+    Each _odd_primes segment is written into place, so besides the n // 2
+    or so bytes of flags only one segment is held.  n + 1 must fit the
+    memory budget, with the refusal of _prime_array; the window check of
+    _primes is not repeated, since it needs n past 8 times the budget.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    _check_table(n, cfg, "prime list")
+    flags = np.zeros((n + 1) // 2, dtype=bool)
+    for base, struck in _odd_primes(3, n, cfg):
+        k = base // 2
+        np.logical_not(struck, out=flags[k : k + struck.size])
+    return flags
+
+
+def _residue_counts(flags: np.ndarray, q: int) -> np.ndarray:
+    """The number of primes p <= x with p == r (mod q), for each r in [0, q).
+
+    flags are _odd_prime_flags(x) for some x >= 2, and q >= 2.  1 + 2k mod
+    q depends only on k mod period, q for odd q and q // 2 for even q, so
+    the flags are summed as rows of a whole number of periods, at least
+    _ROW bytes: each block of 255 rows in uint8, which cannot overflow
+    since each flag is 0 or 1, the blocks' sums in int64, and then the
+    ragged tail.  Folding the row's columns onto one period gives the
+    count at each residue 1 + 2c, a different one for each c; the prime 2
+    adds one at 2 mod q.
+    """
+    period = q if q % 2 else q // 2
+    width = period * -(-_ROW // period)
+    bits = flags.view(np.uint8)
+    rows = bits.size // width
+    body = bits[: rows * width].reshape(rows, width)
+    cols = np.zeros(width, dtype=np.int64)
+    for i in range(0, rows, 255):
+        cols += body[i : i + 255].sum(axis=0, dtype=np.uint8)
+    tail = bits[rows * width :]
+    cols[: tail.size] += tail
+    counts = np.zeros(q, dtype=np.int64)
+    counts[np.arange(1, 2 * period, 2) % q] = cols.reshape(-1, period).sum(axis=0)
+    counts[2 % q] += 1
+    return counts
 
 
 def primes_up_to(n: int, *, config: Optional[Config] = None) -> list[int]:
@@ -414,7 +473,9 @@ def scan_deficits(
 ) -> list[ProgressionStats]:
     """The progressions b mod q, qmin <= q <= qmax, q < x, with the fewest primes.
 
-    Every unit b mod q is a row, empty progressions included.  Rows rank by
+    Every unit b mod q is a row, empty progressions included.  The counts
+    of every q come from one set of _odd_prime_flags up to x, x / 2 bytes
+    under the x + 1-byte rule of a prime table.  Rows rank by
     delta = count * phi(q) / x, then q, then b; x is the same for every row,
     so the exact integer count * phi(q) orders them as delta does.  Returns
     the first top rows.  Within one modulus the order is that of (count, b),
@@ -429,10 +490,10 @@ def scan_deficits(
     cfg = config or DEFAULT
     ranking = []
     if qmin <= qmax and qmin < x:
-        primes = _prime_array(x, cfg)
+        flags = _odd_prime_flags(x, cfg)
         for q in range(max(2, qmin), min(qmax, x - 1) + 1):
             phi = totient(q)
-            counts = np.bincount(primes % q, minlength=q)
+            counts = _residue_counts(flags, q)
             units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
             units = units[np.argsort(counts[units], kind="stable")[:top]]
             held = len(ranking) + units.size

@@ -329,6 +329,21 @@ def test_scan_refuses_rows_past_the_budget(capsys):
                    "over the 1000000-byte budget\n")
 
 
+@pytest.mark.parametrize("x", [5000, 65536, 99991, 10**6 + 1])
+def test_scan_refuses_the_prime_list_past_the_budget(capsys, x):
+    # the flags up to x take x // 2 or so bytes, but the scan keeps the
+    # x + 1-byte rule of a prime table, and its text
+    argv = ["scan", "--x", str(x), "--qmin", "3", "--qmax", "8", "--top", "1",
+            "--format", "json"]
+    code, out, err = run(capsys, *argv, "--memory-budget", str(x))
+    assert (code, out) == (2, "")
+    assert err == (f"resource limit: prime list needs the primes up to {x}, "
+                   f"over the {x}-byte budget\n")
+    code, want, _ = run(capsys, *argv)
+    for budget in (x + 1, x + 2):
+        assert run(capsys, *argv, "--memory-budget", str(budget)) == (0, want, "")
+
+
 def test_scan_huge_top_returns_every_row(capsys):
     top = ["--x", "10000", "--qmin", "3", "--qmax", "50", "--format", "json"]
     code, out, _ = run(capsys, "scan", *top, "--top", "1000000000")

@@ -598,6 +598,35 @@ def test_scan_deficits_budget_and_domain():
     assert scan_deficits(10**6, 50, 10, 10, config=TINY) == []
 
 
+@pytest.mark.parametrize("x", [3, 4, 5, 63, 64, 65, 1000, 99991, 10**6 + 1,
+                               3 * 10**6 + 1])
+def test_residue_counts_match_prime_column_oracle(x):
+    # the flags of x < 2 * _ROW fill no whole row, those up to 10**6 + 1
+    # fewer than 255 rows, and those of 3 * 10**6 + 1 two blocks of 255
+    # rows and a short one for small q; periods run from 1 (q = 2) to 599,
+    # and most tails are not a whole row
+    cfg = Config()
+    flags = sieve._odd_prime_flags(x, cfg)
+    primes = sieve._prime_array(x, cfg)
+    for q in range(2, 601):
+        want = np.bincount(primes % q, minlength=q)
+        assert sieve._residue_counts(flags, q).tolist() == want.tolist(), (x, q)
+
+
+def test_scan_deficits_matches_prime_column_oracle():
+    x, top = 10**6, 50
+    primes = sieve._prime_array(x, Config())
+    ranking = []
+    for q in range(2, 301):
+        counts = np.bincount(primes % q, minlength=q).tolist()
+        ranking += [(counts[b] * totient(q), q, b, counts[b])
+                    for b in range(1, q) if math.gcd(b, q) == 1]
+    ranking.sort()
+    got = scan_deficits(x, 2, 300, top)
+    assert [(r.q, r.b, r.count, r.delta) for r in got] == [
+        (q, b, count, Rational(key, x)) for key, q, b, count in ranking[:top]]
+
+
 def _stream(base, texts):
     """Kernel segments from text, one string each: '.' survives, 'x' is struck."""
     segments = []
