@@ -52,13 +52,14 @@ from .model import (
     VerificationReport,
 )
 from .sieve import (
+    _first_non_prime,
     _mod,
     _prime_array,
-    _primes,
+    _prime_count_ap,
+    _prime_range,
+    _PrimeTable,
     _progression_roots,
     _strike,
-    first_non_prime,
-    prime_count_ap,
 )
 
 logger = logging.getLogger(__name__)
@@ -153,12 +154,28 @@ def forced_classes(
     a_p solves q * a_p + b == 0 (mod p).  Raises ResourceLimit, before it
     allocates, when the primes up to u/2 exceed the memory budget.
     """
+    return _forced(u, q, b, _PrimeTable(config or DEFAULT))
+
+
+def _forced(
+    u: int, q: int, b: int, table: _PrimeTable,
+    solved: Optional[tuple[int, np.ndarray, np.ndarray]] = None,
+) -> ClassTable:
+    """forced_classes on the table's primes.
+
+    solved, if given, is (k, primes, roots) of the same q and b over the
+    first k primes of the table's column, as _prime_count_ap returns it;
+    only the primes past those are solved.
+    """
     if u < 3:
         raise ValueError("need u >= 3")
     if math.gcd(b, q) != 1:
         raise ValueError(f"need gcd(b, q) = 1, got gcd = {math.gcd(b, q)}")
-    primes, a = _progression_roots(_prime_array(u // 2, config or DEFAULT), q, b)
-    return ClassTable(primes, a, FORCED)
+    primes = _prime_array(u // 2, table)
+    k, done, roots = solved or (0, primes[:0], primes[:0])
+    more, more_roots = _progression_roots(primes[k:], q, b)
+    return ClassTable(np.concatenate([done, more]),
+                      np.concatenate([roots, more_roots]), FORCED)
 
 
 def sieve_survivors(
@@ -231,10 +248,15 @@ def match_large_primes(
     at it.  Raises InsufficientPrimes when the fresh primes run out,
     reporting whether the sufficient condition |N'| <= u / (5 ln u) held.
     """
+    return _match(remaining, u, _PrimeTable(config or DEFAULT))
+
+
+def _match(remaining, u: int, table: _PrimeTable) -> ClassTable:
+    """match_large_primes on the table's primes."""
     remaining = _ascending(remaining, "remaining survivors")
     if not remaining.size:
         return ClassTable([], [], MATCHED)
-    fresh = _primes(u // 2, u, config or DEFAULT)
+    fresh = _prime_range(u // 2, u, table)
     if remaining.size > fresh.size:
         holds = remaining.size * 5 * math.log(u) <= u
         raise InsufficientPrimes(remaining.size, fresh.size, holds)
@@ -243,26 +265,30 @@ def match_large_primes(
 
 
 def _construct(
-    x: int, q: int, b: int, delta: Optional[Rational], cfg: Config
+    x: int, q: int, b: int, delta: Optional[Rational], table: _PrimeTable,
+    solved: Optional[tuple[int, np.ndarray, np.ndarray]] = None,
 ) -> CoveringCertificate:
     """The construction for (x, q, b), unverified; a delta of None is measured.
 
     Checks the progression, measures delta exactly from the primes if it is
-    not given, then runs compute_u, forced_classes, sieve_survivors,
-    greedy_cover and match_large_primes.
+    not given, then runs compute_u, the forced classes, sieve_survivors,
+    greedy_cover and the matching, every prime from the one table.  The
+    roots the count solved, or solved if given, are not solved again.
     """
     if not 0 < b < q < x:
         raise BadProgression(f"need 0 < b < q < x, got b={b}, q={q}, x={x}")
     if math.gcd(b, q) != 1:
         raise BadProgression(f"gcd({b}, {q}) > 1")
     if delta is None:
-        delta = prime_count_ap(x, q, b, config=cfg).delta
+        stats, solved = _prime_count_ap(x, q, b, table)
+        delta = stats.delta
     u = compute_u(x, q, delta)
     y = (x - b) // q
-    forced = forced_classes(u, q, b, config=cfg)
-    survivors = sieve_survivors(y, forced, config=cfg)
+    # u*u > 4x, so u // 2 >= isqrt(x): solved is a prefix of the forced roots
+    forced = _forced(u, q, b, table, solved)
+    survivors = sieve_survivors(y, forced, config=table.cfg)
     greedy, remaining = greedy_cover(survivors, q, u)
-    matched = match_large_primes(remaining, u, config=cfg)
+    matched = _match(remaining, u, table)
     return CoveringCertificate(
         x=x,
         q=q,
@@ -292,9 +318,10 @@ def build_certificate(
     through require_verified, and a matching step that ran past the
     sufficient condition |N'| <= u/(5 ln u) is logged as a warning.
     Deterministic: identical arguments give byte-identical certificates.
+    One prime table serves the count, the construction and the check.
     """
-    cfg = config or DEFAULT
-    cert = _construct(x, q, b, delta_override, cfg)
+    table = _PrimeTable(config or DEFAULT)
+    cert = _construct(x, q, b, delta_override, table)
     if cert.survivors_after_greedy * 5 * math.log(cert.u) > cert.u:
         logger.warning(
             "matching %d survivors at u=%d: the sufficient condition "
@@ -302,7 +329,7 @@ def build_certificate(
             cert.survivors_after_greedy,
             cert.u,
         )
-    require_verified(cert, config=cfg)
+    _require_verified(cert, table)
     return cert
 
 
@@ -319,15 +346,31 @@ def verify_certificate(
     classes (as a set), both survivor counts, and the greedy and matched
     classes (as lists); a rebuild that raises is one pipeline_re_run
     failure.  Any tampering with a pipeline-produced certificate shows up.
+    One prime table serves the primality proof, the count and the rebuild,
+    which solves no root the count solved.
     """
-    cfg = config or DEFAULT
+    return _verify(cert, strict, _PrimeTable(config or DEFAULT))
+
+
+def _verify(
+    cert: CoveringCertificate, strict: bool, table: _PrimeTable, keep: bool = False
+) -> VerificationReport:
+    """verify_certificate on the table's primes.
+
+    Unless strict, or keep says the caller lists more primes from the table
+    afterwards, the table lets its primes go once they have proven the
+    class primes, before the coverage check allocates.
+    """
+    cfg = table.cfg
     report = VerificationReport()
-    table = cert.classes
-    p, a, kind = table.p, table.a, table.kind
+    classes = cert.classes
+    p, a, kind = classes.p, classes.a, classes.kind
     distinct = _first_repeat(p) is None
     report.add("class_primes_distinct", distinct, "" if distinct else "a modulus repeats")
     # one sieve of the verifier's own proves the moduli when it fits the budget
-    bad_prime = first_non_prime(p, config=cfg)
+    bad_prime = _first_non_prime(p, table)
+    if not (strict or keep):
+        table.release()
     if bad_prime is None:
         prime_detail = ""
     elif bad_prime >= PROVEN_LIMIT:
@@ -385,7 +428,7 @@ def verify_certificate(
     if not strict:
         return report
 
-    forced = table.select(kind == FORCED)
+    forced = classes.select(kind == FORCED)
     low = forced.p < 2
     divisor = np.where(low, 1, forced.p)
     bad_cong = _first(low | (_kills(cert.q, cert.b, forced.a, divisor) != 0))
@@ -396,19 +439,21 @@ def verify_certificate(
         if bad_cong is None
         else f"q*a+b != 0 mod {forced.p[bad_cong]} for a={forced.a[bad_cong]}",
     )
+    solved = None
     try:
-        measured = prime_count_ap(cert.x, cert.q, cert.b, config=cfg).delta
+        stats, solved = _prime_count_ap(cert.x, cert.q, cert.b, table)
         hypothesis = (
-            measured <= cert.delta, f"measured {measured}, recorded {cert.delta}"
+            stats.delta <= cert.delta, f"measured {stats.delta}, recorded {cert.delta}"
         )
     except (GapforgeError, ValueError) as exc:
         hypothesis = (False, str(exc))
     try:
-        rebuilt = _construct(cert.x, cert.q, cert.b, cert.delta, cfg)
+        rebuilt = _construct(cert.x, cert.q, cert.b, cert.delta, table, solved)
     except (GapforgeError, ValueError) as exc:
         report.add("delta_hypothesis", *hypothesis)
         report.add("pipeline_re_run", False, str(exc))
         return report
+    table.release()  # the rebuild took the last primes
     redone = rebuilt.classes
     same = _same_pairs(forced, redone.select(redone.kind == FORCED))
     report.add(
@@ -432,7 +477,7 @@ def verify_certificate(
     )
     for code, check in ((GREEDY, "greedy_classes_match"),
                         (MATCHED, "matched_classes_match")):
-        same = table.select(kind == code) == redone.select(redone.kind == code)
+        same = classes.select(kind == code) == redone.select(redone.kind == code)
         report.add(
             check,
             same,
@@ -493,7 +538,14 @@ def require_verified(
     cert: CoveringCertificate, *, config: Optional[Config] = None
 ) -> None:
     """Run verify_certificate once and raise InvalidCertificate on any failure."""
-    report = verify_certificate(cert, config=config)
+    _require_verified(cert, _PrimeTable(config or DEFAULT))
+
+
+def _require_verified(
+    cert: CoveringCertificate, table: _PrimeTable, keep: bool = False
+) -> None:
+    """require_verified on the table's primes; keep as for _verify."""
+    report = _verify(cert, False, table, keep)
     if not report.ok:
         raise InvalidCertificate(
             "; ".join(f"{e.check}: {e.detail}" for e in report.failures)

@@ -19,7 +19,7 @@ from .arith import multi_mod, primorial
 from .config import DEFAULT, Config
 from .errors import PeriodTooLarge
 from .model import CoveringCertificate, GapRecord, JacobsthalValue, Rational
-from .sieve import _prime_array, _strike
+from .sieve import _prime_array, _PrimeTable, _strike
 
 # offsets in the first window of the flank search; each later window doubles
 _FLANK_WINDOW = 1 << 10
@@ -66,7 +66,7 @@ def jacobsthal_exact(u: int, *, config: Optional[Config] = None) -> JacobsthalVa
             f"window is over {cap} integers"
         )
     # a refusal names the rough gap scan, whose window rule J(u) keeps
-    primes = _prime_array(u, cfg, "rough gap scan").tolist()
+    primes = _prime_array(u, _PrimeTable(cfg), "rough gap scan").tolist()
     gap, masks = _least_uncoverable(primes)
     lo = _first_gap(primes, masks, gap)
     return JacobsthalValue(
@@ -208,9 +208,11 @@ def jacobsthal_bound_from_certificate(
     by striking windows of offsets with both (_flank).  Raises ResourceLimit
     when the primes up to u exceed the memory budget.
     """
-    cfg = config or DEFAULT
-    covering.require_verified(cert, config=cfg)
-    primes = _prime_array(cert.u, cfg)
+    # the verifier's primality proof lists the primes up to the largest
+    # class prime, and the bound's list only extends it to u
+    table = _PrimeTable(config or DEFAULT)
+    covering._require_verified(cert, table, keep=True)
+    primes = _prime_array(cert.u, table)
     w, residues = covering.witness_of_verified(cert)
     classed = cert.classes.p.astype(np.int64)
     # the verified class primes are distinct primes <= u, so each one's

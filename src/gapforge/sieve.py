@@ -8,11 +8,17 @@ progression segment by segment with _strike, the [0, y] strike the
 covering module shares; prime lists and rough scans walk the odd numbers
 as the progression 1 mod 2.  _primes is the one producer of prime columns,
 the kernel's own base primes included, and holds the primes below 64 as a
-table.  The deficit scan reads no column: it writes the odd-line segments
-into one flag per odd number, x / 2 bytes for the primes up to x, and
-counts each modulus's residues by column sums of those flags.  Memory
-stays bounded by the segment length _SEGMENT, and results are independent
-of it, which the test suite checks explicitly.
+table.  A public call lists its primes in one _PrimeTable, which grows by
+_primes over the new range only, so it sieves each prime once; every
+request to it (_prime_array, _prime_range) makes its own budget check.  The
+exact count's roots of q*k + b == 0 are a prefix of the covering module's
+forced classes, whose solve extends them; _progression_roots takes q**-1
+mod p by reciprocity for q below 2**31.  The deficit scan reads no
+column: it writes the odd-line segments into one flag per odd number,
+x / 2 bytes for the primes up to x, and counts each modulus's residues by
+column sums of those flags.  Memory stays bounded by the segment length
+_SEGMENT, and results are independent of it, which the test suite checks
+explicitly.
 """
 
 from __future__ import annotations
@@ -22,7 +28,14 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .arith import PROVEN_LIMIT, _prime_inverses, is_prime, totient
+from .arith import (
+    PROVEN_LIMIT,
+    _inverses_of,
+    _prime_inverses,
+    factorize,
+    is_prime,
+    totient,
+)
 from .config import DEFAULT, Config
 from .errors import BadProgression, DomainError, EmptyRange, ResourceLimit
 from .model import COLUMN_LIMIT, GapRecord, ProgressionStats, Rational
@@ -93,8 +106,9 @@ def _strike(y: int, residues: np.ndarray, moduli: np.ndarray) -> np.ndarray:
     """
     flags = np.zeros(y + 1, dtype=bool)
     keep = moduli >= 2
-    p = moduli[keep]
-    start = residues[keep] % p
+    # with no modulus below 2, as in every checked table, nothing is copied
+    p, start = (moduli, residues) if keep.all() else (moduli[keep], residues[keep])
+    start = start % p
     within = p <= y
     hit = start[~within]
     flags[hit[hit <= y].astype(np.intp)] = True
@@ -155,30 +169,41 @@ def _segments(
         yield b + k * q, struck
 
 
-def _odd_primes(lo: int, hi: int, cfg: Config) -> Iterator[tuple[int, np.ndarray]]:
+def _odd_primes(
+    lo: int, hi: int, cfg: Config, base: Optional[np.ndarray] = None
+) -> Iterator[tuple[int, np.ndarray]]:
     """Kernel segments over the odd n = 1 + 2k in [max(3, lo), hi], primes unstruck.
 
     An odd prime p divides 1 + 2k at k == (p - 1)/2 (mod p), whose least
     term is p itself, so that k is spared; any other odd multiple of p
     below p*p has a smaller odd prime factor, which strikes it.  The odd
-    primes up to isqrt(hi) come from _primes, which recurses down to a
-    root below 64, whose primes it holds as a table.
+    primes up to isqrt(hi) come from base, a column of every prime up to
+    at least isqrt(hi), when it is given, and otherwise from _primes, which
+    recurses down to a root below 64, whose primes it holds as a table.
     """
     root = math.isqrt(max(hi, 0))
     _check_table(root, cfg, "prime sieve")
-    odd = _primes(2, root, cfg) if root >= 3 else np.zeros(0, dtype=np.int64)
+    if base is not None:
+        odd = base[1 : np.searchsorted(base, root, side="right")]
+    elif root >= 3:
+        odd = _primes(2, root, cfg)
+    else:
+        odd = np.zeros(0, dtype=np.int64)
     half = (odd - 1) // 2
     return _segments(2, 1, max(3, lo) // 2, (hi + 1) // 2, odd, half, half)
 
 
-def _primes(lo: int, hi: int, cfg: Config) -> np.ndarray:
+def _primes(
+    lo: int, hi: int, cfg: Config, base: Optional[np.ndarray] = None
+) -> np.ndarray:
     """The primes p with lo < p <= hi, ascending, as a column.
 
     int64 while hi < 2**63, dtype=object past it, so every prime is exact.
     Below 64 the primes come from _SMALL_PRIMES, with no kernel pass, which
-    also ends the recursion of the kernel's base primes.  Raises ValueError
-    unless lo <= hi, and ResourceLimit when the window passes the scan
-    limit or its base primes the memory budget.
+    also ends the recursion of the kernel's base primes; base, if given,
+    holds every prime up to at least isqrt(hi) and replaces that recursion.
+    Raises ValueError unless lo <= hi, and ResourceLimit when the window
+    passes the scan limit or its base primes the memory budget.
     """
     if lo > hi:
         raise ValueError("need lo <= hi")
@@ -188,9 +213,45 @@ def _primes(lo: int, hi: int, cfg: Config) -> np.ndarray:
         return _SMALL_PRIMES[(_SMALL_PRIMES > lo) & (_SMALL_PRIMES <= hi)]
     dtype = np.int64 if hi < 2**63 else object
     parts = [np.array([2] if lo < 2 else [], dtype=dtype)]
-    parts += [base + 2 * np.flatnonzero(~struck).astype(dtype, copy=False)
-              for base, struck in _odd_primes(lo + 1, hi, cfg)]
+    parts += [first + 2 * np.flatnonzero(~struck).astype(dtype, copy=False)
+              for first, struck in _odd_primes(lo + 1, hi, cfg, base)]
     return np.concatenate(parts)
+
+
+class _PrimeTable:
+    """The primes one public call has asked for, as one ascending column.
+
+    column holds every prime up to top, the largest bound asked for so
+    far.  A request past top sieves only (top, n], so no prime is sieved
+    twice: the table first grows to isqrt(n), whose primes are the
+    kernel's base primes.  The table checks no budget; each request makes
+    its own checks first (_prime_array, _prime_range).  A public function
+    builds one and lets it go when it returns, so no request is ever
+    served from another call's primes.
+    """
+
+    __slots__ = ("cfg", "column", "top")
+
+    def __init__(self, cfg: Config):
+        self.cfg = cfg
+        self.column = _SMALL_PRIMES[:0]
+        self.top = 1
+
+    def upto(self, n: int) -> np.ndarray:
+        """The primes <= n, a prefix of the column."""
+        if n > self.top:
+            root = math.isqrt(n)
+            if n >= 64 and root > self.top:
+                self.upto(root)
+            more = _primes(self.top, n, self.cfg, self.column)
+            self.column = np.concatenate([self.column, more])
+            self.top = n
+        return self.column[: np.searchsorted(self.column, n, side="right")]
+
+    def release(self) -> None:
+        """Let the column go; a later request sieves from the start again."""
+        self.column = _SMALL_PRIMES[:0]
+        self.top = 1
 
 
 def _progression_roots(
@@ -198,15 +259,21 @@ def _progression_roots(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The ascending primes not dividing q, and the root k of q*k + b == 0 mod each.
 
-    q and b may be any ints; the inverses of q come in one _prime_inverses
-    batch.  A column reaching COLUMN_LIMIT turns dtype=object, so the
-    product of a residue and an inverse stays exact.
+    q and b may be any ints.  For 0 < q < COLUMN_LIMIT the inverses of q
+    come from _inverses_of, by reciprocity; any other q, and a column
+    reaching COLUMN_LIMIT, which turns dtype=object so the product of a
+    residue and an inverse stays exact, take one _prime_inverses batch, as
+    does an empty column, which needs no totient of q.
     """
     if primes.size and primes[-1] >= COLUMN_LIMIT:
         primes = primes.astype(object)
     q_mod = _mod(q, primes)
     primes, q_mod = primes[q_mod != 0], q_mod[q_mod != 0]
-    return primes, _mod(-b, primes) * _prime_inverses(q_mod, primes) % primes
+    if primes.size and 0 < q < COLUMN_LIMIT and primes.dtype != object:
+        inverses = _inverses_of(q, primes)
+    else:
+        inverses = _prime_inverses(q_mod, primes)
+    return primes, _mod(-b, primes) * inverses % primes
 
 
 def _has_run(struck: np.ndarray, k: int) -> bool:
@@ -278,12 +345,24 @@ def _max_gap(
     return best, found
 
 
-def _prime_array(n: int, cfg: Config, what: str = "prime list") -> np.ndarray:
-    """All primes <= n as a _primes column; n + 1 must fit the memory budget."""
+def _prime_array(n: int, table: _PrimeTable, what: str = "prime list") -> np.ndarray:
+    """All primes <= n from the table; n + 1 must fit the memory budget."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    _check_table(n, cfg, what)
-    return _primes(0, n, cfg)
+    _check_table(n, table.cfg, what)
+    return table.upto(n)
+
+
+def _prime_range(lo: int, hi: int, table: _PrimeTable) -> np.ndarray:
+    """_primes(lo, hi) with its refusals, from the table once it reaches lo."""
+    if lo > table.top:
+        return _primes(lo, hi, table.cfg)
+    if lo > hi:
+        raise ValueError("need lo <= hi")
+    _check_window(hi - lo, table.cfg, "prime range scan")
+    _check_table(math.isqrt(max(hi, 0)), table.cfg, "prime sieve")
+    primes = table.upto(hi)
+    return primes[np.searchsorted(primes, lo, side="right"):]
 
 
 def _odd_prime_flags(n: int, cfg: Config) -> np.ndarray:
@@ -304,6 +383,14 @@ def _odd_prime_flags(n: int, cfg: Config) -> np.ndarray:
     return flags
 
 
+def _units(q: int) -> np.ndarray:
+    """The units mod q, ascending: each prime factor of q strikes its multiples once."""
+    unit = np.ones(q, dtype=bool)
+    for p, _ in factorize(q):
+        unit[::p] = False
+    return np.flatnonzero(unit)
+
+
 def _residue_counts(flags: np.ndarray, q: int) -> np.ndarray:
     """The number of primes p <= x with p == r (mod q), for each r in [0, q).
 
@@ -312,14 +399,17 @@ def _residue_counts(flags: np.ndarray, q: int) -> np.ndarray:
     the flags are summed as rows of a whole number of periods, at least
     _ROW bytes: each block of 255 rows in uint8, which cannot overflow
     since each flag is 0 or 1, the blocks' sums in int64, and then the
-    ragged tail.  Folding the row's columns onto one period gives the
-    count at each residue 1 + 2c, a different one for each c; the prime 2
-    adds one at 2 mod q.
+    ragged tail.  Flags that fill no whole row are all tail, laid on the
+    fewest periods that hold them.  Folding the row's columns onto one
+    period gives the count at each residue 1 + 2c, a different one for each
+    c; the prime 2 adds one at 2 mod q.
     """
     period = q if q % 2 else q // 2
     width = period * -(-_ROW // period)
     bits = flags.view(np.uint8)
     rows = bits.size // width
+    if not rows:  # no whole row: the tail alone, on as few periods as hold it
+        width = period * -(-bits.size // period)
     body = bits[: rows * width].reshape(rows, width)
     cols = np.zeros(width, dtype=np.int64)
     for i in range(0, rows, 255):
@@ -334,7 +424,7 @@ def _residue_counts(flags: np.ndarray, q: int) -> np.ndarray:
 
 def primes_up_to(n: int, *, config: Optional[Config] = None) -> list[int]:
     """All primes <= n, ascending."""
-    return _prime_array(n, config or DEFAULT).tolist()
+    return _prime_array(n, _PrimeTable(config or DEFAULT)).tolist()
 
 
 def primes_in_range(lo: int, hi: int, *, config: Optional[Config] = None) -> list[int]:
@@ -357,19 +447,27 @@ def first_non_prime(
     value; otherwise each goes through is_prime, which is a proof below
     2**64.  At and above 2**64 nothing is tested.
     """
-    cfg = config or DEFAULT
+    return _first_non_prime(values, _PrimeTable(config or DEFAULT))
+
+
+def _first_non_prime(values: Sequence[int], table: _PrimeTable) -> Optional[int]:
+    """first_non_prime, taking its primes from the table."""
     if not isinstance(values, np.ndarray):
         values = np.array(values, dtype=object)
     testable = (values >= 2) & (values < PROVEN_LIMIT)
     top = int(values[testable].max()) if testable.any() else 1
-    if top + 1 > cfg.memory_budget:
+    if top + 1 > table.cfg.memory_budget:
         values = values.tolist()
         return next((v for v in values if v >= PROVEN_LIMIT or not is_prime(v)), None)
-    # values outside [2, top] become 0, which no prime table holds; the
-    # table ends at top + 1, so each value's sorted place lies within it
-    table = np.append(_prime_array(top, cfg), top + 1)
-    arr = np.where(testable, values, 0).astype(np.int64)
-    bad = np.flatnonzero(table[np.searchsorted(table, arr)] != arr)
+    if top == 1:  # nothing to test, so every value fails
+        return int(values[0]) if values.size else None
+    primes = _prime_array(top, table)
+    # values outside [2, top] become 0, which no prime list holds; only a
+    # composite top sorts past the last prime, and no prime equals it
+    arr = np.where(testable, values, 0).astype(np.int64, copy=False)
+    at = np.searchsorted(primes, arr)
+    np.minimum(at, primes.size - 1, out=at)
+    bad = np.flatnonzero(primes[at] != arr)
     return int(values[bad[0]]) if bad.size else None
 
 
@@ -390,14 +488,25 @@ def prime_count_ap(
     exceed the segmented-scan limit or the base primes up to isqrt(x) the
     memory budget.
     """
+    return _prime_count_ap(x, q, b, _PrimeTable(config or DEFAULT))[0]
+
+
+def _prime_count_ap(
+    x: int, q: int, b: int, table: _PrimeTable
+) -> tuple[ProgressionStats, tuple[int, np.ndarray, np.ndarray]]:
+    """prime_count_ap on the table's primes, and the roots it solved.
+
+    These come as (k, primes, roots): the first k primes of the table's
+    column, those up to isqrt(x), give the primes not dividing q and
+    their roots, a prefix of any longer solve for the same q and b.
+    """
     _validate_progression(q, b)
     if not q < x:
         raise BadProgression(f"need q < x, got q={q}, x={x}")
-    cfg = config or DEFAULT
     terms = (x - b) // q + 1
-    _check_window(terms, cfg, "progression sieve")
+    _check_window(terms, table.cfg, "progression sieve")
     root = math.isqrt(x)
-    base = _prime_array(root, cfg, "progression sieve")
+    base = _prime_array(root, table, "progression sieve")
     primes, roots = _progression_roots(base, q, b)
     # the k of the terms that are base primes: n % q == n % reach for every
     # n <= root, and past q > root only n = b, at k = 0, is that small
@@ -407,7 +516,8 @@ def prime_count_ap(
     # n = 1 (b = 1, k = 0) has no prime factor, so it survives every strike
     count = sum(s.size - int(np.count_nonzero(s)) for _, s in segments) - (b == 1)
     delta = Rational(count * totient(q), x)
-    return ProgressionStats(q=q, b=b, x=x, count=count, delta=delta)
+    stats = ProgressionStats(q=q, b=b, x=x, count=count, delta=delta)
+    return stats, (base.size, primes, roots)
 
 
 def max_prime_gap(x: int, *, config: Optional[Config] = None) -> GapRecord:
@@ -458,7 +568,7 @@ def rough_gap_scan(
     if lo >= hi:
         raise ValueError("need lo < hi")
     _check_window(hi - lo, cfg, "rough gap scan")
-    odd = _prime_array(u, cfg, "rough gap scan")[1:]
+    odd = _prime_array(u, _PrimeTable(cfg), "rough gap scan")[1:]
     segments = _segments(2, 1, lo // 2, (hi + 1) // 2, odd, (odd - 1) // 2, odd[:0])
     best, found = _max_gap(segments)
     if found < 2:
@@ -492,9 +602,9 @@ def scan_deficits(
     if qmin <= qmax and qmin < x:
         flags = _odd_prime_flags(x, cfg)
         for q in range(max(2, qmin), min(qmax, x - 1) + 1):
-            phi = totient(q)
+            units = _units(q)
+            phi = units.size
             counts = _residue_counts(flags, q)
-            units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
             units = units[np.argsort(counts[units], kind="stable")[:top]]
             held = len(ranking) + units.size
             if held * _ROW_BYTES > cfg.memory_budget:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -615,3 +616,47 @@ def test_jacobsthal_far_past_the_cap_exits_3(capsys):
     code, _, err = run(capsys, "jacobsthal", "--u", str(10**10))
     assert code == 3
     assert "is past the scan budget" in err
+
+
+ANCHOR = ("--x", "10000000", "--q", "10007", "--b", "3")
+ANCHOR_SHA256 = "d0da4d31b02fe95636e8ff071c209fb676f3e74e3ae16f7ea1153bebb9a95763"
+
+
+@pytest.mark.parametrize("budget", [999, 3162])
+def test_anchor_cover_refuses_below_its_progression_sieve(capsys, budget):
+    # isqrt(10**7) = 3162: the count's base primes need 3163 bytes
+    code, out, err = run(capsys, "cover", *ANCHOR, "--memory-budget", str(budget))
+    assert (code, out) == (2, "")
+    assert err == ("resource limit: progression sieve needs the primes up to 3162, "
+                   f"over the {budget}-byte budget\n")
+
+
+def test_anchor_certificate_at_the_tightest_budgets(tmp_path, capsys):
+    # 3163 bytes hold the primes up to isqrt(x) = u // 2 = 3162; the largest
+    # class prime, 3631, needs 3632, and below that the verifier proves the
+    # class primes with is_prime; u = 6325
+    path = tmp_path / "cert.json"
+    for budget in (3163, 3631, 3632, 6325):
+        code, _, err = run(capsys, "cover", *ANCHOR, "--memory-budget", str(budget),
+                           "--out", str(path))
+        assert code == 0, (budget, err)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == ANCHOR_SHA256, budget
+    refusals = {
+        999: ["[FAIL] covers_range: coverage check exceeds the memory budget"],
+        3162: [],
+    }
+    for budget, extra in refusals.items():
+        code, out, err = run(capsys, "verify", str(path), "--strict",
+                             "--memory-budget", str(budget))
+        assert (code, err) == (5, ""), budget
+        failures = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+        assert failures == extra + [
+            "[FAIL] delta_hypothesis: progression sieve needs the primes up to 3162, "
+            f"over the {budget}-byte budget",
+            "[FAIL] pipeline_re_run: prime list needs the primes up to 3162, "
+            f"over the {budget}-byte budget",
+        ], budget
+    for budget in (3163, 3631, 3632, 6325):
+        code, out, err = run(capsys, "verify", str(path), "--strict",
+                             "--memory-budget", str(budget))
+        assert (code, err) == (0, ""), (budget, out)

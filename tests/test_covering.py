@@ -8,7 +8,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from gapforge import sieve
+from gapforge import cli, covering, sieve
 from gapforge.arith import is_prime
 from gapforge.config import Config
 from gapforge.covering import (
@@ -506,3 +506,64 @@ def test_verify_keeps_its_prime_table_within_budget(monkeypatch):
         cfg = Config(memory_budget=budget)
         assert verify_certificate(cert, config=cfg).ok
         assert tables == expected
+
+
+def _staged_certificate(x, q, b, delta):
+    """build_certificate's construction, one public stage function at a time."""
+    if delta is None:
+        delta = prime_count_ap(x, q, b).delta
+    u = compute_u(x, q, delta)
+    y = (x - b) // q
+    forced = forced_classes(u, q, b)
+    survivors = sieve_survivors(y, forced)
+    greedy, remaining = greedy_cover(survivors, q, u)
+    matched = match_large_primes(remaining, u)
+    return CoveringCertificate(
+        x=x, q=q, b=b, delta=delta, u=u, y=y,
+        classes=ClassTable.concat(forced, greedy, matched),
+        survivors_initial=len(survivors),
+        survivors_after_greedy=len(remaining),
+    )
+
+
+@pytest.mark.parametrize("x, q, b, delta", [
+    # u // 2 = isqrt(x): the count's base primes are the forced primes
+    (10**7, 10007, 3, None),
+    # u // 2 > isqrt(x): the table grows past the count's primes
+    (13560581, 678, 581, "1/10"),
+])
+def test_cover_and_strict_verify_sieve_and_solve_each_prime_once(
+    tmp_path, monkeypatch, x, q, b, delta
+):
+    sieved, solved = [], []
+    odd_primes, progression_roots = sieve._odd_primes, sieve._progression_roots
+
+    def recording_odd_primes(lo, hi, *args):
+        sieved.append((lo, hi))
+        return odd_primes(lo, hi, *args)
+
+    def recording_roots(primes, *args):
+        solved.append(primes.size)
+        return progression_roots(primes, *args)
+
+    monkeypatch.setattr(sieve, "_odd_primes", recording_odd_primes)
+    for module in (sieve, covering):
+        monkeypatch.setattr(module, "_progression_roots", recording_roots)
+    path = tmp_path / "cert.json"
+    argv = ["cover", "--x", str(x), "--q", str(q), "--b", str(b), "--out", str(path)]
+    for command in (argv + (["--delta", delta] if delta else []),
+                    ["verify", str(path), "--strict"]):
+        sieved.clear()
+        solved.clear()
+        assert cli.main(command) == 0, command
+        cert, _ = certificate_from_dict(json.loads(path.read_text()))
+        # the kernel windows are disjoint and end at u, so every odd prime
+        # up to u is sieved at most once
+        ends = [end for window in sorted(sieved) for end in window]
+        assert ends == sorted(ends) and len(set(ends)) == len(ends), sieved
+        assert ends[-1] == cert.u, sieved
+        # each prime up to u // 2 goes into one root solve
+        assert sum(solved) == len(primes_up_to(cert.u // 2)), solved
+    rational = None if delta is None else Rational(*map(int, delta.split("/")))
+    staged = _staged_certificate(x, q, b, rational)
+    assert certificate_to_json(staged) == path.read_text()

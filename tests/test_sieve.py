@@ -10,7 +10,7 @@ from gapforge.arith import is_prime, primorial, small_primes_up_to, totient
 from gapforge.config import Config
 from gapforge.errors import BadProgression, DomainError, EmptyRange, ResourceLimit
 from gapforge.model import Rational
-from gapforge import sieve
+from gapforge import arith, sieve
 from gapforge.sieve import (
     first_non_prime,
     least_prime_ap,
@@ -405,7 +405,7 @@ def test_prime_producer_matches_plain_eratosthenes():
     # n <= 8 are the kernel's base cases, with no odd base prime; past them
     # every prime square p*p puts p among the base primes of n = p*p on
     for n in range(2001):
-        assert sieve._prime_array(n, Config()).tolist() == small_primes_up_to(n), n
+        assert sieve._prime_array(n, sieve._PrimeTable(Config())).tolist() == small_primes_up_to(n), n
     for lo in range(0, 200):
         for hi in (lo, lo + 1, lo + 37, 2000):
             want = [p for p in small_primes_up_to(hi) if p > lo]
@@ -607,7 +607,7 @@ def test_residue_counts_match_prime_column_oracle(x):
     # and most tails are not a whole row
     cfg = Config()
     flags = sieve._odd_prime_flags(x, cfg)
-    primes = sieve._prime_array(x, cfg)
+    primes = sieve._prime_array(x, sieve._PrimeTable(cfg))
     for q in range(2, 601):
         want = np.bincount(primes % q, minlength=q)
         assert sieve._residue_counts(flags, q).tolist() == want.tolist(), (x, q)
@@ -615,7 +615,7 @@ def test_residue_counts_match_prime_column_oracle(x):
 
 def test_scan_deficits_matches_prime_column_oracle():
     x, top = 10**6, 50
-    primes = sieve._prime_array(x, Config())
+    primes = sieve._prime_array(x, sieve._PrimeTable(Config()))
     ranking = []
     for q in range(2, 301):
         counts = np.bincount(primes % q, minlength=q).tolist()
@@ -861,3 +861,91 @@ def test_strike_matches_slice_oracle_on_flank_windows():
         residues = -step * (T % primes + offset)
         assert np.array_equal(sieve._strike(1023, residues, primes),
                               _slice_strike(1023, residues, primes))
+
+
+RECIPROCITY_Q = [2, 4, 8, 12, 678, 997, 10007, 98359, 510510, 2**31 - 1]
+
+
+def _roots_oracle(primes, q, b):
+    """The primes not dividing q and -b * pow(q, -1, p) mod each, by pow."""
+    kept = [p for p in primes if q % p]
+    return kept, [-b * pow(q, -1, p) % p for p in kept]
+
+
+@pytest.mark.parametrize("q", RECIPROCITY_Q)
+def test_progression_roots_by_reciprocity_match_fermat_and_pow(q):
+    # the primes up to 3000, among them q's small factors, those within
+    # 2000 below q, and those within 2000 above it, where q = 2**31 - 1
+    # turns the column dtype=object, the fallback's; b runs past every prime
+    below = small_primes_up_to(3000)
+    below += primes_in_range(max(3000, q - 2000), max(3000, q - 1))
+    above = primes_in_range(q, q + 2000)
+    for column in (below, below + above):
+        primes = np.array(column, dtype=np.int64)
+        for b in (1, 3, 10**6 + 3, 2**40 + 5):
+            kept, roots = sieve._progression_roots(primes, q, b)
+            assert (kept.tolist(), roots.tolist()) == _roots_oracle(column, q, b), (q, b)
+            # the Fermat batch gives the same roots
+            fermat = sieve._prime_inverses(q % kept, kept)
+            assert (-b % kept * fermat % kept).tolist() == roots.tolist(), (q, b)
+        if kept.dtype == np.int64:
+            assert np.array_equal(arith._inverses_of(q, kept), fermat), q
+
+
+def test_progression_roots_by_reciprocity_take_no_fermat_batch(monkeypatch):
+    def no_fermat(values, primes):
+        raise AssertionError("_prime_inverses called")
+
+    monkeypatch.setattr(sieve, "_prime_inverses", no_fermat)
+    primes = small_primes_up_to(20_000)
+    kept, roots = sieve._progression_roots(np.array(primes, dtype=np.int64), 10007, 3)
+    assert (kept.tolist(), roots.tolist()) == _roots_oracle(primes, 10007, 3)
+
+
+@pytest.mark.parametrize("q", [2**31, 2**31 + 1, (2**64 - 59) * (2**64 - 83)])
+def test_progression_roots_past_int32_q_take_the_fallback(monkeypatch, q):
+    # q outside (0, 2**31) goes to _prime_inverses, and never to totient:
+    # a q of two 64-bit primes would keep factorize busy for hours
+    def refuse(*args):
+        raise AssertionError("reciprocity or factorize reached")
+
+    monkeypatch.setattr(sieve, "_inverses_of", refuse)
+    monkeypatch.setattr(arith, "factorize", refuse)
+    primes = small_primes_up_to(3000)
+    for b in (1, 2**70 + 1):
+        kept, roots = sieve._progression_roots(np.array(primes, dtype=np.int64), q, b)
+        assert (kept.tolist(), roots.tolist()) == _roots_oracle(primes, q, b)
+
+
+def test_units_match_gcd_mask():
+    for q in list(range(2, 1000)) + [510510, 2**13 * 3**5]:
+        want = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
+        assert np.array_equal(sieve._units(q), want), q
+
+
+def _row_sum_residue_counts(flags, q):
+    """_residue_counts as it was before flags too short for a row skipped
+    the row sums: every row of at least _ROW bytes, however few flags."""
+    period = q if q % 2 else q // 2
+    width = period * -(-sieve._ROW // period)
+    bits = flags.view(np.uint8)
+    rows = bits.size // width
+    body = bits[: rows * width].reshape(rows, width)
+    cols = np.zeros(width, dtype=np.int64)
+    for i in range(0, rows, 255):
+        cols += body[i : i + 255].sum(axis=0, dtype=np.uint8)
+    tail = bits[rows * width :]
+    cols[: tail.size] += tail
+    counts = np.zeros(q, dtype=np.int64)
+    counts[np.arange(1, 2 * period, 2) % q] = cols.reshape(-1, period).sum(axis=0)
+    counts[2 % q] += 1
+    return counts
+
+
+@pytest.mark.parametrize("x", [2, 3, 100, 1000, 4095, 4096, 4097, 10**5 + 1])
+def test_residue_counts_match_row_sum_oracle(x):
+    # below x = 2 * _ROW the flags fill no row of any q
+    flags = sieve._odd_prime_flags(x, Config())
+    for q in range(2, 1200):
+        assert np.array_equal(sieve._residue_counts(flags, q),
+                              _row_sum_residue_counts(flags, q)), (x, q)

@@ -34,7 +34,7 @@ from gapforge.model import (
     certificate_from_dict,
     certificate_to_dict,
 )
-from gapforge.sieve import prime_count_ap, primes_up_to
+from gapforge.sieve import _PrimeTable, prime_count_ap, primes_up_to
 
 
 # one class, kind as its text; the kind codes 0, 1 and 2 name these texts
@@ -125,7 +125,7 @@ def _oracle_report(cert, strict=False):
     except (GapforgeError, ValueError) as exc:
         hypothesis = (False, str(exc))
     try:
-        rebuilt = _construct(cert.x, cert.q, cert.b, cert.delta, DEFAULT)
+        rebuilt = _construct(cert.x, cert.q, cert.b, cert.delta, _PrimeTable(DEFAULT))
     except (GapforgeError, ValueError) as exc:
         report.add("delta_hypothesis", *hypothesis)
         report.add("pipeline_re_run", False, str(exc))

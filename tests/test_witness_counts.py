@@ -1,9 +1,10 @@
 """Each witness path verifies a certificate once and proves its class primes
 with one sieve table, never with is_prime.
 
-verify_certificate, is_prime and the prime-table builder sieve._prime_array
-are replaced, in every gapforge module that binds them, by wrappers that
-record their calls.
+covering._verify, which every verification runs (verify_certificate and
+the private checks of build_certificate and the gap bound alike), is_prime
+and the prime-table request sieve._prime_array are replaced, in every
+gapforge module that binds them, by wrappers that record their calls.
 """
 
 import collections
@@ -32,7 +33,7 @@ MODULES = (arith, cli, covering, jacobsthal, sieve)
 @pytest.fixture
 def counts(monkeypatch):
     calls = {"verify": 0, "is_prime": collections.Counter(), "tables": []}
-    verify, is_prime = covering.verify_certificate, arith.is_prime
+    verify, is_prime = covering._verify, arith.is_prime
     prime_array = sieve._prime_array
 
     def counting_verify(*args, **kwargs):
@@ -48,7 +49,7 @@ def counts(monkeypatch):
         return prime_array(n, cfg, *what)
 
     for name, original, wrapper in (
-        ("verify_certificate", verify, counting_verify),
+        ("_verify", verify, counting_verify),
         ("is_prime", is_prime, counting_is_prime),
         ("_prime_array", prime_array, recording_prime_array),
     ):
@@ -103,7 +104,8 @@ def test_cover_witness_checks_once(tmp_path, counts):
     cert, stored = certificate_from_dict(json.loads(path.read_text()))
     assert stored is not None
     # the measured count lists its base primes up to isqrt(x), the builder
-    # the forced primes up to u/2; the verifier sieves on its own
+    # the forced primes up to u/2, and the verifier the class primes, all
+    # requests to one table
     _assert_one_proof(counts, [math.isqrt(X), cert.u // 2, _top(cert)])
 
 
