@@ -72,18 +72,18 @@ def _prime_inverses(values: np.ndarray, primes: np.ndarray) -> np.ndarray:
     return inv.astype(primes.dtype, copy=False)
 
 
-def _inverses_of(q: int, primes: np.ndarray) -> np.ndarray:
+def _inverses_of(q: int, primes: np.ndarray, phi: int) -> np.ndarray:
     """q**-1 mod each prime of an int64 column, none dividing q, by reciprocity.
 
-    Needs 0 < q < 2**31 and every prime below 2**31.  p*t == -1 (mod q) for
-    t = -p**(phi(q) - 1) mod q, so 1 + p*t is a multiple of q whose quotient,
-    below p as t < q, is q**-1 mod p.  One exponent serves the whole batch,
-    by square-and-multiply in numpy int64, where every product stays below
-    2**62; it equals pow(q, -1, p) exactly.
+    phi is totient(q).  Needs 0 < q < 2**31 and every prime below 2**31.
+    p*t == -1 (mod q) for t = -p**(phi - 1) mod q, so 1 + p*t is a multiple
+    of q whose quotient, below p as t < q, is q**-1 mod p.  One exponent
+    serves the whole batch, by square-and-multiply in numpy int64, where
+    every product stays below 2**62; it equals pow(q, -1, p) exactly.
     """
     base = primes % q
     power = np.ones_like(base)
-    exp = totient(q) - 1
+    exp = phi - 1
     while exp:
         if exp & 1:
             power = power * base % q

@@ -159,21 +159,21 @@ def forced_classes(
 
 def _forced(
     u: int, q: int, b: int, table: _PrimeTable,
-    solved: Optional[tuple[int, np.ndarray, np.ndarray]] = None,
+    solved: Optional[tuple[int, np.ndarray, np.ndarray, int]] = None,
 ) -> ClassTable:
     """forced_classes on the table's primes.
 
-    solved, if given, is (k, primes, roots) of the same q and b over the
-    first k primes of the table's column, as _prime_count_ap returns it;
-    only the primes past those are solved.
+    solved, if given, is (k, primes, roots, phi) of the same q and b over
+    the first k primes of the table's column, as _prime_count_ap returns
+    it; only the primes past those are solved, with its totient phi of q.
     """
     if u < 3:
         raise ValueError("need u >= 3")
     if math.gcd(b, q) != 1:
         raise ValueError(f"need gcd(b, q) = 1, got gcd = {math.gcd(b, q)}")
     primes = _prime_array(u // 2, table)
-    k, done, roots = solved or (0, primes[:0], primes[:0])
-    more, more_roots = _progression_roots(primes[k:], q, b)
+    k, done, roots, phi = solved or (0, primes[:0], primes[:0], None)
+    more, more_roots = _progression_roots(primes[k:], q, b, phi)
     return ClassTable(np.concatenate([done, more]),
                       np.concatenate([roots, more_roots]), FORCED)
 
@@ -266,7 +266,7 @@ def _match(remaining, u: int, table: _PrimeTable) -> ClassTable:
 
 def _construct(
     x: int, q: int, b: int, delta: Optional[Rational], table: _PrimeTable,
-    solved: Optional[tuple[int, np.ndarray, np.ndarray]] = None,
+    solved: Optional[tuple[int, np.ndarray, np.ndarray, int]] = None,
 ) -> CoveringCertificate:
     """The construction for (x, q, b), unverified; a delta of None is measured.
 

@@ -5,20 +5,25 @@ gaps, least primes in progressions, and gap scans over rough numbers
 (integers free of small prime factors).  Every sieve here is one numpy
 segment kernel, _segments, which strikes the terms b + k*q of a
 progression segment by segment with _strike, the [0, y] strike the
-covering module shares; prime lists and rough scans walk the odd numbers
-as the progression 1 mod 2.  _primes is the one producer of prime columns,
-the kernel's own base primes included, and holds the primes below 64 as a
-table.  A public call lists its primes in one _PrimeTable, which grows by
-_primes over the new range only, so it sieves each prime once; every
-request to it (_prime_array, _prime_range) makes its own budget check.  The
-exact count's roots of q*k + b == 0 are a prefix of the covering module's
-forced classes, whose solve extends them; _progression_roots takes q**-1
-mod p by reciprocity for q below 2**31.  The deficit scan reads no
-column: it writes the odd-line segments into one flag per odd number,
-x / 2 bytes for the primes up to x, and counts each modulus's residues by
-column sums of those flags.  Memory stays bounded by the segment length
-_SEGMENT, and results are independent of it, which the test suite checks
-explicitly.
+covering module shares.  Prime lists, gaps and rough scans walk the line
+6k +- 1, the integers coprime to 6: the lanes 6k + 1 and 6k + 5
+interleaved, position j holding 3j + 1 + (j & 1), each prime p >= 5
+striking each lane as one modulus 2p of one kernel pass; the primes 2 and
+3 are added by hand.  Only rough_gap_scan(2, ...) walks the odd numbers,
+the one-lane line of the same code.  _primes is the one producer of prime
+columns, the kernel's own base primes included, and holds the primes below
+64 as a table.  A public call lists its primes in one _PrimeTable, which
+grows by _primes over the new range only, so it sieves each prime once;
+every request to it (_prime_array, _prime_range) makes its own budget
+check.  The exact count's roots of q*k + b == 0 are a prefix of the
+covering module's forced classes, whose solve extends them with the
+count's totient of q; _progression_roots takes q**-1 mod p by reciprocity
+for q below 2**31.  The deficit scan reads no column: it writes the wheel
+segments into one flag per integer coprime to 6, about x / 3 bytes for the
+primes up to x under the x + 1-byte rule, and counts each modulus's
+residues by column sums of those flags.  Memory stays bounded by the
+segment length _SEGMENT, and results are independent of it, which the
+test suite checks explicitly.
 """
 
 from __future__ import annotations
@@ -50,8 +55,25 @@ from .model import COLUMN_LIMIT, GapRecord, ProgressionStats, Rational
 _SPARSE = 128
 _LISTED = 64
 
-# Terms per kernel segment: odd numbers on the line, b + k*q in a progression.
+# Terms per kernel segment: positions on the line, b + k*q in a progression.
+# On the wheel, medians of 12 alternating calls of max_prime_gap(4.95e7)
+# and scan_deficits(9.9e6, 205, 214, 10): 84.6 and 14.6 ms at 2**20, 86.6
+# and 14.9 at 2**19; 2**20 positions also struck fastest per position of
+# 2**19 to 2**22 (numpy 2.4, 2-core x86 host with 2 MiB of L2 per core).
 _SEGMENT = 1 << 20
+
+# _max_gap gates and reads blocks of _READ positions, so the first block
+# sets a record before the rest of the first segment is read.  A rough scan
+# of 4e6 integers, u = 19, took 6.4-7.9 ms reading whole 2**20-position
+# segments and 2.2 ms in blocks of 2**16.  Medians of 12 alternating calls,
+# max_prime_gap(4.95e7) and that scan: 2**16 92-93 ms and 1.7-2.1 ms,
+# 2**15 101 and 1.9, 2**17 98 and 2.1 (numpy 2.4, 2-core x86 host).
+_READ = 1 << 16
+
+# The sieve's line: the integers coprime to _WHEEL, 1, 5, 7, 11, 13, ..., the
+# lanes 6k + 1 and 6k + 5 interleaved, so position j holds 3j + 1 + (j & 1).
+# The line of modulus 2, the odd numbers at 2j + 1, serves rough_gap_scan(2).
+_WHEEL = 6
 
 # The primes below 64, which _primes lists without the kernel.
 _SMALL_PRIMES = np.array((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
@@ -169,28 +191,64 @@ def _segments(
         yield b + k * q, struck
 
 
-def _odd_primes(
+def _position(n, w: int):
+    """The number of integers below n on the line of modulus w, 2 or 6:
+    the position of n, when n is on it.  n is an int or a column."""
+    return n // 2 if w == 2 else (n + 4) // 6 + n // 6
+
+
+def _term(j, w: int):
+    """The integer at position j of the line of modulus w, 2 or 6; j is an
+    int or a column.
+
+    On the wheel 3j + 1 is the term for even j and one below it for odd j,
+    where it is even, so (3j + 1) | 1 is 3j + 1 + (j & 1).
+    """
+    return (2 * j + 1 if w == 2 else 3 * j + 1) | 1
+
+
+def _line(
+    w: int, lo: int, hi: int, primes: np.ndarray, spare: bool
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Kernel segments over the integers in [lo, hi] coprime to w, 2 or 6.
+
+    Yields (first position, struck) per segment.  Each of primes, an int64
+    column coprime to w, strikes its multiples, and spares itself when
+    spare is set.  The line has L lanes, the residues r mod w coprime to w,
+    L integers in every w, so the multiples p*m of p on it, m coprime to w,
+    repeat every w*p integers, L*p positions: p strikes each lane as one
+    modulus L*p of the one kernel pass, at the position of r*p, below L*p.
+    An integer n on the line sits at position n // (w / L).
+    """
+    lanes = (1,) if w == 2 else (1, 5)
+    roots = [r * primes // (w // len(lanes)) for r in lanes]
+    spared = roots[0] if spare else primes[:0]
+    return _segments(1, 0, _position(lo, w), _position(hi + 1, w),
+                     np.concatenate([len(lanes) * primes] * len(lanes)),
+                     np.concatenate(roots), spared)
+
+
+def _wheel_primes(
     lo: int, hi: int, cfg: Config, base: Optional[np.ndarray] = None
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Kernel segments over the odd n = 1 + 2k in [max(3, lo), hi], primes unstruck.
+    """Line segments over the n coprime to 6 in [max(5, lo), hi], primes unstruck.
 
-    An odd prime p divides 1 + 2k at k == (p - 1)/2 (mod p), whose least
-    term is p itself, so that k is spared; any other odd multiple of p
-    below p*p has a smaller odd prime factor, which strikes it.  The odd
-    primes up to isqrt(hi) come from base, a column of every prime up to
-    at least isqrt(hi), when it is given, and otherwise from _primes, which
-    recurses down to a root below 64, whose primes it holds as a table.
+    Every prime p >= 5 up to isqrt(hi) strikes its multiples and spares
+    itself; any other multiple of p below p*p, coprime to 6, has a smaller
+    prime factor of at least 5, which strikes it.  Those primes come from
+    base, a column of every prime up to at least isqrt(hi), when it is
+    given, and otherwise from _primes, which recurses down to a root below
+    64, whose primes it holds as a table.
     """
     root = math.isqrt(max(hi, 0))
     _check_table(root, cfg, "prime sieve")
     if base is not None:
-        odd = base[1 : np.searchsorted(base, root, side="right")]
-    elif root >= 3:
-        odd = _primes(2, root, cfg)
+        primes = base[2 : np.searchsorted(base, root, side="right")]
+    elif root >= 5:
+        primes = _primes(3, root, cfg)
     else:
-        odd = np.zeros(0, dtype=np.int64)
-    half = (odd - 1) // 2
-    return _segments(2, 1, max(3, lo) // 2, (hi + 1) // 2, odd, half, half)
+        primes = _SMALL_PRIMES[:0]
+    return _line(_WHEEL, max(5, lo), hi, primes, spare=True)
 
 
 def _primes(
@@ -212,9 +270,9 @@ def _primes(
         _check_table(math.isqrt(max(hi, 0)), cfg, "prime sieve")
         return _SMALL_PRIMES[(_SMALL_PRIMES > lo) & (_SMALL_PRIMES <= hi)]
     dtype = np.int64 if hi < 2**63 else object
-    parts = [np.array([2] if lo < 2 else [], dtype=dtype)]
-    parts += [first + 2 * np.flatnonzero(~struck).astype(dtype, copy=False)
-              for first, struck in _odd_primes(lo + 1, hi, cfg, base)]
+    parts = [np.array([p for p in (2, 3) if p > lo], dtype=dtype)]
+    parts += [_term(start + np.flatnonzero(~struck).astype(dtype, copy=False), _WHEEL)
+              for start, struck in _wheel_primes(lo + 1, hi, cfg, base)]
     return np.concatenate(parts)
 
 
@@ -255,22 +313,23 @@ class _PrimeTable:
 
 
 def _progression_roots(
-    primes: np.ndarray, q: int, b: int
+    primes: np.ndarray, q: int, b: int, phi: Optional[int] = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The ascending primes not dividing q, and the root k of q*k + b == 0 mod each.
 
     q and b may be any ints.  For 0 < q < COLUMN_LIMIT the inverses of q
-    come from _inverses_of, by reciprocity; any other q, and a column
-    reaching COLUMN_LIMIT, which turns dtype=object so the product of a
-    residue and an inverse stays exact, take one _prime_inverses batch, as
-    does an empty column, which needs no totient of q.
+    come from _inverses_of, by reciprocity, with phi, totient(q), computed
+    here unless given; any other q, and a column reaching COLUMN_LIMIT,
+    which turns dtype=object so the product of a residue and an inverse
+    stays exact, take one _prime_inverses batch, as does an empty column,
+    which needs no totient of q.
     """
     if primes.size and primes[-1] >= COLUMN_LIMIT:
         primes = primes.astype(object)
     q_mod = _mod(q, primes)
     primes, q_mod = primes[q_mod != 0], q_mod[q_mod != 0]
     if primes.size and 0 < q < COLUMN_LIMIT and primes.dtype != object:
-        inverses = _inverses_of(q, primes)
+        inverses = _inverses_of(q, primes, totient(q) if phi is None else phi)
     else:
         inverses = _prime_inverses(q_mod, primes)
     return primes, _mod(-b, primes) * inverses % primes
@@ -299,30 +358,39 @@ def _has_run(struck: np.ndarray, k: int) -> bool:
 
 
 def _max_gap(
-    segments: Iterator[tuple[int, np.ndarray]], prev: Optional[int] = None
+    segments: Iterator[tuple[int, np.ndarray]], w: int, prev: Optional[int] = None
 ) -> tuple[GapRecord, int]:
-    """First maximal gap between consecutive kernel survivors, and their number.
+    """First maximal gap between consecutive survivors of _line(w, ...), and
+    their number.
 
     prev, if given, is a survivor before the first segment.  Each boundary
-    gap is read before the segment's own, and only a strictly larger gap
+    gap is read before the block's own, and only a strictly larger gap
     replaces the record, so ties go to the smallest left witness.
 
-    Survivors are odd (or prev = 2), so once the record g is at least 2 a
-    gap inside a segment beats it only across g // 2 or more consecutive
-    struck numbers.  A segment without such a run is not read in full: its
-    first and last survivor, each within g // 2 entries of its end, give the
-    boundary gap and the next prev, and a count of its struck entries gives
-    its number of survivors.
+    With s = 2 on the odd line and 3 on the wheel, n = s*j + 1 + (s - 2)*(j
+    & 1), so survivors D positions apart are s*D + (s - 2)*((j + D) % 2 -
+    j % 2) apart, from j, at most s*D + s - 2.  Survivors and prev are odd,
+    so a gap beating the record g is at least g + 2, and spans D >= (g + 3)
+    // s positions: (g + 3) // s - 1 or more consecutive struck ones.  A
+    block of _READ positions without such a run is not read in full: its
+    first and last survivor, each within that many entries of its end, give
+    the boundary gap and the next prev, and a count of its struck entries
+    gives its number of survivors.  A full read stays in index space: only
+    a step of the widest D holds the largest gap, and the first largest is
+    kept.
     """
+    s = 2 if w == 2 else 3
     best = GapRecord(0, 0, 0)
     found = 0
-    for base, struck in segments:
-        run = best.gap // 2
+    blocks = ((start + cut, struck[cut : cut + _READ])
+              for start, struck in segments for cut in range(0, struck.size, _READ))
+    for start, struck in blocks:
+        run = (best.gap + 3) // s - 1
         offs = None
-        if run and not _has_run(struck, run):
+        if run > 0 and not _has_run(struck, run):
             i = int(np.argmin(struck[:run]))
             if struck[i]:
-                continue  # a segment shorter than run, all struck
+                continue  # a block shorter than run, all struck
             j = struck.size - 1 - int(np.argmin(struck[: -run - 1 : -1]))
             found += struck.size - int(np.count_nonzero(struck))
         else:
@@ -331,17 +399,20 @@ def _max_gap(
                 continue
             found += offs.size
             i, j = int(offs[0]), int(offs[-1])
-        first = base + 2 * i
+        first = _term(start + i, w)
         if prev is not None and first - prev > best.gap:
             best = GapRecord(first - prev, prev, first)
         if offs is not None and offs.size > 1:
             diffs = np.diff(offs)
-            k = int(np.argmax(diffs))  # first maximum
-            gap = 2 * int(diffs[k])
-            if gap > best.gap:
-                lo = base + 2 * int(offs[k])
-                best = GapRecord(gap, lo, lo + gap)
-        prev = base + 2 * j
+            widest = int(diffs.max())
+            at = np.flatnonzero(diffs == widest)
+            parity = (offs[at] + start % 2) % 2  # of each step's left end
+            gaps = s * widest + (s - 2) * ((parity + widest) % 2 - parity)
+            k = int(np.argmax(gaps))  # first maximum
+            if gaps[k] > best.gap:
+                lo = _term(start + int(offs[at[k]]), w)
+                best = GapRecord(int(gaps[k]), lo, lo + int(gaps[k]))
+        prev = _term(start + j, w)
     return best, found
 
 
@@ -365,10 +436,11 @@ def _prime_range(lo: int, hi: int, table: _PrimeTable) -> np.ndarray:
     return primes[np.searchsorted(primes, lo, side="right"):]
 
 
-def _odd_prime_flags(n: int, cfg: Config) -> np.ndarray:
-    """flags[k] tells whether 1 + 2k is a prime <= n, for 0 <= k < (n + 1) // 2.
+def _prime_flags(n: int, cfg: Config) -> np.ndarray:
+    """flags[j] tells whether 3j + 1 + (j & 1) is a prime <= n, for the
+    positions j of the wheel's integers up to n.
 
-    Each _odd_primes segment is written into place, so besides the n // 2
+    Each _wheel_primes segment is written into place, so besides the n // 3
     or so bytes of flags only one segment is held.  n + 1 must fit the
     memory budget, with the refusal of _prime_array; the window check of
     _primes is not repeated, since it needs n past 8 times the budget.
@@ -376,10 +448,9 @@ def _odd_prime_flags(n: int, cfg: Config) -> np.ndarray:
     if n < 0:
         raise ValueError("n must be non-negative")
     _check_table(n, cfg, "prime list")
-    flags = np.zeros((n + 1) // 2, dtype=bool)
-    for base, struck in _odd_primes(3, n, cfg):
-        k = base // 2
-        np.logical_not(struck, out=flags[k : k + struck.size])
+    flags = np.zeros(_position(n + 1, _WHEEL), dtype=bool)
+    for start, struck in _wheel_primes(5, n, cfg):
+        np.logical_not(struck, out=flags[start : start + struck.size])
     return flags
 
 
@@ -394,17 +465,18 @@ def _units(q: int) -> np.ndarray:
 def _residue_counts(flags: np.ndarray, q: int) -> np.ndarray:
     """The number of primes p <= x with p == r (mod q), for each r in [0, q).
 
-    flags are _odd_prime_flags(x) for some x >= 2, and q >= 2.  1 + 2k mod
-    q depends only on k mod period, q for odd q and q // 2 for even q, so
-    the flags are summed as rows of a whole number of periods, at least
-    _ROW bytes: each block of 255 rows in uint8, which cannot overflow
-    since each flag is 0 or 1, the blocks' sums in int64, and then the
-    ragged tail.  Flags that fill no whole row are all tail, laid on the
-    fewest periods that hold them.  Folding the row's columns onto one
-    period gives the count at each residue 1 + 2c, a different one for each
-    c; the prime 2 adds one at 2 mod q.
+    flags are _prime_flags(x) for some x >= 3, and q >= 2.  The integer at
+    position c, 3c + 1 + (c & 1), mod q depends only on c mod period =
+    2q / gcd(q, 6), so the flags are summed as rows of a whole number of
+    periods, at least _ROW bytes: each block of 255 rows in uint8, which
+    cannot overflow since each flag is 0 or 1, the blocks' sums in int64,
+    and then the ragged tail.  Flags that fill no whole row are all tail,
+    laid on the fewest periods that hold them.  Folding the row's columns
+    onto one period gives the count at each column c, which np.bincount
+    adds to its residue, shared by several c; the primes 2 and 3 add one
+    each.
     """
-    period = q if q % 2 else q // 2
+    period = 2 * q // math.gcd(q, 6)
     width = period * -(-_ROW // period)
     bits = flags.view(np.uint8)
     rows = bits.size // width
@@ -416,9 +488,12 @@ def _residue_counts(flags: np.ndarray, q: int) -> np.ndarray:
         cols += body[i : i + 255].sum(axis=0, dtype=np.uint8)
     tail = bits[rows * width :]
     cols[: tail.size] += tail
-    counts = np.zeros(q, dtype=np.int64)
-    counts[np.arange(1, 2 * period, 2) % q] = cols.reshape(-1, period).sum(axis=0)
+    # the float weights hold every count exactly, far below 2**53
+    counts = np.bincount(_term(np.arange(period), _WHEEL) % q,
+                         weights=cols.reshape(-1, period).sum(axis=0), minlength=q)
+    counts = counts.astype(np.int64)
     counts[2 % q] += 1
+    counts[3 % q] += 1
     return counts
 
 
@@ -496,9 +571,10 @@ def _prime_count_ap(
 ) -> tuple[ProgressionStats, tuple[int, np.ndarray, np.ndarray]]:
     """prime_count_ap on the table's primes, and the roots it solved.
 
-    These come as (k, primes, roots): the first k primes of the table's
-    column, those up to isqrt(x), give the primes not dividing q and
-    their roots, a prefix of any longer solve for the same q and b.
+    These come as (k, primes, roots, phi): the first k primes of the
+    table's column, those up to isqrt(x), give the primes not dividing q
+    and their roots, a prefix of any longer solve for the same q and b,
+    and phi is totient(q), which delta and that solve share.
     """
     _validate_progression(q, b)
     if not q < x:
@@ -507,7 +583,8 @@ def _prime_count_ap(
     _check_window(terms, table.cfg, "progression sieve")
     root = math.isqrt(x)
     base = _prime_array(root, table, "progression sieve")
-    primes, roots = _progression_roots(base, q, b)
+    phi = totient(q)
+    primes, roots = _progression_roots(base, q, b, phi)
     # the k of the terms that are base primes: n % q == n % reach for every
     # n <= root, and past q > root only n = b, at k = 0, is that small
     reach = min(q, root + 1)
@@ -515,9 +592,9 @@ def _prime_count_ap(
     segments = _segments(q, b, 0, terms, primes, roots, own)
     # n = 1 (b = 1, k = 0) has no prime factor, so it survives every strike
     count = sum(s.size - int(np.count_nonzero(s)) for _, s in segments) - (b == 1)
-    delta = Rational(count * totient(q), x)
+    delta = Rational(count * phi, x)
     stats = ProgressionStats(q=q, b=b, x=x, count=count, delta=delta)
-    return stats, (base.size, primes, roots)
+    return stats, (base.size, primes, roots, phi)
 
 
 def max_prime_gap(x: int, *, config: Optional[Config] = None) -> GapRecord:
@@ -529,7 +606,7 @@ def max_prime_gap(x: int, *, config: Optional[Config] = None) -> GapRecord:
     if x < 5:
         raise ValueError("need x >= 5 so at least one gap exists")
     _check_window(x, cfg, "prime gap scan")
-    return _max_gap(_odd_primes(3, x, cfg), prev=2)[0]
+    return _max_gap(_wheel_primes(5, x, cfg), _WHEEL, prev=3)[0]
 
 
 def least_prime_ap(q: int, b: int, limit: int) -> Optional[int]:
@@ -557,10 +634,11 @@ def rough_gap_scan(
     """Largest gap between consecutive u-rough integers found in [lo, hi].
 
     An integer is u-rough when it has no prime factor <= u; 1 qualifies,
-    and since u >= 2 every rough integer is odd.  Ties go to the smallest
-    left witness.  Raises EmptyRange when the window holds fewer than two
-    rough integers, and ResourceLimit when the window or the sieve of the
-    primes up to u exceeds the budget.
+    and since u >= 2 every rough integer is odd, and for u >= 3 coprime to
+    6: the scan walks the odd line for u = 2 and the wheel otherwise.  Ties
+    go to the smallest left witness.  Raises EmptyRange when the window
+    holds fewer than two rough integers, and ResourceLimit when the window
+    or the sieve of the primes up to u exceeds the budget.
     """
     cfg = config or DEFAULT
     if u < 2:
@@ -568,9 +646,10 @@ def rough_gap_scan(
     if lo >= hi:
         raise ValueError("need lo < hi")
     _check_window(hi - lo, cfg, "rough gap scan")
-    odd = _prime_array(u, _PrimeTable(cfg), "rough gap scan")[1:]
-    segments = _segments(2, 1, lo // 2, (hi + 1) // 2, odd, (odd - 1) // 2, odd[:0])
-    best, found = _max_gap(segments)
+    w = 2 if u == 2 else _WHEEL
+    # the primes from 5: 2 and 3 are off the wheel, and u = 2 has no others
+    primes = _prime_array(u, _PrimeTable(cfg), "rough gap scan")[2:]
+    best, found = _max_gap(_line(w, lo, hi, primes, spare=False), w)
     if found < 2:
         raise EmptyRange(
             f"only {found} {u}-rough integer(s) in [{lo}, {hi}]; no gap to report"
@@ -584,7 +663,7 @@ def scan_deficits(
     """The progressions b mod q, qmin <= q <= qmax, q < x, with the fewest primes.
 
     Every unit b mod q is a row, empty progressions included.  The counts
-    of every q come from one set of _odd_prime_flags up to x, x / 2 bytes
+    of every q come from one set of _prime_flags up to x, x / 3 bytes
     under the x + 1-byte rule of a prime table.  Rows rank by
     delta = count * phi(q) / x, then q, then b; x is the same for every row,
     so the exact integer count * phi(q) orders them as delta does.  Returns
@@ -600,7 +679,7 @@ def scan_deficits(
     cfg = config or DEFAULT
     ranking = []
     if qmin <= qmax and qmin < x:
-        flags = _odd_prime_flags(x, cfg)
+        flags = _prime_flags(x, cfg)
         for q in range(max(2, qmin), min(qmax, x - 1) + 1):
             units = _units(q)
             phi = units.size

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import random
@@ -8,7 +9,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from gapforge import cli, covering, sieve
+from gapforge import arith, cli, covering, jacobsthal, sieve
 from gapforge.arith import is_prime
 from gapforge.config import Config
 from gapforge.covering import (
@@ -536,17 +537,17 @@ def test_cover_and_strict_verify_sieve_and_solve_each_prime_once(
     tmp_path, monkeypatch, x, q, b, delta
 ):
     sieved, solved = [], []
-    odd_primes, progression_roots = sieve._odd_primes, sieve._progression_roots
+    wheel_primes, progression_roots = sieve._wheel_primes, sieve._progression_roots
 
-    def recording_odd_primes(lo, hi, *args):
+    def recording_wheel_primes(lo, hi, *args):
         sieved.append((lo, hi))
-        return odd_primes(lo, hi, *args)
+        return wheel_primes(lo, hi, *args)
 
     def recording_roots(primes, *args):
         solved.append(primes.size)
         return progression_roots(primes, *args)
 
-    monkeypatch.setattr(sieve, "_odd_primes", recording_odd_primes)
+    monkeypatch.setattr(sieve, "_wheel_primes", recording_wheel_primes)
     for module in (sieve, covering):
         monkeypatch.setattr(module, "_progression_roots", recording_roots)
     path = tmp_path / "cert.json"
@@ -557,8 +558,8 @@ def test_cover_and_strict_verify_sieve_and_solve_each_prime_once(
         solved.clear()
         assert cli.main(command) == 0, command
         cert, _ = certificate_from_dict(json.loads(path.read_text()))
-        # the kernel windows are disjoint and end at u, so every odd prime
-        # up to u is sieved at most once
+        # the kernel windows are disjoint and end at u, so every prime
+        # from 5 up to u is sieved at most once
         ends = [end for window in sorted(sieved) for end in window]
         assert ends == sorted(ends) and len(set(ends)) == len(ends), sieved
         assert ends[-1] == cert.u, sieved
@@ -567,3 +568,36 @@ def test_cover_and_strict_verify_sieve_and_solve_each_prime_once(
     rational = None if delta is None else Rational(*map(int, delta.split("/")))
     staged = _staged_certificate(x, q, b, rational)
     assert certificate_to_json(staged) == path.read_text()
+
+
+@pytest.mark.parametrize("x, q, b, delta", [
+    # u // 2 = isqrt(x): the forced classes solve no root past the count's
+    (10**7, 10007, 3, None),
+    # u // 2 > isqrt(x): they solve the primes past the count's
+    (10**6, 678, 581, None),
+    # delta given: cover counts nothing, strict verify counts and rebuilds
+    (13560581, 678, 581, "1/10"),
+])
+def test_cover_and_strict_verify_factor_q_twice(tmp_path, monkeypatch, x, q, b, delta):
+    # one totient of q serves delta and every root solve of a command, and
+    # greedy_cover factors q once more; factorize is replaced in every
+    # gapforge module that binds it
+    factored = collections.Counter()
+    factorize = arith.factorize
+
+    def counting_factorize(n):
+        factored[n] += 1
+        return factorize(n)
+
+    bound = [m for m in (arith, cli, covering, jacobsthal, sieve)
+             if getattr(m, "factorize", None) is factorize]
+    assert bound
+    for module in bound:
+        monkeypatch.setattr(module, "factorize", counting_factorize)
+    path = tmp_path / "cert.json"
+    argv = ["cover", "--x", str(x), "--q", str(q), "--b", str(b), "--out", str(path)]
+    for command in (argv + (["--delta", delta] if delta else []),
+                    ["verify", str(path), "--strict"]):
+        factored.clear()
+        assert cli.main(command) == 0, command
+        assert factored[q] == 2, (command, factored)

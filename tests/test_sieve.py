@@ -9,7 +9,7 @@ import pytest
 from gapforge.arith import is_prime, primorial, small_primes_up_to, totient
 from gapforge.config import Config
 from gapforge.errors import BadProgression, DomainError, EmptyRange, ResourceLimit
-from gapforge.model import Rational
+from gapforge.model import GapRecord, Rational
 from gapforge import arith, sieve
 from gapforge.sieve import (
     first_non_prime,
@@ -486,30 +486,39 @@ def _record_straddles(rec, boundary):
 
 
 def test_max_prime_gap_record_across_segment_boundary(segment):
-    # odd-only segments of s numbers start at 3 + 2*s*k; at the size 2**16
-    # no boundary falls inside the record below 5e5, so two sizes put the
-    # boundary just past its left end and exactly on its right end
+    # the wheel's segments of s positions start at position 1 + s*k, the
+    # first at 5, and a wheel integer n sits at position n // 3; at the
+    # size 2**16 no boundary falls inside the record below 5e5, so two
+    # sizes put the boundary just past its left end and exactly on its
+    # right end
     x = 500_000
     rec = max_prime_gap(x)
     assert (rec.gap, rec.lo, rec.hi) == (114, 492113, 492227)
-    sizes = {1 << 16: None, (rec.lo - 1) // 2: rec.lo + 2, (rec.hi - 3) // 2: rec.hi}
+    sizes = {1 << 16: None, rec.lo // 3: rec.lo + 2, rec.hi // 3 - 1: rec.hi}
     for size, boundary in sizes.items():
         if boundary is not None:
-            assert 3 + 2 * size == boundary and _record_straddles(rec, boundary)
+            assert _line_integer(1 + size, 6) == boundary
+            assert _record_straddles(rec, boundary)
         segment(size)
         assert max_prime_gap(x) == rec, size
 
 
+# 2**16 wheel positions from a wheel integer span 3 * 2**16 integers
+WHEEL_SPAN = 3 << 16
+
+
 def test_rough_gap_scan_record_across_segment_boundary(segment):
-    # a sub-window holding the record keeps it; start it so the first
-    # boundary at the size 2**16 (start + 2**17) lands inside the record
-    # gap, then exactly on its right end
+    # a sub-window holding the record keeps it; start it on the wheel so
+    # the first boundary at the size 2**16 (start + WHEEL_SPAN) lands just
+    # past the record's left end, then exactly on its right end
     for u, lo, hi in ((50, 10**6, 2 * 10**6), (300, 10**7, 10**7 + 600_000)):
         segment(1 << 20)
         rec = rough_gap_scan(u, lo, hi)
-        for start in (rec.lo + 2 - (1 << 17), rec.hi - (1 << 17)):
-            assert start >= lo and start % 2 == 1
-            assert _record_straddles(rec, start + (1 << 17))
+        past_lo = _line_integer(rec.lo // 3 + 1, 6)
+        for start in (past_lo - WHEEL_SPAN, rec.hi - WHEEL_SPAN):
+            assert start >= lo and math.gcd(start, 6) == 1
+            assert _line_integer(start // 3 + (1 << 16), 6) == start + WHEEL_SPAN
+            assert _record_straddles(rec, start + WHEEL_SPAN)
             for size in (1 << 20, 1 << 16):
                 segment(size)
                 assert rough_gap_scan(u, start, hi) == rec, (u, start, size)
@@ -518,10 +527,11 @@ def test_rough_gap_scan_record_across_segment_boundary(segment):
 def test_rough_gap_scan_tie_across_segment_boundary(rough_gap_oracle, segment):
     # J(13) = 22 recurs every period, so a window can hold an earlier
     # 22-gap and a later one straddling the first boundary at the size 2**16
-    # (start + 2**17); the earlier one must keep the record
+    # (start + WHEEL_SPAN); the earlier one must keep the record
     period = primorial(13)
     later = rough_gap_scan(13, 1, period + 1).lo + 5 * period
-    start = later + 2 - (1 << 17)
+    start = _line_integer(later // 3 + 1, 6) - WHEEL_SPAN
+    assert _record_straddles(GapRecord(22, later, later + 22), start + WHEEL_SPAN)
     expect = rough_gap_oracle(13, start, later + 100)
     assert expect[0] == 22 and expect[1] < later
     for size in (1 << 16, 1 << 20):
@@ -601,16 +611,32 @@ def test_scan_deficits_budget_and_domain():
 @pytest.mark.parametrize("x", [3, 4, 5, 63, 64, 65, 1000, 99991, 10**6 + 1,
                                3 * 10**6 + 1])
 def test_residue_counts_match_prime_column_oracle(x):
-    # the flags of x < 2 * _ROW fill no whole row, those up to 10**6 + 1
-    # fewer than 255 rows, and those of 3 * 10**6 + 1 two blocks of 255
-    # rows and a short one for small q; periods run from 1 (q = 2) to 599,
-    # and most tails are not a whole row
+    # the flags of x < 3 * _ROW fill no whole row, those up to 10**6 + 1
+    # fewer than 255 rows, and those of 3 * 10**6 + 1 a block of 255 rows
+    # and a short one for small q; periods run from 2 (q = 2, 3, 6) to 1198
+    # (q = 599), and most tails are not a whole row
     cfg = Config()
-    flags = sieve._odd_prime_flags(x, cfg)
+    flags = sieve._prime_flags(x, cfg)
     primes = sieve._prime_array(x, sieve._PrimeTable(cfg))
     for q in range(2, 601):
         want = np.bincount(primes % q, minlength=q)
         assert sieve._residue_counts(flags, q).tolist() == want.tolist(), (x, q)
+
+
+@pytest.mark.parametrize("x", [10**4 + r for r in range(6)] + [3 * 10**5 + r for r in range(6)])
+def test_residue_counts_for_each_gcd_with_six(x):
+    # x of every residue mod 6, and q of each gcd with 6, which sets the
+    # period 2q / gcd(q, 6) the flags fold on
+    cfg = Config()
+    flags = sieve._prime_flags(x, cfg)
+    primes = sieve._prime_array(x, sieve._PrimeTable(cfg))
+    moduli = {1: (5, 7, 25, 35, 211), 2: (2, 4, 8, 10, 212),
+              3: (3, 9, 15, 21, 213), 6: (6, 12, 30, 210, 1002)}
+    for g, qs in moduli.items():
+        for q in qs:
+            assert math.gcd(q, 6) == g
+            want = np.bincount(primes % q, minlength=q)
+            assert sieve._residue_counts(flags, q).tolist() == want.tolist(), (x, q)
 
 
 def test_scan_deficits_matches_prime_column_oracle():
@@ -627,30 +653,38 @@ def test_scan_deficits_matches_prime_column_oracle():
         (q, b, count, Rational(key, x)) for key, q, b, count in ranking[:top]]
 
 
-def _stream(base, texts):
-    """Kernel segments from text, one string each: '.' survives, 'x' is struck."""
+def _stream(start, texts):
+    """Line segments from text, one string each, from position start: '.'
+    survives, 'x' is struck."""
     segments = []
     for text in texts:
-        segments.append((base, np.array([c == "x" for c in text], dtype=bool)))
-        base += 2 * len(text)
+        segments.append((start, np.array([c == "x" for c in text], dtype=bool)))
+        start += len(text)
     return segments
 
 
-def _read_every_survivor(segments, prev=None):
+def _line_integer(j, w):
+    """The integer at position j of the line of the integers coprime to w,
+    counted lane by lane: w * (j // lanes) plus the (j % lanes)-th unit."""
+    units = [r for r in range(w) if math.gcd(r, w) == 1]
+    return w * (j // len(units)) + units[j % len(units)]
+
+
+def _read_every_survivor(segments, w, prev=None):
     """(gap, lo, hi) of the first maximal gap and the survivor count, read in full."""
     best, found = (0, 0, 0), 0
-    for base, struck in segments:
+    for start, struck in segments:
         for i in np.flatnonzero(~struck).tolist():
-            n = base + 2 * i
+            n = _line_integer(start + i, w)
             if prev is not None and n - prev > best[0]:
                 best = (n - prev, prev, n)
             prev, found = n, found + 1
     return best, found
 
 
-def _assert_gap_reader_agrees(segments, prev=None):
-    rec, found = sieve._max_gap(iter(segments), prev)
-    best, total = _read_every_survivor(segments, prev)
+def _assert_gap_reader_agrees(segments, w=2, prev=None):
+    rec, found = sieve._max_gap(iter(segments), w, prev)
+    best, total = _read_every_survivor(segments, w, prev)
     assert (rec.gap, rec.lo, rec.hi) == best
     assert found == total
     return best
@@ -682,26 +716,69 @@ RECORD_8 = "..xxx."
     ([RECORD_8, ".x.x.xxx", "xxx.", "x.x.xxx", "x."], (14, 21, 35)),
 ])
 def test_gap_reader_gate_on_crafted_segments(texts, want):
-    assert _assert_gap_reader_agrees(_stream(1, texts)) == want
+    # the odd line: position 0 holds 1
+    assert _assert_gap_reader_agrees(_stream(0, texts)) == want
+
+
+# on the wheel (1, 5, 7, 11, 13, 17, 19, 23, 25, 29, 31, 35, 37, ...) the
+# first segment sets the record 12 = (1, 13): a larger gap needs a step of
+# (12 + 3) // 3 = 5 positions, a run of 4 struck ones.  A step of D
+# positions spans 3D for even D; for odd D, 3D + 1 from an even position
+# and 3D - 1 from an odd one.
+WHEEL_RECORD_12 = ".xxx.."
+
+
+@pytest.mark.parametrize("texts, want", [
+    # a step of 4 from position 6 or 7 ties the record, gated (run 3) and
+    # read in full (the trailing run of 4 opens the gate)
+    ([WHEEL_RECORD_12, ".xxx."], (12, 1, 13)),
+    ([WHEEL_RECORD_12, "x.xxx.xxxx"], (12, 1, 13)),
+    # a step of 5 from the odd position 11 is 14, from the even 6 it is 16
+    ([WHEEL_RECORD_12, "x.xxx.xxxx."], (14, 35, 49)),
+    ([WHEEL_RECORD_12, ".xxxx."], (16, 19, 35)),
+    # two steps of 5: from odd 7 (14), then from even 12 (16), which wins;
+    # from even 6 and even 12, both 16, and the first one stays
+    ([WHEEL_RECORD_12, "x.xxxx.xxxx."], (16, 37, 53)),
+    ([WHEEL_RECORD_12, ".xxxx..xxxx."], (16, 19, 35)),
+    # a segment with no survivor, and a record only the boundary gap sets
+    ([WHEEL_RECORD_12, "xxxxxxx"], (12, 1, 13)),
+    ([WHEEL_RECORD_12, "xxxx", "x."], (18, 17, 35)),
+])
+def test_gap_reader_gate_on_crafted_wheel_segments(texts, want):
+    assert _assert_gap_reader_agrees(_stream(0, texts), 6) == want
 
 
 def test_gap_reader_gate_after_a_prime_sieve_start():
-    # prev = 2 before base 3 makes the first record the odd gap 1, which
-    # must not engage the gate
-    for texts, want in (([".", "x.x."], (4, 3, 7)), (["x", "xx.x"], (7, 2, 9)),
-                        (["..x.", "xx.x.x"], (6, 9, 15))):
-        assert _assert_gap_reader_agrees(_stream(3, texts), prev=2) == want
+    # prev = 3 before position 1, the 5 where the wheel's prime sieve
+    # starts, makes the first record 2 = (3, 5), which must not engage the
+    # gate
+    for texts, want in (([".", "x.x."], (6, 5, 11)), (["x", "xx.x"], (10, 3, 13)),
+                        (["..x.", "xx.x.x"], (10, 13, 23))):
+        assert _assert_gap_reader_agrees(_stream(1, texts), 6, prev=3) == want
 
 
-def test_gap_reader_gate_on_random_segments():
+def _random_gap_reader_runs():
     rng = random.Random(90210)
     for _ in range(2000):
         density = rng.random()
         texts = ["".join("x" if rng.random() < density else "."
                          for _ in range(rng.randint(1, 24)))
                  for _ in range(rng.randint(1, 12))]
+        w = rng.choice([2, 6])
         prev = rng.choice([None, 1])
-        _assert_gap_reader_agrees(_stream(3 + 2 * rng.randrange(5), texts), prev)
+        _assert_gap_reader_agrees(_stream(1 + rng.randrange(5), texts), w, prev)
+
+
+def test_gap_reader_gate_on_random_segments():
+    _random_gap_reader_runs()
+
+
+@pytest.mark.parametrize("read", [1, 3, 16])
+def test_gap_reader_gate_on_random_blocks(monkeypatch, read):
+    # segments gated and read in blocks of read positions, the last one of
+    # a segment shorter
+    monkeypatch.setattr(sieve, "_READ", read)
+    _random_gap_reader_runs()
 
 
 def _prime_gap_oracle(x):
@@ -735,6 +812,76 @@ def test_gated_scans_match_oracles_on_seeded_windows(rough_gap_oracle, segment):
         x = rng.randrange(300_000, 1_500_000)
         rec = max_prime_gap(x)
         assert (rec.gap, rec.lo, rec.hi) == _prime_gap_oracle(x), x
+
+
+def test_line_positions_match_lane_by_lane_map():
+    # _position(n) counts the line's integers below n, negative n included
+    for w in (2, 6):
+        line = [n for n in range(-60, 600) if math.gcd(n, w) == 1]
+        for n in range(-50, 500):
+            below = sum(1 for m in line if m < n) - sum(1 for m in line if m < 0)
+            assert sieve._position(n, w) == below, (w, n)
+        for j in range(-20, 200):
+            assert sieve._term(j, w) == _line_integer(j, w), (w, j)
+    # object columns of positions past 2**63, as past-int64 prime windows
+    # map them
+    j = np.array([2**63 + d for d in range(-3, 9)] + [2**70 + 1], dtype=object)
+    for w in (2, 6):
+        terms = sieve._term(j, w)
+        assert terms.dtype == object
+        assert terms.tolist() == [_line_integer(v, w) for v in j.tolist()]
+        assert sieve._position(terms, w).tolist() == j.tolist()
+
+
+def test_max_prime_gap_every_x_to_400():
+    # x of every residue mod 6, so the wheel ends on each lane, in the
+    # first segment and its first _READ block
+    for x in range(5, 401):
+        rec = max_prime_gap(x)
+        assert (rec.gap, rec.lo, rec.hi) == _prime_gap_oracle(x), x
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 64])
+def test_max_prime_gap_next_to_segment_ends(segment, size):
+    # the prime sieve's segments of size positions start at position
+    # 1 + k*size; x takes every residue mod 6 around the integer there,
+    # so the last segment ends short, full, or one position into the next
+    segment(size)
+    for k in (1, 2, 5, 40):
+        boundary = _line_integer(1 + k * size, 6)
+        for x in range(max(5, boundary - 8), boundary + 8):
+            rec = max_prime_gap(x)
+            assert (rec.gap, rec.lo, rec.hi) == _prime_gap_oracle(x), (size, x)
+
+
+@pytest.mark.parametrize("u", [2, 3, 4, 5, 7, 23])
+def test_rough_gap_scan_matches_oracle_at_every_residue(rough_gap_oracle, segment, u):
+    # windows whose ends take every residue mod 6, on the odd line (u = 2)
+    # and the wheel, from 1, near 10**6 and past 2**66, where positions
+    # pass 2**63, at segment sizes from 7 positions to the real one
+    rng = random.Random(u)
+    for size in (7, 64, None):
+        if size is not None:
+            segment(size)
+        for base in (1, 10**6, 2**66):
+            for r in range(6):
+                lo = base + 6 * rng.randrange(100) + r
+                hi = lo + 300 + 6 * rng.randrange(50) + rng.randrange(6)
+                rec = rough_gap_scan(u, lo, hi)
+                assert (rec.gap, rec.lo, rec.hi) == rough_gap_oracle(u, lo, hi), (
+                    u, size, lo, hi)
+
+
+def test_primes_in_range_at_every_residue():
+    # lo and hi of every residue mod 6, against is_prime
+    rng = random.Random(6)
+    for base in (0, 10**6, 10**12):
+        for r in range(6):
+            for s in range(6):
+                lo = base + 6 * rng.randrange(100) + r
+                hi = lo + 6 * rng.randrange(10, 40) + s
+                want = [n for n in range(lo + 1, hi + 1) if is_prime(n)]
+                assert primes_in_range(lo, hi) == want, (lo, hi)
 
 
 # the segment kernel's base primes: small enough that their spared k lie in
@@ -889,7 +1036,7 @@ def test_progression_roots_by_reciprocity_match_fermat_and_pow(q):
             fermat = sieve._prime_inverses(q % kept, kept)
             assert (-b % kept * fermat % kept).tolist() == roots.tolist(), (q, b)
         if kept.dtype == np.int64:
-            assert np.array_equal(arith._inverses_of(q, kept), fermat), q
+            assert np.array_equal(arith._inverses_of(q, kept, totient(q)), fermat), q
 
 
 def test_progression_roots_by_reciprocity_take_no_fermat_batch(monkeypatch):
@@ -925,8 +1072,9 @@ def test_units_match_gcd_mask():
 
 def _row_sum_residue_counts(flags, q):
     """_residue_counts as it was before flags too short for a row skipped
-    the row sums: every row of at least _ROW bytes, however few flags."""
-    period = q if q % 2 else q // 2
+    the row sums: every row of at least _ROW bytes, however few flags; the
+    columns of one period added to their residues by np.add.at."""
+    period = 2 * q // math.gcd(q, 6)
     width = period * -(-sieve._ROW // period)
     bits = flags.view(np.uint8)
     rows = bits.size // width
@@ -937,15 +1085,19 @@ def _row_sum_residue_counts(flags, q):
     tail = bits[rows * width :]
     cols[: tail.size] += tail
     counts = np.zeros(q, dtype=np.int64)
-    counts[np.arange(1, 2 * period, 2) % q] = cols.reshape(-1, period).sum(axis=0)
+    c = np.arange(period)
+    np.add.at(counts, (6 * (c // 2) + np.where(c % 2, 5, 1)) % q,
+              cols.reshape(-1, period).sum(axis=0))
     counts[2 % q] += 1
+    counts[3 % q] += 1
     return counts
 
 
-@pytest.mark.parametrize("x", [2, 3, 100, 1000, 4095, 4096, 4097, 10**5 + 1])
+@pytest.mark.parametrize("x", [2, 3, 100, 1000, 4095, 4096, 4097, 6143, 6144,
+                               6145, 10**5 + 1])
 def test_residue_counts_match_row_sum_oracle(x):
-    # below x = 2 * _ROW the flags fill no row of any q
-    flags = sieve._odd_prime_flags(x, Config())
+    # below x = 3 * _ROW the flags fill no row of any q
+    flags = sieve._prime_flags(x, Config())
     for q in range(2, 1200):
         assert np.array_equal(sieve._residue_counts(flags, q),
                               _row_sum_residue_counts(flags, q)), (x, q)
