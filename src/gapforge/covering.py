@@ -315,7 +315,7 @@ def build_certificate(
     delta is measured exactly from the primes unless an override is given
     (the override explores the construction under a hypothetical deficit).
     The certificate then passes the structural verify_certificate checks
-    through require_verified, and a matching step that ran past the
+    through _require_verified, and a matching step that ran past the
     sufficient condition |N'| <= u/(5 ln u) is logged as a warning.
     Deterministic: identical arguments give byte-identical certificates.
     One prime table serves the count, the construction and the check.
@@ -529,22 +529,15 @@ def crt_witness(
     solve as the one congruence q*T == b (mod P_S), a small CRT combines
     the others, and P_S must divide q*T - b before T is returned.
     """
-    cfg = config or DEFAULT
-    require_verified(cert, config=cfg)
-    return witness_of_verified(cert)[0]
-
-
-def require_verified(
-    cert: CoveringCertificate, *, config: Optional[Config] = None
-) -> None:
-    """Run verify_certificate once and raise InvalidCertificate on any failure."""
     _require_verified(cert, _PrimeTable(config or DEFAULT))
+    return witness_of_verified(cert)[0]
 
 
 def _require_verified(
     cert: CoveringCertificate, table: _PrimeTable, keep: bool = False
 ) -> None:
-    """require_verified on the table's primes; keep as for _verify."""
+    """Run verify_certificate once on the table's primes and raise
+    InvalidCertificate on any failure; keep as for _verify."""
     report = _verify(cert, False, table, keep)
     if not report.ok:
         raise InvalidCertificate(

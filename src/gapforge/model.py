@@ -200,7 +200,7 @@ class ProgressionStats(_Record):
 class JacobsthalValue(_Record):
     """A value of (or lower bound on) the maximal rough-number gap at u.
 
-    exact values come from a full-period scan; bounds come from certificates,
+    exact values come from the covering search; bounds come from certificates,
     in which case value = y + 2 and gap_lower_rational carries the reported
     (x - b)/q form.
     """

@@ -9,10 +9,10 @@ covering module shares.  Prime lists, gaps and rough scans walk the line
 6k +- 1, the integers coprime to 6: the lanes 6k + 1 and 6k + 5
 interleaved, position j holding 3j + 1 + (j & 1), each prime p >= 5
 striking each lane as one modulus 2p of one kernel pass; the primes 2 and
-3 are added by hand.  Only rough_gap_scan(2, ...) walks the odd numbers,
-the one-lane line of the same code.  _primes is the one producer of prime
-columns, the kernel's own base primes included, and holds the primes below
-64 as a table.  A public call lists its primes in one _PrimeTable, which
+3 are added by hand.  rough_gap_scan(2, ...) needs no sieve: the 2-rough
+integers are the odd ones, every gap 2.  _primes is the one producer of
+prime columns, the kernel's own base primes included, and holds the primes
+below 64 as a table.  A public call lists its primes in one _PrimeTable, which
 grows by _primes over the new range only, so it sieves each prime once;
 every request to it (_prime_array, _prime_range) makes its own budget
 check.  The exact count's roots of q*k + b == 0 are a prefix of the
@@ -70,11 +70,6 @@ _SEGMENT = 1 << 20
 # 2**15 101 and 1.9, 2**17 98 and 2.1 (numpy 2.4, 2-core x86 host).
 _READ = 1 << 16
 
-# The sieve's line: the integers coprime to _WHEEL, 1, 5, 7, 11, 13, ..., the
-# lanes 6k + 1 and 6k + 5 interleaved, so position j holds 3j + 1 + (j & 1).
-# The line of modulus 2, the odd numbers at 2j + 1, serves rough_gap_scan(2).
-_WHEEL = 6
-
 # The primes below 64, which _primes lists without the kernel.
 _SMALL_PRIMES = np.array((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                           53, 59, 61), dtype=np.int64)
@@ -101,7 +96,10 @@ def _check_window(span: int, cfg: Config, what: str) -> None:
 
 
 def _check_table(n: int, cfg: Config, what: str) -> None:
-    """Refuse unless the primes up to n fit the budget: their sieve takes n + 1 bytes."""
+    """Refuse a negative n, and the primes up to n unless they fit the budget:
+    their sieve takes n + 1 bytes."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
     if n + 1 > cfg.memory_budget:
         raise ResourceLimit(
             f"{what} needs the primes up to {n}, "
@@ -191,41 +189,37 @@ def _segments(
         yield b + k * q, struck
 
 
-def _position(n, w: int):
-    """The number of integers below n on the line of modulus w, 2 or 6:
-    the position of n, when n is on it.  n is an int or a column."""
-    return n // 2 if w == 2 else (n + 4) // 6 + n // 6
+def _position(n):
+    """The number of integers coprime to 6 below n: the position of n on the
+    line, when n is on it.  n is an int or a column."""
+    return (n + 4) // 6 + n // 6
 
 
-def _term(j, w: int):
-    """The integer at position j of the line of modulus w, 2 or 6; j is an
-    int or a column.
+def _term(j):
+    """The integer at position j of the line; j is an int or a column.
 
-    On the wheel 3j + 1 is the term for even j and one below it for odd j,
-    where it is even, so (3j + 1) | 1 is 3j + 1 + (j & 1).
+    3j + 1 is the term for even j and one below it for odd j, where it is
+    even, so (3j + 1) | 1 is 3j + 1 + (j & 1).
     """
-    return (2 * j + 1 if w == 2 else 3 * j + 1) | 1
+    return (3 * j + 1) | 1
 
 
 def _line(
-    w: int, lo: int, hi: int, primes: np.ndarray, spare: bool
+    lo: int, hi: int, primes: np.ndarray, spare: bool
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Kernel segments over the integers in [lo, hi] coprime to w, 2 or 6.
+    """Kernel segments over the integers in [lo, hi] coprime to 6.
 
     Yields (first position, struck) per segment.  Each of primes, an int64
-    column coprime to w, strikes its multiples, and spares itself when
-    spare is set.  The line has L lanes, the residues r mod w coprime to w,
-    L integers in every w, so the multiples p*m of p on it, m coprime to w,
-    repeat every w*p integers, L*p positions: p strikes each lane as one
-    modulus L*p of the one kernel pass, at the position of r*p, below L*p.
-    An integer n on the line sits at position n // (w / L).
+    column of primes >= 5, strikes its multiples, and spares itself when
+    spare is set.  The multiples p*m of p on the line, m coprime to 6,
+    repeat every 6p integers, 2p positions: p strikes each lane as one
+    modulus 2p of the one kernel pass, at the positions of p and 5p, p // 3
+    and 5p // 3, both below 2p.  An integer n on the line sits at n // 3.
     """
-    lanes = (1,) if w == 2 else (1, 5)
-    roots = [r * primes // (w // len(lanes)) for r in lanes]
-    spared = roots[0] if spare else primes[:0]
-    return _segments(1, 0, _position(lo, w), _position(hi + 1, w),
-                     np.concatenate([len(lanes) * primes] * len(lanes)),
-                     np.concatenate(roots), spared)
+    roots = [primes // 3, 5 * primes // 3]
+    return _segments(1, 0, _position(lo), _position(hi + 1),
+                     np.concatenate([2 * primes] * 2), np.concatenate(roots),
+                     roots[0] if spare else primes[:0])
 
 
 def _wheel_primes(
@@ -248,7 +242,7 @@ def _wheel_primes(
         primes = _primes(3, root, cfg)
     else:
         primes = _SMALL_PRIMES[:0]
-    return _line(_WHEEL, max(5, lo), hi, primes, spare=True)
+    return _line(max(5, lo), hi, primes, spare=True)
 
 
 def _primes(
@@ -271,7 +265,7 @@ def _primes(
         return _SMALL_PRIMES[(_SMALL_PRIMES > lo) & (_SMALL_PRIMES <= hi)]
     dtype = np.int64 if hi < 2**63 else object
     parts = [np.array([p for p in (2, 3) if p > lo], dtype=dtype)]
-    parts += [_term(start + np.flatnonzero(~struck).astype(dtype, copy=False), _WHEEL)
+    parts += [_term(start + np.flatnonzero(~struck).astype(dtype, copy=False))
               for start, struck in _wheel_primes(lo + 1, hi, cfg, base)]
     return np.concatenate(parts)
 
@@ -358,34 +352,32 @@ def _has_run(struck: np.ndarray, k: int) -> bool:
 
 
 def _max_gap(
-    segments: Iterator[tuple[int, np.ndarray]], w: int, prev: Optional[int] = None
+    segments: Iterator[tuple[int, np.ndarray]], prev: Optional[int] = None
 ) -> tuple[GapRecord, int]:
-    """First maximal gap between consecutive survivors of _line(w, ...), and
-    their number.
+    """First maximal gap between consecutive survivors of _line, and their
+    number.
 
-    prev, if given, is a survivor before the first segment.  Each boundary
-    gap is read before the block's own, and only a strictly larger gap
-    replaces the record, so ties go to the smallest left witness.
+    prev, if given, is an odd survivor before the first segment.  Each
+    boundary gap is read before the block's own, and only a strictly larger
+    gap replaces the record, so ties go to the smallest left witness.
 
-    With s = 2 on the odd line and 3 on the wheel, n = s*j + 1 + (s - 2)*(j
-    & 1), so survivors D positions apart are s*D + (s - 2)*((j + D) % 2 -
-    j % 2) apart, from j, at most s*D + s - 2.  Survivors and prev are odd,
-    so a gap beating the record g is at least g + 2, and spans D >= (g + 3)
-    // s positions: (g + 3) // s - 1 or more consecutive struck ones.  A
-    block of _READ positions without such a run is not read in full: its
-    first and last survivor, each within that many entries of its end, give
-    the boundary gap and the next prev, and a count of its struck entries
-    gives its number of survivors.  A full read stays in index space: only
-    a step of the widest D holds the largest gap, and the first largest is
-    kept.
+    n = 3j + 1 + (j & 1), so survivors D positions apart are
+    3D + (j + D) % 2 - j % 2 apart, from j, at most 3D + 1.  Survivors and
+    prev are odd, so a gap beating the record g is at least g + 2, and
+    spans D >= (g + 3) // 3 positions: g // 3 or more consecutive struck
+    ones.  A block of _READ positions without such a run is not read in
+    full: its first and last survivor, each within that many entries of its
+    end, give the boundary gap and the next prev, and a count of its struck
+    entries gives its number of survivors.  A full read stays in index
+    space: only a step of the widest D holds the largest gap, and the first
+    largest is kept.
     """
-    s = 2 if w == 2 else 3
     best = GapRecord(0, 0, 0)
     found = 0
     blocks = ((start + cut, struck[cut : cut + _READ])
               for start, struck in segments for cut in range(0, struck.size, _READ))
     for start, struck in blocks:
-        run = (best.gap + 3) // s - 1
+        run = best.gap // 3
         offs = None
         if run > 0 and not _has_run(struck, run):
             i = int(np.argmin(struck[:run]))
@@ -399,7 +391,7 @@ def _max_gap(
                 continue
             found += offs.size
             i, j = int(offs[0]), int(offs[-1])
-        first = _term(start + i, w)
+        first = _term(start + i)
         if prev is not None and first - prev > best.gap:
             best = GapRecord(first - prev, prev, first)
         if offs is not None and offs.size > 1:
@@ -407,19 +399,17 @@ def _max_gap(
             widest = int(diffs.max())
             at = np.flatnonzero(diffs == widest)
             parity = (offs[at] + start % 2) % 2  # of each step's left end
-            gaps = s * widest + (s - 2) * ((parity + widest) % 2 - parity)
+            gaps = 3 * widest + (parity + widest) % 2 - parity
             k = int(np.argmax(gaps))  # first maximum
             if gaps[k] > best.gap:
-                lo = _term(start + int(offs[at[k]]), w)
+                lo = _term(start + int(offs[at[k]]))
                 best = GapRecord(int(gaps[k]), lo, lo + int(gaps[k]))
-        prev = _term(start + j, w)
+        prev = _term(start + j)
     return best, found
 
 
 def _prime_array(n: int, table: _PrimeTable, what: str = "prime list") -> np.ndarray:
     """All primes <= n from the table; n + 1 must fit the memory budget."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
     _check_table(n, table.cfg, what)
     return table.upto(n)
 
@@ -445,10 +435,8 @@ def _prime_flags(n: int, cfg: Config) -> np.ndarray:
     memory budget, with the refusal of _prime_array; the window check of
     _primes is not repeated, since it needs n past 8 times the budget.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
     _check_table(n, cfg, "prime list")
-    flags = np.zeros(_position(n + 1, _WHEEL), dtype=bool)
+    flags = np.zeros(_position(n + 1), dtype=bool)
     for start, struck in _wheel_primes(5, n, cfg):
         np.logical_not(struck, out=flags[start : start + struck.size])
     return flags
@@ -489,7 +477,7 @@ def _residue_counts(flags: np.ndarray, q: int) -> np.ndarray:
     tail = bits[rows * width :]
     cols[: tail.size] += tail
     # the float weights hold every count exactly, far below 2**53
-    counts = np.bincount(_term(np.arange(period), _WHEEL) % q,
+    counts = np.bincount(_term(np.arange(period)) % q,
                          weights=cols.reshape(-1, period).sum(axis=0), minlength=q)
     counts = counts.astype(np.int64)
     counts[2 % q] += 1
@@ -606,7 +594,7 @@ def max_prime_gap(x: int, *, config: Optional[Config] = None) -> GapRecord:
     if x < 5:
         raise ValueError("need x >= 5 so at least one gap exists")
     _check_window(x, cfg, "prime gap scan")
-    return _max_gap(_wheel_primes(5, x, cfg), _WHEEL, prev=3)[0]
+    return _max_gap(_wheel_primes(5, x, cfg), prev=3)[0]
 
 
 def least_prime_ap(q: int, b: int, limit: int) -> Optional[int]:
@@ -633,12 +621,13 @@ def rough_gap_scan(
 ) -> GapRecord:
     """Largest gap between consecutive u-rough integers found in [lo, hi].
 
-    An integer is u-rough when it has no prime factor <= u; 1 qualifies,
-    and since u >= 2 every rough integer is odd, and for u >= 3 coprime to
-    6: the scan walks the odd line for u = 2 and the wheel otherwise.  Ties
-    go to the smallest left witness.  Raises EmptyRange when the window
-    holds fewer than two rough integers, and ResourceLimit when the window
-    or the sieve of the primes up to u exceeds the budget.
+    An integer is u-rough when it has no prime factor <= u; 1 qualifies.
+    For u = 2 the rough integers are the odd ones, every gap 2, so the
+    record is the least odd integer >= lo and the next; for u >= 3 they are
+    coprime to 6, and the scan walks the wheel.  Ties go to the smallest
+    left witness.  Raises EmptyRange when the window holds fewer than two
+    rough integers, and ResourceLimit when the window or the sieve of the
+    primes up to u exceeds the budget, for u = 2 too.
     """
     cfg = config or DEFAULT
     if u < 2:
@@ -646,10 +635,12 @@ def rough_gap_scan(
     if lo >= hi:
         raise ValueError("need lo < hi")
     _check_window(hi - lo, cfg, "rough gap scan")
-    w = 2 if u == 2 else _WHEEL
-    # the primes from 5: 2 and 3 are off the wheel, and u = 2 has no others
-    primes = _prime_array(u, _PrimeTable(cfg), "rough gap scan")[2:]
-    best, found = _max_gap(_line(w, lo, hi, primes, spare=False), w)
+    primes = _prime_array(u, _PrimeTable(cfg), "rough gap scan")
+    if u == 2:  # the odd integers, from the least one >= lo
+        first = lo | 1
+        best, found = GapRecord(2, first, first + 2), 1 + (first + 2 <= hi)
+    else:  # the primes from 5: 2 and 3 are off the wheel
+        best, found = _max_gap(_line(lo, hi, primes[2:], spare=False))
     if found < 2:
         raise EmptyRange(
             f"only {found} {u}-rough integer(s) in [{lo}, {hi}]; no gap to report"

@@ -33,6 +33,13 @@ def test_primes_up_to_examples():
     assert primes_up_to(2) == [2]
 
 
+def test_prime_tables_refuse_negative_n():
+    with pytest.raises(ValueError, match="^n must be non-negative$"):
+        primes_up_to(-1)
+    with pytest.raises(ValueError, match="^n must be non-negative$"):
+        sieve._prime_flags(-1, Config())
+
+
 def test_primes_in_range_examples():
     assert primes_in_range(10, 10) == []
     assert primes_in_range(5, 15) == [7, 11, 13]
@@ -293,6 +300,32 @@ def test_rough_gap_scan_validation():
         rough_gap_scan(3, 10, 10)
 
 
+def test_rough_gap_scan_of_two_matches_oracle(rough_gap_oracle):
+    # u = 2 takes no sieve; windows from negative lo to past 2**63, with
+    # spans 1 to 3 holding one or two odd integers
+    rng = random.Random(2)
+    for base in (-10**6, -8, -1, 0, 1, 10**6, 2**63 - 2, 2**64 + 1):
+        for lo in (base, base + 1, base + rng.randrange(1000)):
+            for hi in (lo + 1, lo + 2, lo + 3, lo + 4, lo + rng.randrange(5, 300)):
+                want = rough_gap_oracle(2, lo, hi)
+                if want == (0, 0, 0):  # a single odd integer in the window
+                    with pytest.raises(EmptyRange) as refused:
+                        rough_gap_scan(2, lo, hi)
+                    assert str(refused.value) == (
+                        f"only 1 2-rough integer(s) in [{lo}, {hi}]; no gap to report")
+                else:
+                    rec = rough_gap_scan(2, lo, hi)
+                    assert (rec.gap, rec.lo, rec.hi) == want, (lo, hi)
+    # the window's and the prime table's budget checks come first
+    with pytest.raises(ResourceLimit,
+                       match="^rough gap scan covers 9 integers, over the budget of 8$"):
+        rough_gap_scan(2, 1, 10, config=Config(1))
+    with pytest.raises(ResourceLimit, match="^rough gap scan needs the primes up to 2, "
+                                            "over the 2-byte budget$"):
+        rough_gap_scan(2, 1, 10, config=Config(2))
+    assert rough_gap_scan(2, 1, 10, config=Config(3)) == GapRecord(2, 1, 3)
+
+
 def test_rough_gap_scan_periodic_shift():
     for u in (2, 3, 5, 7):
         period = primorial(u)
@@ -497,7 +530,7 @@ def test_max_prime_gap_record_across_segment_boundary(segment):
     sizes = {1 << 16: None, rec.lo // 3: rec.lo + 2, rec.hi // 3 - 1: rec.hi}
     for size, boundary in sizes.items():
         if boundary is not None:
-            assert _line_integer(1 + size, 6) == boundary
+            assert _line_integer(1 + size) == boundary
             assert _record_straddles(rec, boundary)
         segment(size)
         assert max_prime_gap(x) == rec, size
@@ -514,10 +547,10 @@ def test_rough_gap_scan_record_across_segment_boundary(segment):
     for u, lo, hi in ((50, 10**6, 2 * 10**6), (300, 10**7, 10**7 + 600_000)):
         segment(1 << 20)
         rec = rough_gap_scan(u, lo, hi)
-        past_lo = _line_integer(rec.lo // 3 + 1, 6)
+        past_lo = _line_integer(rec.lo // 3 + 1)
         for start in (past_lo - WHEEL_SPAN, rec.hi - WHEEL_SPAN):
             assert start >= lo and math.gcd(start, 6) == 1
-            assert _line_integer(start // 3 + (1 << 16), 6) == start + WHEEL_SPAN
+            assert _line_integer(start // 3 + (1 << 16)) == start + WHEEL_SPAN
             assert _record_straddles(rec, start + WHEEL_SPAN)
             for size in (1 << 20, 1 << 16):
                 segment(size)
@@ -530,7 +563,7 @@ def test_rough_gap_scan_tie_across_segment_boundary(rough_gap_oracle, segment):
     # (start + WHEEL_SPAN); the earlier one must keep the record
     period = primorial(13)
     later = rough_gap_scan(13, 1, period + 1).lo + 5 * period
-    start = _line_integer(later // 3 + 1, 6) - WHEEL_SPAN
+    start = _line_integer(later // 3 + 1) - WHEEL_SPAN
     assert _record_straddles(GapRecord(22, later, later + 22), start + WHEEL_SPAN)
     expect = rough_gap_oracle(13, start, later + 100)
     assert expect[0] == 22 and expect[1] < later
@@ -663,89 +696,84 @@ def _stream(start, texts):
     return segments
 
 
-def _line_integer(j, w):
-    """The integer at position j of the line of the integers coprime to w,
-    counted lane by lane: w * (j // lanes) plus the (j % lanes)-th unit."""
-    units = [r for r in range(w) if math.gcd(r, w) == 1]
-    return w * (j // len(units)) + units[j % len(units)]
+def _line_integer(j):
+    """The integer at position j of the line of the integers coprime to 6,
+    counted lane by lane: 6 * (j // 2) plus 1 or 5."""
+    return 6 * (j // 2) + (1, 5)[j % 2]
 
 
-def _read_every_survivor(segments, w, prev=None):
+def _read_every_survivor(segments, prev=None):
     """(gap, lo, hi) of the first maximal gap and the survivor count, read in full."""
     best, found = (0, 0, 0), 0
     for start, struck in segments:
         for i in np.flatnonzero(~struck).tolist():
-            n = _line_integer(start + i, w)
+            n = _line_integer(start + i)
             if prev is not None and n - prev > best[0]:
                 best = (n - prev, prev, n)
             prev, found = n, found + 1
     return best, found
 
 
-def _assert_gap_reader_agrees(segments, w=2, prev=None):
-    rec, found = sieve._max_gap(iter(segments), w, prev)
-    best, total = _read_every_survivor(segments, w, prev)
+def _assert_gap_reader_agrees(segments, prev=None):
+    rec, found = sieve._max_gap(iter(segments), prev)
+    best, total = _read_every_survivor(segments, prev)
     assert (rec.gap, rec.lo, rec.hi) == best
     assert found == total
     return best
 
 
-# the first segment sets the record 8 = (3, 11): a strictly larger gap
-# inside a later segment needs a run of 8 // 2 = 4 struck numbers
-RECORD_8 = "..xxx."
+# on the wheel (1, 5, 7, 11, 13, 17, 19, 23, 25, 29, 31, 35, 37, ...) the
+# first segment sets the record 12 = (1, 13): a larger gap needs a step of
+# (12 + 3) // 3 = 5 positions, a run of 12 // 3 = 4 struck ones.  A step of
+# D positions spans 3D for even D; for odd D, 3D + 1 from an even position
+# and 3D - 1 from an odd one.
+RECORD_12 = ".xxx.."
 
 
 @pytest.mark.parametrize("texts, want", [
-    # a later gap equal to the record, gated (run 3) and read in full (the
-    # trailing run of 4 opens the gate): the earlier one keeps the record
-    ([RECORD_8, ".xxx.."], (8, 3, 11)),
-    ([RECORD_8, ".xxx.xxxx"], (8, 3, 11)),
-    # runs of exactly 4 - 1 and 4 struck: only the second is one odd step
-    # past the record
-    ([RECORD_8, ".xxx..xxxx."], (10, 23, 33)),
-    ([RECORD_8, "xxx.", "..", ".xxxx."], (10, 25, 35)),
-    # segments with no survivor, short and long, and with a single one
-    ([RECORD_8, "xxx", "xx.xx", "xxxxxxxxxx", ".x.x."], (26, 23, 49)),
-    ([RECORD_8, "xxx", ".", ".xx.x.."], (8, 3, 11)),
+    # a later gap equal to the record, gated (run 3, 19 -> 31) and read in
+    # full (23 -> 35; the trailing run of 4 opens the gate): the earlier one
+    # keeps the record
+    ([RECORD_12, ".xxx.."], (12, 1, 13)),
+    ([RECORD_12, "..xxx.xxxx"], (12, 1, 13)),
+    # runs of exactly 4 - 1 and 4 struck, in one segment and in two: only
+    # the second is a step past the record
+    ([RECORD_12, ".xxx..xxxx."], (14, 35, 49)),
+    ([RECORD_12, "xxx.", "..", ".xxxx."], (16, 37, 53)),
+    # segments with no survivor, short (gated) and long (read in full), and
+    # with a single one, whose boundary gap 17 -> 35 sets a record
+    ([RECORD_12, "xxx", "xx.xx", "xxxxxxxxxx", ".x.x."], (38, 35, 73)),
+    ([RECORD_12, "xxx", ".", ".xx.x.."], (12, 1, 13)),
     # a record only the boundary gap sets, its right end at index 0 of a
     # segment whose own runs are short
-    ([RECORD_8, ".xxxxxx", ".x.x."], (14, 13, 27)),
+    ([RECORD_12, ".xxxxxx", ".x.x."], (22, 19, 41)),
     # a leading run continuing the previous segment's trailing run, both
     # shorter than 4, and the previous segment read only at its ends
-    ([RECORD_8, ".x.xxx", "xx.x."], (12, 17, 29)),
-    ([RECORD_8, ".x.x.xxx", "xxx.", "x.x.xxx", "x."], (14, 21, 35)),
+    ([RECORD_12, ".x.xxx", "xx.x."], (18, 25, 43)),
+    ([RECORD_12, ".x.x.xxx", "xxx.", "x.x.xxx", "x."], (22, 31, 53)),
 ])
 def test_gap_reader_gate_on_crafted_segments(texts, want):
-    # the odd line: position 0 holds 1
     assert _assert_gap_reader_agrees(_stream(0, texts)) == want
-
-
-# on the wheel (1, 5, 7, 11, 13, 17, 19, 23, 25, 29, 31, 35, 37, ...) the
-# first segment sets the record 12 = (1, 13): a larger gap needs a step of
-# (12 + 3) // 3 = 5 positions, a run of 4 struck ones.  A step of D
-# positions spans 3D for even D; for odd D, 3D + 1 from an even position
-# and 3D - 1 from an odd one.
-WHEEL_RECORD_12 = ".xxx.."
 
 
 @pytest.mark.parametrize("texts, want", [
     # a step of 4 from position 6 or 7 ties the record, gated (run 3) and
     # read in full (the trailing run of 4 opens the gate)
-    ([WHEEL_RECORD_12, ".xxx."], (12, 1, 13)),
-    ([WHEEL_RECORD_12, "x.xxx.xxxx"], (12, 1, 13)),
+    ([RECORD_12, ".xxx."], (12, 1, 13)),
+    ([RECORD_12, "x.xxx.xxxx"], (12, 1, 13)),
     # a step of 5 from the odd position 11 is 14, from the even 6 it is 16
-    ([WHEEL_RECORD_12, "x.xxx.xxxx."], (14, 35, 49)),
-    ([WHEEL_RECORD_12, ".xxxx."], (16, 19, 35)),
+    ([RECORD_12, "x.xxx.xxxx."], (14, 35, 49)),
+    ([RECORD_12, ".xxxx."], (16, 19, 35)),
     # two steps of 5: from odd 7 (14), then from even 12 (16), which wins;
     # from even 6 and even 12, both 16, and the first one stays
-    ([WHEEL_RECORD_12, "x.xxxx.xxxx."], (16, 37, 53)),
-    ([WHEEL_RECORD_12, ".xxxx..xxxx."], (16, 19, 35)),
+    ([RECORD_12, "x.xxxx.xxxx."], (16, 37, 53)),
+    ([RECORD_12, ".xxxx..xxxx."], (16, 19, 35)),
     # a segment with no survivor, and a record only the boundary gap sets
-    ([WHEEL_RECORD_12, "xxxxxxx"], (12, 1, 13)),
-    ([WHEEL_RECORD_12, "xxxx", "x."], (18, 17, 35)),
+    ([RECORD_12, "xxxxxxx"], (12, 1, 13)),
+    ([RECORD_12, "xxxx", "x."], (18, 17, 35)),
 ])
 def test_gap_reader_gate_on_crafted_wheel_segments(texts, want):
-    assert _assert_gap_reader_agrees(_stream(0, texts), 6) == want
+    assert _assert_gap_reader_agrees(_stream(0, texts)) == want
 
 
 def test_gap_reader_gate_after_a_prime_sieve_start():
@@ -754,7 +782,7 @@ def test_gap_reader_gate_after_a_prime_sieve_start():
     # gate
     for texts, want in (([".", "x.x."], (6, 5, 11)), (["x", "xx.x"], (10, 3, 13)),
                         (["..x.", "xx.x.x"], (10, 13, 23))):
-        assert _assert_gap_reader_agrees(_stream(1, texts), 6, prev=3) == want
+        assert _assert_gap_reader_agrees(_stream(1, texts), prev=3) == want
 
 
 def _random_gap_reader_runs():
@@ -764,9 +792,8 @@ def _random_gap_reader_runs():
         texts = ["".join("x" if rng.random() < density else "."
                          for _ in range(rng.randint(1, 24)))
                  for _ in range(rng.randint(1, 12))]
-        w = rng.choice([2, 6])
         prev = rng.choice([None, 1])
-        _assert_gap_reader_agrees(_stream(1 + rng.randrange(5), texts), w, prev)
+        _assert_gap_reader_agrees(_stream(1 + rng.randrange(5), texts), prev)
 
 
 def test_gap_reader_gate_on_random_segments():
@@ -816,21 +843,19 @@ def test_gated_scans_match_oracles_on_seeded_windows(rough_gap_oracle, segment):
 
 def test_line_positions_match_lane_by_lane_map():
     # _position(n) counts the line's integers below n, negative n included
-    for w in (2, 6):
-        line = [n for n in range(-60, 600) if math.gcd(n, w) == 1]
-        for n in range(-50, 500):
-            below = sum(1 for m in line if m < n) - sum(1 for m in line if m < 0)
-            assert sieve._position(n, w) == below, (w, n)
-        for j in range(-20, 200):
-            assert sieve._term(j, w) == _line_integer(j, w), (w, j)
+    line = [n for n in range(-60, 600) if math.gcd(n, 6) == 1]
+    for n in range(-50, 500):
+        below = sum(1 for m in line if m < n) - sum(1 for m in line if m < 0)
+        assert sieve._position(n) == below, n
+    for j in range(-20, 200):
+        assert sieve._term(j) == _line_integer(j), j
     # object columns of positions past 2**63, as past-int64 prime windows
     # map them
     j = np.array([2**63 + d for d in range(-3, 9)] + [2**70 + 1], dtype=object)
-    for w in (2, 6):
-        terms = sieve._term(j, w)
-        assert terms.dtype == object
-        assert terms.tolist() == [_line_integer(v, w) for v in j.tolist()]
-        assert sieve._position(terms, w).tolist() == j.tolist()
+    terms = sieve._term(j)
+    assert terms.dtype == object
+    assert terms.tolist() == [_line_integer(v) for v in j.tolist()]
+    assert sieve._position(terms).tolist() == j.tolist()
 
 
 def test_max_prime_gap_every_x_to_400():
@@ -848,7 +873,7 @@ def test_max_prime_gap_next_to_segment_ends(segment, size):
     # so the last segment ends short, full, or one position into the next
     segment(size)
     for k in (1, 2, 5, 40):
-        boundary = _line_integer(1 + k * size, 6)
+        boundary = _line_integer(1 + k * size)
         for x in range(max(5, boundary - 8), boundary + 8):
             rec = max_prime_gap(x)
             assert (rec.gap, rec.lo, rec.hi) == _prime_gap_oracle(x), (size, x)
@@ -856,8 +881,8 @@ def test_max_prime_gap_next_to_segment_ends(segment, size):
 
 @pytest.mark.parametrize("u", [2, 3, 4, 5, 7, 23])
 def test_rough_gap_scan_matches_oracle_at_every_residue(rough_gap_oracle, segment, u):
-    # windows whose ends take every residue mod 6, on the odd line (u = 2)
-    # and the wheel, from 1, near 10**6 and past 2**66, where positions
+    # windows whose ends take every residue mod 6, in closed form (u = 2)
+    # and on the wheel, from 1, near 10**6 and past 2**66, where positions
     # pass 2**63, at segment sizes from 7 positions to the real one
     rng = random.Random(u)
     for size in (7, 64, None):
