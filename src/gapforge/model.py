@@ -150,11 +150,24 @@ class ClassTable:
     @classmethod
     def concat(cls, *tables: "ClassTable") -> "ClassTable":
         """The classes of each table in turn."""
-        return cls(*(np.concatenate([getattr(t, col) for t in tables])
-                     for col in ("p", "a", "kind")))
+        return cls._of_tables(*(np.concatenate([getattr(t, col) for t in tables])
+                                for col in ("p", "a", "kind")))
 
     def select(self, mask: np.ndarray) -> "ClassTable":
-        return ClassTable(self.p[mask], self.a[mask], self.kind[mask])
+        return self._of_tables(self.p[mask], self.a[mask], self.kind[mask])
+
+    @classmethod
+    def _of_tables(cls, p: np.ndarray, a: np.ndarray, kind: np.ndarray) -> "ClassTable":
+        """A table of columns cut or joined from tables' columns.
+
+        Values of int64 columns fit already, so int64 columns are kept as
+        they are; an object column may now fit, and goes through __init__.
+        """
+        if p.dtype != np.int64 or a.dtype != np.int64:
+            return cls(p, a, kind)
+        table = cls.__new__(cls)
+        table.p, table.a, table.kind = p, a, kind
+        return table
 
     def __len__(self) -> int:
         return len(self.kind)

@@ -527,6 +527,38 @@ def _staged_certificate(x, q, b, delta):
     )
 
 
+def test_selected_and_joined_class_columns_are_int64_exactly_when_values_fit():
+    # select and concat keep int64 columns as they are and pass object ones
+    # through the constructor, so in every table the columns are int64 just
+    # when each p and a lies in [-2**31, 2**31)
+    rng = random.Random(24)
+    edges = [-2**31 - 1, -2**31, -1, 0, 1, 2**31 - 1, 2**31, 2**63, 2**70]
+
+    def check(table, rows):
+        fits = all(-2**31 <= v < 2**31 for row in rows for v in row[:2])
+        assert table.p.dtype == table.a.dtype == (np.int64 if fits else object), rows
+        assert table.kind.dtype == np.int8
+        got = zip(table.p.tolist(), table.a.tolist(), table.kind.tolist())
+        assert list(got) == rows
+
+    for _ in range(200):
+        tables = []
+        for _ in range(rng.randrange(1, 4)):
+            n = rng.randrange(0, 6)
+            rows = [(rng.choice(edges + [rng.randrange(2, 10**4)]),
+                     rng.choice(edges + [rng.randrange(0, 10**4)]), rng.randrange(3))
+                    for _ in range(n)]
+            table = ClassTable([r[0] for r in rows], [r[1] for r in rows],
+                               [r[2] for r in rows])
+            check(table, rows)
+            mask = np.array([rng.random() < 0.5 for _ in rows], dtype=bool)
+            selected = (table.select(mask), [r for r, m in zip(rows, mask) if m])
+            check(*selected)
+            tables.append(selected)
+        check(ClassTable.concat(*(t for t, _ in tables)),
+              [r for _, rows in tables for r in rows])
+
+
 @pytest.mark.parametrize("x, q, b, delta", [
     # u // 2 = isqrt(x): the count's base primes are the forced primes
     (10**7, 10007, 3, None),
@@ -558,11 +590,14 @@ def test_cover_and_strict_verify_sieve_and_solve_each_prime_once(
         solved.clear()
         assert cli.main(command) == 0, command
         cert, _ = certificate_from_dict(json.loads(path.read_text()))
-        # the kernel windows are disjoint and end at u, so every prime
-        # from 5 up to u is sieved at most once
+        # the primes up to 2**16 - 1 are the constant column; the kernel
+        # windows are disjoint, lie above it and end at u, so every prime
+        # past the column up to u is sieved at most once, and none is
+        # sieved when u is within the column
         ends = [end for window in sorted(sieved) for end in window]
         assert ends == sorted(ends) and len(set(ends)) == len(ends), sieved
-        assert ends[-1] == cert.u, sieved
+        assert all(end > sieve._SMALL_TOP for end in ends), sieved
+        assert ends[-1:] == ([cert.u] if cert.u > sieve._SMALL_TOP else []), sieved
         # each prime up to u // 2 goes into one root solve
         assert sum(solved) == len(primes_up_to(cert.u // 2)), solved
     rational = None if delta is None else Rational(*map(int, delta.split("/")))

@@ -434,15 +434,104 @@ def test_first_non_prime_matches_isin_lookup():
         assert first_non_prime(values) == _isin_first_non_prime(values), values
 
 
+def _kernel_primes(lo, hi):
+    """The primes in (lo, hi] by one kernel pass over the wheel, whatever
+    the size of the window: base primes from the constant column, 2 and 3
+    added by hand, as _primes does past the column."""
+    segments = sieve._wheel_primes(lo + 1, hi, Config(), sieve._SMALL_PRIMES)
+    return [p for p in (2, 3) if lo < p <= hi] + [
+        int(sieve._term(start + j)) for start, struck in segments
+        for j in np.flatnonzero(~struck)]
+
+
 def test_prime_producer_matches_plain_eratosthenes():
-    # n <= 8 are the kernel's base cases, with no odd base prime; past them
-    # every prime square p*p puts p among the base primes of n = p*p on
+    # the primes up to 2**16 - 1 are the constant column, so the kernel runs
+    # this grid by hand too: n <= 24 have no base prime of at least 5; past
+    # them every prime square p*p puts p among the base primes of n = p*p on
     for n in range(2001):
-        assert sieve._prime_array(n, sieve._PrimeTable(Config())).tolist() == small_primes_up_to(n), n
+        want = small_primes_up_to(n)
+        assert sieve._prime_array(n, sieve._PrimeTable(Config())).tolist() == want, n
+        assert _kernel_primes(0, n) == want, n
     for lo in range(0, 200):
         for hi in (lo, lo + 1, lo + 37, 2000):
             want = [p for p in small_primes_up_to(hi) if p > lo]
             assert sieve._primes(lo, hi, Config()).tolist() == want, (lo, hi)
+            assert _kernel_primes(lo, hi) == want, (lo, hi)
+
+
+def test_small_primes_column_is_the_read_only_eratosthenes_table():
+    column = sieve._SMALL_PRIMES
+    assert sieve._SMALL_TOP == 2**16 - 1
+    assert column.dtype == np.int64 and column.size == 6542
+    assert column.tolist() == small_primes_up_to(2**16 - 1)
+    assert not column.flags.writeable
+    with pytest.raises(ValueError):
+        column[0] = 4
+    # a table starts from the column and goes back to it when released
+    table = sieve._PrimeTable(Config())
+    assert table.column is column and table.top == sieve._SMALL_TOP
+    table.upto(70000)
+    assert table.top == 70000 and table.column.size > column.size
+    table.release()
+    assert table.column is column and table.top == sieve._SMALL_TOP
+
+
+def test_prime_windows_straddling_the_column_top():
+    oracle = small_primes_up_to(70000)
+    assert 65537 in oracle  # the first prime past the column
+    cfg = Config()
+
+    def want(lo, hi):
+        return [p for p in oracle if lo < p <= hi]
+
+    for lo, hi in ((65000, 66000), (65000, 65535), (65535, 65537), (65536, 65537),
+                   (65530, 70000), (0, 65536), (65535, 65535)):
+        assert sieve._primes(lo, hi, cfg).tolist() == want(lo, hi), (lo, hi)
+        assert primes_in_range(lo, hi) == want(lo, hi), (lo, hi)
+        assert _kernel_primes(lo, hi) == want(lo, hi), (lo, hi)
+        # from a fresh table, and from one already grown past the window
+        assert sieve._prime_range(lo, hi, sieve._PrimeTable(cfg)).tolist() == want(lo, hi)
+        grown = sieve._PrimeTable(cfg)
+        grown.upto(70000)
+        assert sieve._prime_range(lo, hi, grown).tolist() == want(lo, hi), (lo, hi)
+    # one table asked in turn for each bound around the top, and each anew
+    table = sieve._PrimeTable(cfg)
+    for n in (65535, 65536, 65537, 65536, 70000, 65535):
+        assert table.upto(n).tolist() == want(0, n), n
+        assert sieve._PrimeTable(cfg).upto(n).tolist() == want(0, n), n
+
+
+def test_prime_requests_refuse_at_the_column_top():
+    # the column serves up to 65535 without a kernel pass, yet every request
+    # keeps its budget checks, in order, with the kernel's texts past it
+    for n in (65535, 65536):
+        assert primes_up_to(n, config=Config(memory_budget=n + 1)) == small_primes_up_to(n)
+        with pytest.raises(ResourceLimit, match=f"^prime list needs the primes up to {n}, "
+                                                f"over the {n}-byte budget$"):
+            primes_up_to(n, config=Config(memory_budget=n))
+        # the window: n integers need a budget of n / 8 bytes, checked first
+        tight = -(-n // 8)
+        assert primes_in_range(0, n, config=Config(memory_budget=tight)) == \
+            small_primes_up_to(n)
+        with pytest.raises(ResourceLimit, match=f"^prime range scan covers {n} integers, "
+                                                f"over the budget of {8 * (tight - 1)}$"):
+            primes_in_range(0, n, config=Config(memory_budget=tight - 1))
+        with pytest.raises(ResourceLimit, match="^prime range scan covers"):
+            primes_in_range(0, n, config=Config(memory_budget=1))
+        # the base primes: those up to isqrt(n), 255 or 256
+        root = math.isqrt(n)
+        lo = n - 8 * root
+        assert primes_in_range(lo, n, config=Config(memory_budget=root + 1)) == \
+            [p for p in small_primes_up_to(n) if p > lo]
+        refusal = (f"^prime sieve needs the primes up to {root}, "
+                   f"over the {root}-byte budget$")
+        with pytest.raises(ResourceLimit, match=refusal):
+            primes_in_range(lo, n, config=Config(memory_budget=root))
+        table = sieve._PrimeTable(Config(memory_budget=root))
+        with pytest.raises(ResourceLimit, match=refusal):
+            sieve._prime_range(lo, n, table)
+        with pytest.raises(ResourceLimit, match=f"^prime list needs the primes up to {n},"):
+            sieve._prime_array(n, table)
 
 
 @pytest.mark.parametrize("budget", [1, 2, 3])
