@@ -10,24 +10,23 @@ covering module shares.  Prime lists, gaps and rough scans walk the line
 interleaved, position j holding 3j + 1 + (j & 1), each prime p >= 5
 striking each lane as one modulus 2p of one kernel pass; the primes 2 and
 3 are added by hand.  rough_gap_scan(2, ...) needs no sieve: the 2-rough
-integers are the odd ones, every gap 2.  The primes below 2**16 are one
-read-only constant column, _SMALL_PRIMES, built at import by a plain
-Eratosthenes: _primes serves any window up to 2**16 - 1 from it, and the
-kernel takes its base primes from it for any window below 2**32; _primes is
-the one producer of wider prime columns.  A public call lists its primes in
-one _PrimeTable, which starts from that column and grows by _primes over the
-new range only, so it sieves each prime once and sieves nothing up to
-2**16 - 1; every request to it (_prime_array, _prime_range) makes its own
-budget check, and the column sits outside any budget, like the code.  The
-exact count's roots of q*k + b == 0 are a prefix of the covering module's
-forced classes, whose solve extends them with the count's totient of q;
-_progression_roots takes q**-1 mod p by reciprocity for q below 2**31.
-The deficit scan reads no column: it writes the wheel segments into one
-flag per integer coprime to 6, about x / 3 bytes for the primes up to x
-under the x + 1-byte rule, and counts each modulus's residues by column
-sums of those flags.  Memory stays bounded by the
-segment length _SEGMENT, and results are independent of it, which the
-test suite checks explicitly.
+integers are the odd ones, every gap 2.  The primes below 2**16 are
+arith's constant column _SMALL_PRIMES: _primes serves any window up to
+2**16 - 1 from it, and the kernel takes its base primes from it for any
+window below 2**32; _primes is the one producer of wider prime columns.  A
+public call lists its primes in one _PrimeTable, which starts from that
+column and grows by _primes over the new range only, so it sieves each
+prime once and sieves nothing up to 2**16 - 1; every request to it
+(_prime_array, _prime_range) makes its own budget check, and the column
+sits outside any budget, like the code.  The exact count's roots of
+q*k + b == 0 are a prefix of the covering module's forced classes, whose
+solve extends them with the count's totient of q; _progression_roots takes
+q**-1 mod p by reciprocity for q below 2**31.  The deficit scan reads no
+column: it writes the wheel segments into one flag per integer coprime to
+6, about x / 3 bytes for the primes up to x under the x + 1-byte rule, and
+counts each modulus's residues by column sums of those flags.  Memory stays
+bounded by the segment length _SEGMENT, and results are independent of it,
+which the test suite checks explicitly.
 """
 
 from __future__ import annotations
@@ -38,6 +37,8 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .arith import (
+    _SMALL_PRIMES,
+    _SMALL_TOP,
     PROVEN_LIMIT,
     _inverses_of,
     _prime_inverses,
@@ -74,27 +75,6 @@ _SEGMENT = 1 << 20
 # 2**15 101 and 1.9, 2**17 98 and 2.1 (numpy 2.4, 2-core x86 host).
 _READ = 1 << 16
 
-
-def _eratosthenes(n: int) -> np.ndarray:
-    """The primes below n as a read-only int64 column, by plain Eratosthenes."""
-    flags = np.ones(n, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(n - 1) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    primes = np.flatnonzero(flags).astype(np.int64, copy=False)
-    primes.setflags(write=False)
-    return primes
-
-
-# The 6,542 primes up to _SMALL_TOP, one constant column that _primes and
-# every _PrimeTable serve without the kernel; they are the base primes of
-# any window below 2**32.  Built at import in 0.33 ms (2-core x86 host); its
-# 52 KB sit outside any request's budget, like the code.  A 2**18 column
-# would also serve covers with u up to 2**18, but it raised the peak RSS of
-# small covers by about 0.25 MB and did not clearly speed up the large ones.
-_SMALL_TOP = 2**16 - 1
-_SMALL_PRIMES = _eratosthenes(_SMALL_TOP + 1)
 
 # _residue_counts sums rows of at least _ROW flag bytes.  Per modulus, q in
 # [200, 270): at x = 9.9e6 1.8-1.9 ms at 64 bytes, 0.56-0.58 at 1024,
@@ -244,37 +224,30 @@ def _line(
                      roots[0] if spare else primes[:0])
 
 
-def _wheel_primes(
-    lo: int, hi: int, cfg: Config, base: Optional[np.ndarray] = None
-) -> Iterator[tuple[int, np.ndarray]]:
+def _wheel_primes(lo: int, hi: int, cfg: Config) -> Iterator[tuple[int, np.ndarray]]:
     """Line segments over the n coprime to 6 in [max(5, lo), hi], primes unstruck.
 
     Every prime p >= 5 up to isqrt(hi) strikes its multiples and spares
     itself; any other multiple of p below p*p, coprime to 6, has a smaller
     prime factor of at least 5, which strikes it.  Those primes come from
-    base, a column of every prime up to at least isqrt(hi), when it is
-    given; otherwise from _SMALL_PRIMES for hi < 2**32, and past that from
-    _primes, whose recursion ends there.
+    _SMALL_PRIMES for hi < 2**32, and past that from one throwaway
+    _primes(0, isqrt(hi)), whose recursion ends there.
     """
     root = math.isqrt(max(hi, 0))
     _check_table(root, cfg, "prime sieve")
-    if base is None:
-        base = _SMALL_PRIMES if root <= _SMALL_TOP else _primes(0, root, cfg)
+    base = _SMALL_PRIMES if root <= _SMALL_TOP else _primes(0, root, cfg)
     primes = base[2 : np.searchsorted(base, root, side="right")]
     return _line(max(5, lo), hi, primes, spare=True)
 
 
-def _primes(
-    lo: int, hi: int, cfg: Config, base: Optional[np.ndarray] = None
-) -> np.ndarray:
+def _primes(lo: int, hi: int, cfg: Config) -> np.ndarray:
     """The primes p with lo < p <= hi, ascending, as a column.
 
     int64 while hi < 2**63, dtype=object past it, so every prime is exact.
     Up to _SMALL_TOP the primes are a slice of _SMALL_PRIMES, read-only,
-    with no kernel pass; a wider window runs the kernel, whose base primes
-    come from base, if given, which holds every prime up to at least
-    isqrt(hi).  Raises ValueError unless lo <= hi, and ResourceLimit when
-    the window passes the scan limit or its base primes the memory budget.
+    with no kernel pass; a wider window runs the kernel (_wheel_primes).
+    Raises ValueError unless lo <= hi, and ResourceLimit when the window
+    passes the scan limit or its base primes the memory budget.
     """
     if lo > hi:
         raise ValueError("need lo <= hi")
@@ -286,7 +259,7 @@ def _primes(
     dtype = np.int64 if hi < 2**63 else object
     parts = [np.array([p for p in (2, 3) if p > lo], dtype=dtype)]
     parts += [_term(start + np.flatnonzero(~struck).astype(dtype, copy=False))
-              for start, struck in _wheel_primes(lo + 1, hi, cfg, base)]
+              for start, struck in _wheel_primes(lo + 1, hi, cfg)]
     return np.concatenate(parts)
 
 
@@ -295,12 +268,13 @@ class _PrimeTable:
 
     column holds every prime up to top, the largest bound asked for so
     far; it starts as _SMALL_PRIMES, so a request up to _SMALL_TOP is a
-    prefix with no kernel pass.  A request past top sieves only (top, n],
-    so no prime is sieved twice: the table first grows to isqrt(n), whose
-    primes are the kernel's base primes.  The table checks no budget; each
-    request makes its own checks first (_prime_array, _prime_range).  A
-    public function builds one and lets it go when it returns, so the only
-    primes two calls share are the immutable _SMALL_PRIMES.
+    prefix with no kernel pass.  A request past top sieves only (top, n]
+    by _primes, so no prime is sieved twice; its base primes come from
+    _SMALL_PRIMES while n < 2**32, which no table within a 4 GiB budget
+    reaches.  The table checks no budget; each request makes its own checks
+    first (_prime_array, _prime_range).  A public function builds one and
+    lets it go when it returns, so the only primes two calls share are the
+    immutable _SMALL_PRIMES.
     """
 
     __slots__ = ("cfg", "column", "top")
@@ -312,10 +286,7 @@ class _PrimeTable:
     def upto(self, n: int) -> np.ndarray:
         """The primes <= n, a prefix of the column."""
         if n > self.top:
-            root = math.isqrt(n)
-            if root > self.top:
-                self.upto(root)
-            more = _primes(self.top, n, self.cfg, self.column)
+            more = _primes(self.top, n, self.cfg)
             self.column = np.concatenate([self.column, more])
             self.top = n
         return self.column[: np.searchsorted(self.column, n, side="right")]

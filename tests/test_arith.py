@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from gapforge import arith
+from gapforge import arith, sieve
 from gapforge.arith import (
     _crt,
     _divmod,
@@ -14,9 +14,10 @@ from gapforge.arith import (
     is_prime,
     multi_mod,
     primorial,
-    small_primes_up_to,
     totient,
 )
+
+from prime_oracle import small_primes_up_to
 
 
 def _trial_division(n: int) -> bool:
@@ -117,6 +118,60 @@ def test_primorial_divisibility():
         for p in small_primes_up_to(u):
             rest //= p
         assert rest == 1
+
+
+def test_primorial_across_the_column_top():
+    # up to 2**16 - 1 the primes are the constant column, past it a sieve
+    # of their own
+    oracle = small_primes_up_to(70001)
+    for u in (65520, 65521, 65535, 65536, 65537, 70001):
+        assert primorial(u) == math.prod(p for p in oracle if p <= u), u
+
+
+def test_small_primes_have_one_source():
+    column = arith._SMALL_PRIMES
+    assert sieve._SMALL_PRIMES is column and column.size == 6542
+    assert arith._TRIAL == small_primes_up_to(10**4 - 1)
+    assert arith._TRIAL_HEAD == tuple(arith._TRIAL[:12]) and arith._TRIAL_HEAD[-1] == 37
+
+
+def _trial_factors(n: int) -> list[tuple[int, int]]:
+    out, d = [], 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    return out + ([(n, 1)] if n > 1 else [])
+
+
+def test_factorize_matches_trial_division():
+    rng = random.Random(25)
+    values = list(range(1, 3000)) + [rng.randrange(10**6, 10**9) for _ in range(300)]
+    values += [p * p for p in (9949, 9967, 9973, 10007)] + [2 * 9973, 4 * 10007]
+    for n in values:
+        assert factorize(n) == _trial_factors(n), n
+
+
+def test_factorize_published_values():
+    assert factorize(2**32 + 1) == [(641, 1), (6700417, 1)]  # Euler
+    # Landry: both factors pass the trial primes, so Pollard rho splits it
+    assert factorize(2**64 + 1) == [(274177, 1), (67280421310721, 1)]
+    # 9973 is the last trial prime and 10007 the first prime past it
+    assert factorize(9973 * 10007) == [(9973, 1), (10007, 1)]
+    assert factorize(10007**2) == [(10007, 2)]
+
+
+def test_arith_refuses_arguments_out_of_range():
+    with pytest.raises(ValueError, match="^factorize expects n >= 1$"):
+        factorize(0)
+    with pytest.raises(ValueError, match="^totient expects q >= 1$"):
+        totient(0)
+    with pytest.raises(ValueError, match="^primorial expects u >= 2$"):
+        primorial(1)
 
 
 def _crt_of(classes):

@@ -150,6 +150,36 @@ def test_cover_bad_progression_exit(capsys):
     assert code == 0
 
 
+def test_cover_exits_4_when_the_fresh_primes_run_out(capsys):
+    code, out, err = run(capsys, "cover", "--x", "44", "--q", "3", "--b", "1",
+                         "--delta", "0")
+    assert (code, out) == (4, "")
+    assert err == ("matching impossible: need 3 fresh primes but only 2 available; "
+                   "sufficient condition |N'| <= u/(5 ln u) fails\n")
+
+
+def test_cover_into_a_missing_directory_exits_6(tmp_path, capsys):
+    path = tmp_path / "missing" / "c.json"
+    code, out, err = run(capsys, "cover", "--x", "10000", "--q", "101", "--b", "100",
+                         "--out", str(path))
+    assert (code, out) == (6, "")
+    assert err.startswith("i/o failure: ") and str(path) in err
+    assert not path.parent.exists()
+
+
+def test_cover_json_stdout_is_the_written_file(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    code, out, _ = run(capsys, "cover", "--x", "10000", "--q", "101", "--b", "100",
+                       "--witness", "--format", "json", "--out", str(path))
+    assert code == 0
+    assert out.encode("utf-8") == path.read_bytes()
+
+
+def test_scenario_without_log_q_and_delta_exits_1(capsys):
+    assert run(capsys, "scenario", "--B", "2") == (
+        1, "", "scenario needs --log-q and --delta (or --sweep)\n")
+
+
 def test_verify_mutated_certificate(tmp_path, capsys):
     out_path = tmp_path / "cert.json"
     run(capsys, "cover", "--x", "10000", "--q", "101", "--b", "100",
@@ -232,6 +262,20 @@ def test_verify_refuses_non_integer_fields(tmp_path, capsys, change, shown):
     code, out, err = run(capsys, "verify", str(path), "--strict")
     assert code == 6 and out == ""
     assert err == f"cannot load certificate: expected a JSON integer, got {shown}\n"
+
+
+@pytest.mark.parametrize("T", ["-1", "12a", "1e5", 5])
+def test_verify_witness_refuses_a_stored_T_of_other_than_digits(tmp_path, capsys, T):
+    path = tmp_path / "cert.json"
+    code, _, err = run(capsys, "cover", "--x", "10000", "--q", "101", "--b", "100",
+                       "--witness", "--out", str(path))
+    assert code == 0, err
+    obj = json.loads(path.read_text())
+    obj["witness"]["T"] = T
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", str(path), "--witness")
+    assert (code, out) == (6, "")
+    assert err == f"cannot load certificate: expected a decimal digit string, got {T!r}\n"
 
 
 def _hostile_anchor_certificate(tmp_path, capsys, fault):

@@ -86,6 +86,24 @@ def test_compute_u_validation_and_overflow():
         compute_u(10**18, 1, Rational(1))
 
 
+def test_ratio_ok_decides_ties_inside_the_float_band_exactly():
+    # 10**15 * ln(1000) = 6907755278982137.05..., which u * lhs misses by
+    # -137.05... and +862.9...: relative gaps near 1e-14, inside the float
+    # band of 1e-12, so only the Decimal path decides them
+    log_factor = 10**15
+    approx = log_factor * math.log(1000)
+    for lhs, want in ((6907755278982, False), (6907755278983, True)):
+        assert abs(1000 * lhs - approx) < approx * 1e-12
+        with localcontext() as ctx:
+            ctx.prec = 100
+            margin = Decimal(1000 * lhs) - log_factor * Decimal(1000).ln()
+        assert (margin > 0) is want and 100 < abs(margin) < 1000, margin
+        assert covering._ratio_ok(1000, lhs, log_factor) is want
+    # a log factor of at most 0 leaves nothing to compare
+    assert covering._ratio_ok(3, 0, 0) is True
+    assert covering._ratio_ok(3, 0, -1) is True
+
+
 NO_CLASSES = ClassTable([], [], FORCED)
 
 
@@ -116,6 +134,15 @@ def test_sieve_survivors_limits():
         sieve_survivors(10**6, NO_CLASSES, config=tiny)
     with pytest.raises(ValueError):
         sieve_survivors(10, ClassTable([3, 3], [0, 0], FORCED))
+
+
+def test_forced_classes_and_survivors_refuse_bad_arguments():
+    with pytest.raises(ValueError, match="^need u >= 3$"):
+        forced_classes(2, 4, 3)
+    with pytest.raises(ValueError, match=r"^need gcd\(b, q\) = 1, got gcd = 2$"):
+        forced_classes(10, 4, 2)
+    with pytest.raises(ValueError, match="^need y >= 0$"):
+        sieve_survivors(-1, NO_CLASSES)
 
 
 def test_greedy_cover_examples():

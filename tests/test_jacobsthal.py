@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gapforge import arith, jacobsthal, sieve
-from gapforge.arith import primorial, small_primes_up_to
+from gapforge.arith import primorial
 from gapforge.config import Config
 from gapforge.covering import build_certificate, crt_witness, verify_certificate
 from gapforge.errors import InvalidCertificate, PeriodTooLarge, ResourceLimit
@@ -20,6 +20,8 @@ from gapforge.model import (
     certificate_to_dict,
 )
 from gapforge.sieve import rough_gap_scan
+
+from prime_oracle import small_primes_up_to
 
 # frozen from an independent full-period scan oracle
 EXACT_TABLE = {2: 2, 3: 4, 5: 6, 7: 10, 11: 14, 13: 22, 17: 26, 19: 34, 23: 40}
@@ -133,21 +135,24 @@ def test_scan_budget_refuses_before_sieving_up_to_u(monkeypatch):
     with pytest.raises(PeriodTooLarge, match="= 210 is past the scan budget"):
         jacobsthal_exact(7, config=Config(memory_budget=13))
     sieved = []
-    original = arith.small_primes_up_to
+    original = arith._eratosthenes
 
     def recording(n):
         sieved.append(n)
         return original(n)
 
-    monkeypatch.setattr(arith, "small_primes_up_to", recording)
+    monkeypatch.setattr(arith, "_eratosthenes", recording)
     # the default scan limit, 2**33, and 8 * 1250000000 = 10**10 both have
-    # 34 bits, so u is refused after a sieve up to 35**2 at most
+    # 34 bits, so u is refused after primorial(35**2) at most, which reads
+    # the constant column of the primes below 2**16 and sieves nothing
     for u, cfg in ((1000, Config(memory_budget=125)), (10**10, Config()),
                    (10**10, Config(memory_budget=10**10 // 8))):
-        sieved.clear()
         with pytest.raises(PeriodTooLarge):
             jacobsthal_exact(u, config=cfg)
-        assert sieved and max(sieved) <= 35**2, (u, cfg.memory_budget)
+        assert sieved == [], (u, cfg.memory_budget)
+    # the spy sees a primorial past the column
+    primorial(2**16)
+    assert sieved == [2**16 + 1]
 
 
 def test_half_period_scan_equals_full_period_scan():
@@ -156,6 +161,27 @@ def test_half_period_scan_equals_full_period_scan():
     for u in (2, 3, 5, 7, 11, 13, 17, 19, 23):
         full = rough_gap_scan(u, 1, primorial(u) + 1)
         assert jacobsthal_exact(u).witness == full, u
+
+
+def _first_gap_oracle(primes, gap):
+    """The least lo >= 1 with lo and lo + gap rough and none between them,
+    or None, by a plain scan of one period and the gap past it."""
+    period = math.prod(primes)
+    rough = [n for n in range(1, period + gap + 2) if all(n % p for p in primes)]
+    return next((lo for lo, hi in zip(rough, rough[1:]) if hi - lo == gap), None)
+
+
+def test_first_gap_of_every_gap_length_up_to_J():
+    # below J a covered run often leaves primes free, and lo steps by the
+    # product of the assigned primes until no free prime divides lo or
+    # lo + gap: gap 2 on [2, 3, 5] steps 13 times on its way to 11
+    first = {}
+    for primes in ([2, 3, 5], [2, 3, 5, 7], [2, 3, 5, 7, 11]):
+        J, masks = jacobsthal._least_uncoverable(primes)
+        for gap in range(2, J + 1, 2):
+            first[primes[-1], gap] = jacobsthal._first_gap(primes, masks, gap)
+            assert first[primes[-1], gap] == _first_gap_oracle(primes, gap), (primes, gap)
+    assert first[5, 2] == 11 and first[7, 8] == 89
 
 
 def test_exact_witnesses_pinned():

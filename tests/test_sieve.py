@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gapforge.arith import is_prime, primorial, small_primes_up_to, totient
+from gapforge.arith import is_prime, primorial, totient
 from gapforge.config import Config
 from gapforge.errors import BadProgression, DomainError, EmptyRange, ResourceLimit
 from gapforge.model import GapRecord, Rational
@@ -21,6 +21,8 @@ from gapforge.sieve import (
     rough_gap_scan,
     scan_deficits,
 )
+
+from prime_oracle import small_primes_up_to
 
 TINY = Config(memory_budget=1 << 16)
 
@@ -438,7 +440,7 @@ def _kernel_primes(lo, hi):
     """The primes in (lo, hi] by one kernel pass over the wheel, whatever
     the size of the window: base primes from the constant column, 2 and 3
     added by hand, as _primes does past the column."""
-    segments = sieve._wheel_primes(lo + 1, hi, Config(), sieve._SMALL_PRIMES)
+    segments = sieve._wheel_primes(lo + 1, hi, Config())
     return [p for p in (2, 3) if lo < p <= hi] + [
         int(sieve._term(start + j)) for start, struck in segments
         for j in np.flatnonzero(~struck)]
@@ -532,6 +534,19 @@ def test_prime_requests_refuse_at_the_column_top():
             sieve._prime_range(lo, n, table)
         with pytest.raises(ResourceLimit, match=f"^prime list needs the primes up to {n},"):
             sieve._prime_array(n, table)
+
+
+def test_prime_range_refuses_a_reversed_window():
+    with pytest.raises(ValueError, match="^need lo <= hi$"):
+        primes_in_range(10, 5)
+
+
+def test_windows_past_2_to_the_32_sieve_their_own_base_primes():
+    # isqrt(hi) passes the column's top, so the kernel's base primes come
+    # from one throwaway _primes(0, isqrt(hi))
+    for lo in (2**32 - 500, 2**40, 10**12):
+        want = [n for n in range(lo + 1, lo + 1001) if is_prime(n)]
+        assert primes_in_range(lo, lo + 1000) == want, lo
 
 
 @pytest.mark.parametrize("budget", [1, 2, 3])
