@@ -53,6 +53,7 @@ from .model import (
     ScenarioResult,
     VerificationReport,
     certificate_from_dict,
+    certificate_from_text,
     certificate_to_dict,
     certificate_to_json,
 )

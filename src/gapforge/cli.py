@@ -33,7 +33,7 @@ from .errors import (
     ResourceLimit,
 )
 from .jacobsthal import jacobsthal_exact
-from .model import Rational, certificate_from_dict, certificate_to_json
+from .model import Rational, certificate_from_text, certificate_to_json
 from .sieve import least_prime_ap, max_prime_gap, prime_count_ap, scan_deficits
 
 EXIT_OK = 0
@@ -127,7 +127,8 @@ def _cmd_cover(args, cfg) -> int:
     # build_certificate has verified cert before returning it
     cert = build_certificate(args.x, args.q, args.b, override, config=cfg)
     witness = witness_of_verified(cert)[0] if args.witness else None
-    text = certificate_to_json(cert, witness)
+    if args.out or args.format == "json":
+        text = certificate_to_json(cert, witness)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -147,9 +148,10 @@ def _cmd_cover(args, cfg) -> int:
 def _cmd_verify(args, cfg) -> int:
     try:
         with open(args.cert, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        cert, stored = certificate_from_dict(obj)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            text = fh.read()
+        cert, stored = certificate_from_text(text)
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
+            RecursionError) as exc:  # json's answer to nesting past the stack limit
         print(f"cannot load certificate: {exc}", file=sys.stderr)
         return EXIT_IO
     report = verify_certificate(cert, strict=args.strict, config=cfg)

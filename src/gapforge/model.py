@@ -11,8 +11,10 @@ and serializes as a JSON number.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Optional
@@ -404,6 +406,13 @@ def certificate_from_dict(obj: dict) -> tuple[CoveringCertificate, Optional[CrtW
     KeyError / ValueError / TypeError on malformed input; callers that need
     an I/O-style failure should catch those.
     """
+    return _certificate(obj)
+
+
+def _certificate(
+    obj: dict, classes: Optional[ClassTable] = None
+) -> tuple[CoveringCertificate, Optional[CrtWitness]]:
+    """certificate_from_dict, given the class table when it is read already."""
     cert = CoveringCertificate(
         x=_json_int(obj["x"]),
         q=_json_int(obj["q"]),
@@ -411,7 +420,7 @@ def certificate_from_dict(obj: dict) -> tuple[CoveringCertificate, Optional[CrtW
         delta=Rational(_json_int(obj["delta"]["num"]), _json_int(obj["delta"]["den"])),
         u=_json_int(obj["u"]),
         y=_json_int(obj["y"]),
-        classes=_class_table(obj["classes"]),
+        classes=_class_table(obj["classes"]) if classes is None else classes,
         survivors_initial=_json_int(obj["survivors_initial"]),
         survivors_after_greedy=_json_int(obj["survivors_after_greedy"]),
     )
@@ -427,3 +436,185 @@ def certificate_from_dict(obj: dict) -> tuple[CoveringCertificate, Optional[CrtW
             P=_decimal_to_int(w["P"], digits),
         )
     return cert, witness
+
+
+def certificate_from_text(text: str) -> tuple[CoveringCertificate, Optional[CrtWitness]]:
+    """Parse certificate JSON text; returns (certificate, stored witness or None).
+
+    Text in the layout certificate_to_json writes has its class records read
+    straight into the table's columns, with no Python object per record;
+    any other text is certificate_from_dict(json.loads(text)).  Both give
+    the same certificate, and both raise the same exceptions with the same
+    messages.
+    """
+    fields = _canonical_fields(text)
+    if fields is None:
+        return certificate_from_dict(json.loads(text))
+    return _certificate(*fields)
+
+
+def _canonical_fields(text: str) -> Optional[tuple[dict, ClassTable]]:
+    """The certificate dict without its class records, and their table.
+
+    None unless text is byte for byte in certificate_to_json's layout, with
+    integers of at most _INT_DIGITS digits.  The head and the tail are
+    matched by patterns, the records by _class_records.
+    """
+    if not text.isascii():
+        return None
+    head_layout, tail_layout = _layout()
+    head = head_layout.match(text)
+    # the tail holds no "]", so the last "]," closes the class records
+    stop = text.rfind("],\n  ") + 1
+    tail = tail_layout.fullmatch(text, stop) if head and stop > head.end() else None
+    table = None if tail is None else _class_records(text, head.end(), stop)
+    if table is None:
+        return None
+    x, q, b, num, den, u, y, initial, after_greedy = map(int, head.groups())
+    obj = {"x": x, "q": q, "b": b, "delta": {"num": num, "den": den}, "u": u, "y": y,
+           "survivors_initial": initial, "survivors_after_greedy": after_greedy}
+    if tail[1] is not None:
+        obj["witness"] = {"T": tail[1], "P": tail[2]}
+    return obj, table
+
+
+# Every integer the columns read has at most 16 digits, two words of eight
+# bytes.  Longer ones, which the columns could not hold as int64 anyway, go
+# through json.
+_INT_DIGITS = 16
+
+
+@functools.cache
+def _layout() -> tuple[re.Pattern, re.Pattern]:
+    """Patterns of certificate_to_json's text before the class records and
+    after them.
+
+    The head's groups are its nine integers in order; the tail's are the
+    witness's T and P, None without a witness.  Compiled on first use, so
+    that importing the package pays nothing for them.
+    """
+    integer = "(0|-?[1-9][0-9]{0,%d})" % (_INT_DIGITS - 1)  # as json.dumps writes it
+    head = re.compile(
+        r'\{\n  "x": I,\n  "q": I,\n  "b": I,\n'
+        r'  "delta": \{\n    "num": I,\n    "den": I\n  \},\n'
+        r'  "u": I,\n  "y": I,\n  "survivors_initial": I,\n'
+        r'  "survivors_after_greedy": I,\n  "classes": '.replace("I", integer))
+    tail = re.compile(
+        r',\n(?:  "witness": \{\n    "T": "([0-9]+)",\n    "P": "([0-9]+)"\n  \},\n)?'
+        r'  "bound": \{\n    "jacobsthal_u": I,\n    "gap_lower_rational": \{\n'
+        r'      "num": I,\n      "den": I\n    \}\n  \}\n\}\n'.replace("I", "(?:%s)" % integer))
+    return head, tail
+
+
+# The records are "[\n" + the _CLASS_RECORDs joined by ",\n" + "\n  ]".
+# Between their values lie fixed texts: _FIRST before the first P,
+# _BETWEEN_PA from each P to its A, and _AFTER_A[k] from each A of kind k
+# up to the next record's P, or _LAST[k] from the last A to the end.
+_TO_P, _BETWEEN, _KIND_AND_END = _CLASS_RECORD.split("%d")
+_FIRST = "[\n" + _TO_P
+_BETWEEN_PA = np.frombuffer(_BETWEEN.encode(), np.uint8)
+_AFTER_A = [_KIND_AND_END % kind + ",\n" + _TO_P for kind in KINDS]
+_LAST = [_KIND_AND_END % kind + "\n  ]" for kind in KINDS]
+# Each _AFTER_A[k] is read as its last _WIDTH bytes, which leave out at
+# most its first, the comma the scan found; the row ends at the next
+# record's P, and its one comma is the next record's
+_WIDTH = min(map(len, _AFTER_A))
+_SKIP = np.array([len(t) - _WIDTH for t in _AFTER_A])
+_AFTER_A_ROWS = np.array([np.frombuffer(t[-_WIDTH:].encode(), np.uint8) for t in _AFTER_A])
+# where the kind's first letter, which names it, lies in every _AFTER_A[k]
+_KIND_LETTER_AT = _AFTER_A[0].index(KINDS[0])
+# a little-endian word of eight bytes holds its first byte lowest:
+# _LAST_BYTES[k] keeps a word's last k bytes; _ZEROS is eight "0"s,
+# _SIXES eight 6s and _HIGH_HALVES the high four bits of each byte
+_LAST_BYTES = np.array([2**64 - 2 ** (8 * (8 - k)) for k in range(9)], np.uint64).view(np.int64)
+_ZEROS = int.from_bytes(b"0" * 8, "little")
+_SIXES = int.from_bytes(b"\x06" * 8, "little")
+_HIGH_HALVES = np.uint64(int.from_bytes(b"\xf0" * 8, "little")).view(np.int64)
+
+
+def _class_records(text: str, start: int, stop: int) -> Optional[ClassTable]:
+    """The table of text[start:stop], the "classes" list from "[" to "]".
+
+    None unless every record is in certificate_to_json's layout.  Every
+    byte is checked: one scan finds the commas, each of which starts a
+    fixed text, and every byte from one fixed text to the next must be
+    part of a value.  The scan reads one byte copy of text, and the tail,
+    matched before, keeps every read within it.
+    """
+    if stop - start == 2 and text[start] == "[":
+        return ClassTable([], [], [])
+    buf = np.frombuffer(text.encode("ascii"), np.uint8)
+    commas = np.flatnonzero(buf[start:stop] == ord(","))
+    n, rest = divmod(len(commas) + 1, 3)
+    if rest or not text.startswith(_FIRST, start):
+        return None
+    commas += start
+    p_end, a_end, next_record = commas[0::3], commas[1::3], commas[2::3]
+    # each kind's code from the letter it starts with, any other letter 0;
+    # the reads below check the whole kind.  The codes are set by masks in
+    # int64, not looked up by the bytes: a byte index, like a byte-to-int64
+    # cast, runs numpy code no other command runs, and adds its pages to
+    # the process's resident set
+    letter = buf[a_end + _KIND_LETTER_AT]
+    kind = np.zeros(n, np.int64)
+    for code, word in enumerate(KINDS):
+        kind[letter == ord(word[0])] = code
+    inner = kind[:-1]  # the kinds of every record but the last
+    if not (text[a_end[-1]:stop] == _LAST[kind[-1]]
+            and (_read(buf, p_end, len(_BETWEEN_PA)) == _BETWEEN_PA).all()
+            and (_read(buf, a_end[:-1] + _SKIP[inner], _WIDTH) == _AFTER_A_ROWS[inner]).all()):
+        return None
+    p_start = np.concatenate(([start], next_record)) + len(_FIRST)
+    values = _int_runs(buf, np.concatenate((p_start, p_end + len(_BETWEEN_PA))),
+                       np.concatenate((p_end, a_end)))
+    if values is None:
+        return None
+    return ClassTable(values[:n], values[n:], kind.astype(np.int8))
+
+
+def _read(buf: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
+    """The width bytes of buf at each position in at, one row each."""
+    # windows[i] is buf[i:i + width] as one item, so a row is one copy
+    windows = np.ndarray((len(buf) - width + 1,), np.dtype((np.void, width)), buf,
+                         strides=(1,))
+    return windows[at].view(np.uint8).reshape(-1, width)
+
+
+def _int_runs(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> Optional[np.ndarray]:
+    """The integers buf[starts[i]:ends[i]], or None unless each is a JSON
+    integer as json.dumps writes it, of at most _INT_DIGITS digits."""
+    negative = buf[starts] == ord("-")
+    starts = np.where(negative, starts + 1, starts)
+    width = ends - starts
+    if not (width.min() >= 1 and width.max() <= _INT_DIGITS):
+        return None
+    if ((buf[starts] == ord("0")) & ((width > 1) | negative)).any():
+        return None  # a leading zero, or -0
+    # each run right-aligned in 16 bytes, two little-endian int64 words
+    words = _read(buf, ends - 16, 16).view("<i8")
+    value, digits = _eight_digits(words[:, 1], width)
+    if width.max() > 8:
+        high, high_digits = _eight_digits(words[:, 0], width - 8)
+        value += 10**8 * high
+        digits &= high_digits
+    return np.where(negative, -value, value) if digits.all() else None
+
+
+def _eight_digits(words: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The value of each word's last min(width, 8) bytes, and whether they
+    are all digits.
+
+    The bytes before them are read as "0"s.  A byte is a digit when its
+    high half is 3, also after adding 6 (the text is ASCII, so no byte
+    carries into the next).  Then pairs, quadruples and the eight digits
+    combine within the word (the SWAR parse of eight digits); no lane
+    overflows into the next, and no value reaches the sign bit, so the
+    shifts need not be unsigned.
+    """
+    keep = _LAST_BYTES[np.clip(width, 0, 8)]
+    chars = (words & keep) | (_ZEROS & ~keep)
+    digits = ((chars & _HIGH_HALVES) == _ZEROS) & (((chars + _SIXES) & _HIGH_HALVES) == _ZEROS)
+    chars -= _ZEROS
+    pairs = (chars * 10 + (chars >> 8)) & 0x00FF00FF00FF00FF
+    quads = (pairs * 100 + (pairs >> 16)) & 0x0000FFFF0000FFFF
+    return (quads * 10000 + (quads >> 32)) & 0xFFFFFFFF, digits

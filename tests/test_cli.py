@@ -6,7 +6,7 @@ import math
 import pytest
 
 import gapforge as gf
-from gapforge import cli, covering
+from gapforge import cli, covering, model
 from gapforge.cli import main
 from gapforge.model import certificate_to_dict
 
@@ -175,6 +175,27 @@ def test_cover_json_stdout_is_the_written_file(tmp_path, capsys):
     assert out.encode("utf-8") == path.read_bytes()
 
 
+@pytest.mark.parametrize("extra, texts", [
+    ([], 0), (["--witness"], 0), (["--format", "csv", "--witness"], 0),
+    (["--format", "json"], 1), (["--out", "c.json", "--witness"], 1),
+    (["--format", "json", "--out", "c.json"], 1),
+])
+def test_cover_builds_the_text_only_to_print_or_store_it(tmp_path, capsys, monkeypatch,
+                                                         extra, texts):
+    built, witnesses = [], []
+    monkeypatch.setattr(cli, "certificate_to_json",
+                        lambda *a: built.append(a) or model.certificate_to_json(*a))
+    monkeypatch.setattr(cli, "witness_of_verified",
+                        lambda *a: witnesses.append(a) or covering.witness_of_verified(*a))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "cover", "--x", "10000", "--q", "101", "--b", "100", *extra)
+    assert (code, err, len(built)) == (0, "", texts)
+    # --witness still computes the witness, whose failure would set the exit code
+    assert len(witnesses) == ("--witness" in extra)
+    if not texts:
+        assert out in ("J(565) ≥ 9900/101\n", "u,y,bound_num,bound_den\r\n565,98,9900,101\r\n")
+
+
 def test_scenario_without_log_q_and_delta_exits_1(capsys):
     assert run(capsys, "scenario", "--B", "2") == (
         1, "", "scenario needs --log-q and --delta (or --sweep)\n")
@@ -207,6 +228,16 @@ def test_verify_malformed_json(tmp_path, capsys):
     nocert.write_text('{"x": 5}')
     code, _, _ = run(capsys, "verify", str(nocert))
     assert code == 6
+
+
+def test_verify_deeply_nested_json_exits_6(tmp_path, capsys):
+    # json.loads raises RecursionError for nesting past the stack limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "verify", str(deep), "--strict")
+    assert (code, out) == (6, "")
+    assert err.startswith("cannot load certificate: maximum recursion depth exceeded")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("kind, message", [

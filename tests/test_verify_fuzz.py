@@ -4,7 +4,9 @@ One class of a small valid certificate gets a hostile modulus and residue,
 and y moves around its true value.  Moduli come from around the certificate's
 own range, from its negatives, and from just below and above 2**64, where
 primality stops being proven.  Whatever the input, verification must
-report rather than raise, and ``gapforge verify`` must exit 0, 5 or 6.
+report rather than raise, and ``gapforge verify`` must exit 0, 5 or 6,
+with the same report whether the file is compact JSON or in the layout
+``certificate_to_json`` writes.
 The prime check fails exactly when the modulus is not a proven prime.
 """
 
@@ -49,11 +51,17 @@ def test_verify_never_raises_and_exits_in_range(index, p, a, y):
         assert report.entries
         failed = "class_primes_prime" in {e.check for e in report.failures}
         assert failed != proven, p
+    # compact text goes through json; the writer's indented layout is read
+    # into columns unless a value is too long for them
+    outcomes = []
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "cert.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh)
-        sink = io.StringIO()
-        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            code = main(["verify", path, "--strict", "--witness"])
-    assert code in (0, 5, 6), sink.getvalue()
+        for text in (json.dumps(obj), json.dumps(obj, indent=2) + "\n"):
+            path = os.path.join(tmp, "cert.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                outcomes.append((main(["verify", path, "--strict", "--witness"]),
+                                 sink.getvalue()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] in (0, 5, 6), outcomes[0][1]
