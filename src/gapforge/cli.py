@@ -3,8 +3,9 @@
 Human output goes to stdout as sentences or small tables; with
 ``--format json`` stdout carries machine-readable JSON only and diagnostics
 move to stderr.  Exit codes are stable: 0 success, 1 invalid parameters,
-2 resource limit, 3 primorial period past the scan budget, 4 insufficient
-fresh primes, 5 verification failed, 6 I/O or parse failure.
+2 resource limit or a usage error argparse refuses, 3 primorial period past
+the scan budget, 4 insufficient fresh primes, 5 verification failed, 6 I/O
+or parse failure.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -24,7 +26,6 @@ from .covering import (
     witness_of_verified,
 )
 from .errors import (
-    BadProgression,
     DomainError,
     GapforgeError,
     InsufficientPrimes,
@@ -126,6 +127,10 @@ def _cmd_cover(args, cfg) -> int:
     override = _parse_delta(args.delta) if args.delta is not None else None
     # build_certificate has verified cert before returning it
     cert = build_certificate(args.x, args.q, args.b, override, config=cfg)
+    if cert.survivors_after_greedy * 5 * math.log(cert.u) > cert.u:
+        print(f"matching {cert.survivors_after_greedy} survivors at u={cert.u}: "
+              "the sufficient condition |N'| <= u/(5 ln u) fails, proceeding on "
+              "the actual prime supply", file=sys.stderr)
     witness = witness_of_verified(cert)[0] if args.witness else None
     if args.out or args.format == "json":
         text = certificate_to_json(cert, witness)
@@ -150,8 +155,8 @@ def _cmd_verify(args, cfg) -> int:
         with open(args.cert, "r", encoding="utf-8") as fh:
             text = fh.read()
         cert, stored = certificate_from_text(text)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
-            RecursionError) as exc:  # json's answer to nesting past the stack limit
+    # RecursionError is json's answer to nesting past the stack limit
+    except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
         print(f"cannot load certificate: {exc}", file=sys.stderr)
         return EXIT_IO
     report = verify_certificate(cert, strict=args.strict, config=cfg)
@@ -201,17 +206,6 @@ def _cmd_scan(args, cfg) -> int:
     return EXIT_OK
 
 
-def _scenario_fields(res) -> list[str]:
-    return [
-        f"log_q = {res.log_q:g}",
-        f"delta = {res.delta:g}",
-        f"B = {res.B:g}",
-        f"log_x = {res.log_x:.6f}",
-        f"log_u = {res.log_u:.6f}",
-        f"log_gap_bound = {res.log_gap_bound:.6f}",
-    ]
-
-
 def _sweep_point(log_q: float, k: float, B: float):
     """scenario_bound at delta = log_q**(-k), where that power is a real float."""
     if not log_q > 0:
@@ -234,25 +228,27 @@ def _cmd_scenario(args, cfg) -> int:
             f"{r.log_u:.4f}  {r.log_gap_bound:.4f}"
             for r in results
         ]
-        _emit(
-            args.format,
-            table,
-            [r.to_json() for r in results],
-            header,
-            [[r.log_q, r.delta, r.B, r.log_x, r.log_u, r.log_gap_bound]
-             for r in results],
-        )
-        return EXIT_OK
-    if args.log_q is None or args.delta is None:
+        payload = [r.to_json() for r in results]
+    elif args.log_q is None or args.delta is None:
         print("scenario needs --log-q and --delta (or --sweep)", file=sys.stderr)
         return EXIT_ARGS
-    res = scenario_bound(args.log_q, args.delta, args.B)
+    else:
+        res = scenario_bound(args.log_q, args.delta, args.B)
+        results, payload = [res], res.to_json()
+        table = [
+            f"log_q = {res.log_q:g}",
+            f"delta = {res.delta:g}",
+            f"B = {res.B:g}",
+            f"log_x = {res.log_x:.6f}",
+            f"log_u = {res.log_u:.6f}",
+            f"log_gap_bound = {res.log_gap_bound:.6f}",
+        ]
     _emit(
         args.format,
-        _scenario_fields(res),
-        res.to_json(),
+        table,
+        payload,
         header,
-        [[res.log_q, res.delta, res.B, res.log_x, res.log_u, res.log_gap_bound]],
+        [[r.log_q, r.delta, r.B, r.log_x, r.log_u, r.log_gap_bound] for r in results],
     )
     return EXIT_OK
 
@@ -368,10 +364,10 @@ def main(argv=None) -> int:
     except InvalidCertificate as exc:
         print(f"certificate invalid: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (BadProgression, DomainError, GapforgeError, ValueError) as exc:
+    except (GapforgeError, ValueError) as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_ARGS
 

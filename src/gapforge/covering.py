@@ -12,7 +12,6 @@ beyond anything constructible.
 
 from __future__ import annotations
 
-import logging
 import math
 from decimal import Decimal, localcontext
 from typing import Optional
@@ -61,8 +60,6 @@ from .sieve import (
     _progression_roots,
     _strike,
 )
-
-logger = logging.getLogger(__name__)
 
 _U64_MAX = 2**64 - 1
 
@@ -315,20 +312,14 @@ def build_certificate(
     delta is measured exactly from the primes unless an override is given
     (the override explores the construction under a hypothetical deficit).
     The certificate then passes the structural verify_certificate checks
-    through _require_verified, and a matching step that ran past the
-    sufficient condition |N'| <= u/(5 ln u) is logged as a warning.
+    through _require_verified.  A matching step past the sufficient
+    condition |N'| <= u/(5 ln u) proceeds on the actual prime supply, and
+    the cover command says so on stderr; the library writes nothing.
     Deterministic: identical arguments give byte-identical certificates.
     One prime table serves the count, the construction and the check.
     """
     table = _PrimeTable(config or DEFAULT)
     cert = _construct(x, q, b, delta_override, table)
-    if cert.survivors_after_greedy * 5 * math.log(cert.u) > cert.u:
-        logger.warning(
-            "matching %d survivors at u=%d: the sufficient condition "
-            "|N'| <= u/(5 ln u) fails, proceeding on the actual prime supply",
-            cert.survivors_after_greedy,
-            cert.u,
-        )
     _require_verified(cert, table)
     return cert
 
@@ -428,10 +419,11 @@ def _verify(
     if not strict:
         return report
 
-    forced = classes.select(kind == FORCED)
-    low = forced.p < 2
-    divisor = np.where(low, 1, forced.p)
-    bad_cong = _first(low | (_kills(cert.q, cert.b, forced.a, divisor) != 0))
+    is_forced = kind == FORCED
+    forced = classes.select(is_forced)
+    bad_cong = _first(
+        low[is_forced] | (_kills(cert.q, cert.b, forced.a, divisor[is_forced]) != 0)
+    )
     report.add(
         "forced_congruence",
         bad_cong is None,

@@ -11,12 +11,12 @@ interleaved, position j holding 3j + 1 + (j & 1), each prime p >= 5
 striking each lane as one modulus 2p of one kernel pass; the primes 2 and
 3 are added by hand.  rough_gap_scan(2, ...) needs no sieve: the 2-rough
 integers are the odd ones, every gap 2.  The primes below 2**16 are
-arith's constant column _SMALL_PRIMES: _primes serves any window up to
-2**16 - 1 from it, and the kernel takes its base primes from it for any
-window below 2**32; _primes is the one producer of wider prime columns.  A
-public call lists its primes in one _PrimeTable, which starts from that
-column and grows by _primes over the new range only, so it sieves each
-prime once and sieves nothing up to 2**16 - 1; every request to it
+arith's constant column _SMALL_PRIMES: the kernel takes its base primes
+from it for any window below 2**32, and _primes, which runs the kernel on
+every window, is the one producer of other prime columns.  A public
+call lists its primes in one _PrimeTable, which starts from that column
+and grows by _primes over the new range only, so it sieves each prime
+once and sieves nothing up to 2**16 - 1; every request to it
 (_prime_array, _prime_range) makes its own budget check, and the column
 sits outside any budget, like the code.  The exact count's roots of
 q*k + b == 0 are a prefix of the covering module's forced classes, whose
@@ -244,20 +244,16 @@ def _primes(lo: int, hi: int, cfg: Config) -> np.ndarray:
     """The primes p with lo < p <= hi, ascending, as a column.
 
     int64 while hi < 2**63, dtype=object past it, so every prime is exact.
-    Up to _SMALL_TOP the primes are a slice of _SMALL_PRIMES, read-only,
-    with no kernel pass; a wider window runs the kernel (_wheel_primes).
-    Raises ValueError unless lo <= hi, and ResourceLimit when the window
-    passes the scan limit or its base primes the memory budget.
+    Every window runs the kernel (_wheel_primes); a _PrimeTable asks only
+    past _SMALL_PRIMES, which it starts from.  Raises ValueError unless
+    lo <= hi, and ResourceLimit when the window passes the scan limit or
+    its base primes the memory budget.
     """
     if lo > hi:
         raise ValueError("need lo <= hi")
     _check_window(hi - lo, cfg, "prime range scan")
-    if hi <= _SMALL_TOP:
-        _check_table(math.isqrt(max(hi, 0)), cfg, "prime sieve")
-        ends = np.searchsorted(_SMALL_PRIMES, (max(lo, 0), max(hi, 0)), side="right")
-        return _SMALL_PRIMES[ends[0] : ends[1]]
     dtype = np.int64 if hi < 2**63 else object
-    parts = [np.array([p for p in (2, 3) if p > lo], dtype=dtype)]
+    parts = [np.array([p for p in (2, 3) if lo < p <= hi], dtype=dtype)]
     parts += [_term(start + np.flatnonzero(~struck).astype(dtype, copy=False))
               for start, struck in _wheel_primes(lo + 1, hi, cfg)]
     return np.concatenate(parts)

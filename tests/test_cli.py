@@ -2,6 +2,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -15,6 +18,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fresh(*argv):
+    """argv run by a fresh interpreter with gapforge on its path, as a
+    console script runs: its exit code, stdout and stderr."""
+    env = dict(os.environ, PYTHONIOENCODING="utf-8",
+               PYTHONPATH=os.path.dirname(os.path.dirname(gf.__file__)))
+    done = subprocess.run([sys.executable, *argv], capture_output=True,
+                          encoding="utf-8", env=env, check=False)
+    return done.returncode, done.stdout, done.stderr
 
 
 def test_gaps_table(capsys):
@@ -156,6 +169,23 @@ def test_cover_exits_4_when_the_fresh_primes_run_out(capsys):
     assert (code, out) == (4, "")
     assert err == ("matching impossible: need 3 fresh primes but only 2 available; "
                    "sufficient condition |N'| <= u/(5 ln u) fails\n")
+
+
+def test_cover_warns_when_the_sufficient_condition_fails():
+    # |N'| = 1453 survivors at u = 42643, past u/(5 ln u) ~ 799: the
+    # matching still succeeds on the actual primes in (u/2, u], and the
+    # one line on stderr says so
+    code, out, err = fresh("-m", "gapforge.cli", "cover", "--x", "2020003",
+                           "--q", "101", "--b", "3", "--delta", "1/50")
+    assert (code, out) == (0, "J(42643) ≥ 2020000/101\n")
+    assert err == ("matching 1453 survivors at u=42643: the sufficient condition "
+                   "|N'| <= u/(5 ln u) fails, proceeding on the actual prime supply\n")
+
+
+def test_import_loads_no_logging():
+    code, out, err = fresh("-c", "import sys, gapforge, gapforge.cli; "
+                                 "print('logging' in sys.modules)")
+    assert (code, out, err) == (0, "False\n", "")
 
 
 def test_cover_into_a_missing_directory_exits_6(tmp_path, capsys):

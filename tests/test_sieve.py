@@ -447,15 +447,17 @@ def _kernel_primes(lo, hi):
 
 
 def test_prime_producer_matches_plain_eratosthenes():
-    # the primes up to 2**16 - 1 are the constant column, so the kernel runs
-    # this grid by hand too: n <= 24 have no base prime of at least 5; past
-    # them every prime square p*p puts p among the base primes of n = p*p on
+    # a table serves n <= 2**16 - 1 from the constant column, so the kernel
+    # runs this grid by hand too: n <= 24 have no base prime of at least 5;
+    # past them every prime square p*p puts p among the base primes of
+    # n = p*p on.  _primes runs the kernel on every window: from lo = -10,
+    # and below 5, where only the filter lo < p <= hi keeps 2 and 3
     for n in range(2001):
         want = small_primes_up_to(n)
         assert sieve._prime_array(n, sieve._PrimeTable(Config())).tolist() == want, n
         assert _kernel_primes(0, n) == want, n
-    for lo in range(0, 200):
-        for hi in (lo, lo + 1, lo + 37, 2000):
+    for lo in range(-10, 200):
+        for hi in {lo, lo + 1, lo + 2, lo + 37, 2000, *range(lo, 5)}:
             want = [p for p in small_primes_up_to(hi) if p > lo]
             assert sieve._primes(lo, hi, Config()).tolist() == want, (lo, hi)
             assert _kernel_primes(lo, hi) == want, (lo, hi)
@@ -504,8 +506,9 @@ def test_prime_windows_straddling_the_column_top():
 
 
 def test_prime_requests_refuse_at_the_column_top():
-    # the column serves up to 65535 without a kernel pass, yet every request
-    # keeps its budget checks, in order, with the kernel's texts past it
+    # a table serves up to 65535 from the column without a kernel pass, yet
+    # every request keeps its budget checks, in order, with the same texts
+    # on both sides of the column's top
     for n in (65535, 65536):
         assert primes_up_to(n, config=Config(memory_budget=n + 1)) == small_primes_up_to(n)
         with pytest.raises(ResourceLimit, match=f"^prime list needs the primes up to {n}, "

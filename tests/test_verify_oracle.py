@@ -229,6 +229,7 @@ CASES = {
     "p_repeated": _repeat_p,
     "all_shifted": _every_residue_shifted_by_p,
     "forced_as_greedy": _edit_class(0, kind="greedy"),
+    "forced_as_matched": _edit_class(0, kind="matched"),
     "matched_as_forced": _edit_class(-1, kind="forced"),
     "u_twice_a_forced_prime": _u_twice_a_forced_prime,
     "q_past_int64": _q_past_int64,
