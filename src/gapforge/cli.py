@@ -15,8 +15,8 @@ import csv
 import functools
 import json
 import math
+import re
 import sys
-from fractions import Fraction
 
 from . import config as config_mod
 from .covering import (
@@ -115,12 +115,47 @@ def _cmd_least_prime(args, cfg) -> int:
     return EXIT_OK
 
 
+# --delta in Fraction's grammar: an optional sign, then a/b or a decimal
+# with an optional exponent, digits grouped by underscores or not
+_DELTA = re.compile(r"""\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>(?:\d+(?:_\d+)*)?)
+    (?:/(?P<den>\d+(?:_\d+)*)
+      |(?:\.(?P<frac>(?:\d+(?:_\d+)*)?))?(?:[eE](?P<exp>[-+]?\d+(?:_\d+)*))?)\s*""",
+    re.VERBOSE)
+
+
 def _parse_delta(text: str) -> Rational:
-    try:
-        frac = Fraction(text)
-    except ZeroDivisionError:
-        raise DomainError(f"delta {text} has a zero denominator") from None
-    return Rational(frac.numerator, frac.denominator)
+    """The --delta text as an exact Rational in [0, 1], as Fraction reads it.
+
+    The numerator and denominator are written out from the text as digit
+    strings, the exponent's zeros capped one past the interpreter's int/str
+    digit limit, and refused past that limit before any int is built, so
+    1e-1000000 builds no million-digit power of 10.  Messages quote the
+    text, cut short, never the value.
+    """
+    shown = repr(text if len(text) <= 40 else text[:40] + "...")
+    m = _DELTA.fullmatch(text)
+    if m is None:
+        raise DomainError(f"delta {shown} is neither a fraction a/b nor a decimal")
+    # 0 means no limit, and Python before 3.10.7 has none: 4300, the default
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    num, den, frac, exp = (
+        (m[g] or "").replace("_", "") for g in ("num", "den", "frac", "exp"))
+    if m["den"] is None:  # num.frac * 10**exp
+        mag = exp.lstrip("+-").lstrip("0") or "0"
+        e = int(mag) if len(mag) < 10 else limit + 1  # past the limit either way
+        e = -e if exp.startswith("-") else e
+        den = "1" + "0" * min(len(frac) + max(-e, 0), limit)
+        num = num + frac or "0"
+        if num.strip("0"):  # zero times 10**e stays zero
+            num += "0" * min(max(e, 0), limit)
+    if max(len(num), len(den)) > limit:
+        raise DomainError(f"delta {shown} has more than {limit} digits")
+    n, d = int(num or "0"), int(den)
+    if d == 0:
+        raise DomainError(f"delta {shown} has a zero denominator")
+    if n > d or (n and m["sign"] == "-"):
+        raise DomainError(f"delta {shown} must lie in [0, 1]")
+    return Rational(n, d)
 
 
 def _cmd_cover(args, cfg) -> int:

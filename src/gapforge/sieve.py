@@ -9,7 +9,12 @@ covering module shares.  Prime lists, gaps and rough scans walk the line
 6k +- 1, the integers coprime to 6: the lanes 6k + 1 and 6k + 5
 interleaved, position j holding 3j + 1 + (j & 1), each prime p >= 5
 striking each lane as one modulus 2p of one kernel pass; the primes 2 and
-3 are added by hand.  rough_gap_scan(2, ...) needs no sieve: the 2-rough
+3 are added by hand.  The primes 5 to 17 strike the line with a period of
+170,170 positions, a constant column built at import: a line whose primes
+start with them starts each segment from that period, tiled, and strikes
+the rest.  The gap reader gates each block on a run of struck positions
+long enough to beat the record, testing 8-byte words of flags before
+single flags.  rough_gap_scan(2, ...) needs no sieve: the 2-rough
 integers are the odd ones, every gap 2.  The primes below 2**16 are
 arith's constant column _SMALL_PRIMES: the kernel takes its base primes
 from it for any window below 2**32, and _primes, which runs the kernel on
@@ -55,24 +60,29 @@ from .model import COLUMN_LIMIT, GapRecord, ProgressionStats, Rational
 # slicing them: one slice assignment costs 0.4-1.2 us and listing and
 # setting a point 8-10 ns, and _strike's time is flat for factors 64 to 256
 # on survivor sieves and flank windows.  Listing costs 25-40 us however few
-# the moduli, so fewer than _LISTED of them are sliced.  (y = 100 to 2**20,
-# numpy 2.4, 2-core x86 host.)
-_SPARSE = 128
+# the moduli, so fewer than _LISTED of them are sliced.  On the wheel's
+# 2**20-position segments, where no modulus 2p passes y // 64 below
+# x = 6.7e7, medians of 12 alternating calls of max_prime_gap(4.95e7) took
+# 40.4, 40.7, 43.4 and 48.8 ms at factors 32, 64, 128 and 256.  (y = 100
+# to 2**20, numpy 2.4, 2-core x86 host.)
+_SPARSE = 64
 _LISTED = 64
 
 # Terms per kernel segment: positions on the line, b + k*q in a progression.
-# On the wheel, medians of 12 alternating calls of max_prime_gap(4.95e7)
-# and scan_deficits(9.9e6, 205, 214, 10): 84.6 and 14.6 ms at 2**20, 86.6
-# and 14.9 at 2**19; 2**20 positions also struck fastest per position of
-# 2**19 to 2**22 (numpy 2.4, 2-core x86 host with 2 MiB of L2 per core).
+# On the wheel, medians of 12 alternating calls of max_prime_gap(4.95e7),
+# scan_deficits(9.9e6, 205, 214, 10) and a rough scan of 4e6 integers,
+# u = 19: 41.8, 10.4 and 1.0 ms at 2**20, 48.6, 10.3 and 1.0 at 2**19, 53.6,
+# 12.5 and 2.1 at 2**21 (numpy 2.4, 2-core x86 host with 2 MiB of L2 per
+# core).
 _SEGMENT = 1 << 20
 
 # _max_gap gates and reads blocks of _READ positions, so the first block
 # sets a record before the rest of the first segment is read.  A rough scan
 # of 4e6 integers, u = 19, took 6.4-7.9 ms reading whole 2**20-position
 # segments and 2.2 ms in blocks of 2**16.  Medians of 12 alternating calls,
-# max_prime_gap(4.95e7) and that scan: 2**16 92-93 ms and 1.7-2.1 ms,
-# 2**15 101 and 1.9, 2**17 98 and 2.1 (numpy 2.4, 2-core x86 host).
+# max_prime_gap(4.95e7) and that scan, in two sets: 2**16 44.5-44.9 ms and
+# 0.99-1.14 ms, 2**15 45.7-45.8 and 1.16-1.27, 2**17 45.2 and 0.92-0.96
+# (numpy 2.4, 2-core x86 host); the gaps weigh more.
 _READ = 1 << 16
 
 
@@ -116,17 +126,23 @@ def _mod(n: int, p: np.ndarray) -> np.ndarray:
     return (n % p.astype(object)).astype(p.dtype)
 
 
-def _strike(y: int, residues: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+def _strike(
+    y: int, residues: np.ndarray, moduli: np.ndarray,
+    flags: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Flags over [0, y], set at each n == a (mod p) for the paired (a, p).
 
-    Moduli below 2 strike nothing; the callers check the budget for y.  A
+    flags, if given, are the y + 1 flags to start from, struck in place;
+    otherwise they start clear.  Moduli below 2 strike nothing; the callers
+    check the budget for y.  A
     modulus above y strikes at most one point, its least residue, so those
     are set by one fancy-index assignment.  A modulus in (y // _SPARSE, y]
     strikes at most _SPARSE points: when there are _LISTED or more of them,
     _strike_listed sets their points by fancy indexing, and the others
     strike by slices.
     """
-    flags = np.zeros(y + 1, dtype=bool)
+    if flags is None:
+        flags = np.zeros(y + 1, dtype=bool)
     keep = moduli >= 2
     # with no modulus below 2, as in every checked table, nothing is copied
     p, start = (moduli, residues) if keep.all() else (moduli[keep], residues[keep])
@@ -172,11 +188,12 @@ def _strike_listed(flags: np.ndarray, start: np.ndarray, p: np.ndarray) -> None:
 
 def _segments(
     q: int, b: int, k_lo: int, k_hi: int, primes: np.ndarray, roots: np.ndarray,
-    spared: np.ndarray,
+    spared: np.ndarray, period: Optional[np.ndarray] = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The segment kernel over the terms n = b + k*q, k_lo <= k < k_hi.
 
     The term at k is struck when k == roots[i] (mod primes[i]) for some i,
+    or when period, a constant flag column, is set at k mod its size,
     unless k is listed in spared.  Yields (first term, struck) per segment
     of up to _SEGMENT terms, struck[i] telling whether the segment's i-th
     term is struck.  k and the first term stay Python ints, so windows past
@@ -184,11 +201,22 @@ def _segments(
     """
     for k in range(k_lo, k_hi, _SEGMENT):
         stop = min(k + _SEGMENT, k_hi)  # exclusive
-        struck = _strike(stop - 1 - k, roots - _mod(k, primes), primes)
+        flags = None if period is None else _tile(period, k % period.size, stop - k)
+        struck = _strike(stop - 1 - k, roots - _mod(k, primes), primes, flags)
         hit = spared[(spared >= k) & (spared < stop)]
         if hit.size:  # so k < 2**63, and hit - k stays int64
             struck[hit - k] = False
         yield b + k * q, struck
+
+
+def _tile(period: np.ndarray, r: int, n: int) -> np.ndarray:
+    """n flags repeating period from its entry r: one copy per period."""
+    flags = np.empty(n, dtype=bool)
+    head = period[r : r + n]
+    flags[: head.size] = head
+    for at in range(head.size, n, period.size):
+        flags[at : at + period.size] = period[: n - at]
+    return flags
 
 
 def _position(n):
@@ -206,22 +234,45 @@ def _term(j):
     return (3 * j + 1) | 1
 
 
+def _lanes(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The roots and moduli by which primes >= 5 strike the line.
+
+    The multiples p*m of p on the line, m coprime to 6, repeat every 6p
+    integers, 2p positions: p strikes each lane as one modulus 2p, at the
+    positions of p and 5p, p // 3 and 5p // 3, both below 2p.  An integer n
+    on the line sits at n // 3.
+    """
+    return (np.concatenate([primes // 3, 5 * primes // 3]),
+            np.concatenate([2 * primes] * 2))
+
+
+# The primes 5 to 17 strike the line with one period of 2*5*7*11*13*17 =
+# 170,170 positions, 170 KB built once at import, so a segment of a line
+# whose primes start with them begins as that period tiled, and only the
+# primes from 19 strike it: each of those five struck the 2**20-position
+# segment by two slices, each touching all of it.
+_PRESIEVED = np.array([5, 7, 11, 13, 17], dtype=np.int64)
+_PERIOD = _strike(2 * math.prod(_PRESIEVED.tolist()) - 1, *_lanes(_PRESIEVED))
+_PERIOD.setflags(write=False)
+
+
 def _line(
     lo: int, hi: int, primes: np.ndarray, spare: bool
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Kernel segments over the integers in [lo, hi] coprime to 6.
 
-    Yields (first position, struck) per segment.  Each of primes, an int64
-    column of primes >= 5, strikes its multiples, and spares itself when
-    spare is set.  The multiples p*m of p on the line, m coprime to 6,
-    repeat every 6p integers, 2p positions: p strikes each lane as one
-    modulus 2p of the one kernel pass, at the positions of p and 5p, p // 3
-    and 5p // 3, both below 2p.  An integer n on the line sits at n // 3.
+    Yields (first position, struck) per segment.  Each of primes, an
+    ascending int64 column of primes >= 5, strikes its multiples by _lanes,
+    and spares itself when spare is set.  When primes start with 5, 7, 11,
+    13 and 17, the segments start from _PERIOD and only the rest strike.
     """
-    roots = [primes // 3, 5 * primes // 3]
-    return _segments(1, 0, _position(lo), _position(hi + 1),
-                     np.concatenate([2 * primes] * 2), np.concatenate(roots),
-                     roots[0] if spare else primes[:0])
+    spared = primes // 3 if spare else primes[:0]
+    period = None
+    if np.array_equal(primes[: _PRESIEVED.size], _PRESIEVED):
+        period, primes = _PERIOD, primes[_PRESIEVED.size :]
+    roots, moduli = _lanes(primes)
+    return _segments(1, 0, _position(lo), _position(hi + 1), moduli, roots, spared,
+                     period)
 
 
 def _wheel_primes(lo: int, hi: int, cfg: Config) -> Iterator[tuple[int, np.ndarray]]:
@@ -316,18 +367,29 @@ def _progression_roots(
     return primes, _mod(-b, primes) * inverses % primes
 
 
+# Eight True flags, as the uint64 word that holds them.
+_TRUE_WORD = np.uint64(0x0101010101010101)
+
+
 def _has_run(struck: np.ndarray, k: int) -> bool:
     """True when struck holds k >= 1 consecutive True entries.
 
-    Log-doubling: run starts as the AND of neighbours, a new array, so
-    struck is never copied; after each in-place AND of run with itself
-    shifted by step, run[i] tells whether struck[i : i + length] is all
-    True, so about log2(k) passes over the segment decide it.
+    Such a run holds (k - 7) // 8 consecutive aligned 8-byte words of True
+    entries, so when struck's size is a multiple of 8 the uint64 view, an
+    eighth as many entries, is tested for that run first, and a miss
+    decides.  Otherwise log-doubling: run starts as the AND of neighbours,
+    a new array, so struck is never copied; after each in-place AND of run
+    with itself shifted by step, run[i] tells whether struck[i : i + length]
+    is all True, so about log2(k) passes over the segment decide it.
     """
     if k > struck.size:
         return False
     if k == 1:
         return bool(struck.any())
+    words = (k - 7) // 8
+    if words > 0 and struck.size % 8 == 0:
+        if not _has_run(struck.view(np.uint64) == _TRUE_WORD, words):
+            return False
     run = np.logical_and(struck[:-1], struck[1:])
     n, length = run.size, 2
     while length < k:

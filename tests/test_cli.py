@@ -5,13 +5,16 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 import gapforge as gf
 from gapforge import cli, covering, model
-from gapforge.cli import main
-from gapforge.model import certificate_to_dict
+from gapforge.cli import _parse_delta, main
+from gapforge.errors import DomainError
+from gapforge.model import Rational, certificate_to_dict
 
 
 def run(capsys, *argv):
@@ -152,6 +155,69 @@ def test_cover_accepts_decimal_and_fraction_delta(tmp_path, capsys):
         "--delta", "0.26", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
     assert json.loads(a.read_text())["u"] == 388
+
+
+@pytest.mark.parametrize("text", [
+    "13/50", "0.26", " 0.26 ", "+0.26", ".5", "1.", "00.5", "2.6e-1", "2.6E-1",
+    "1_0/1_00", "2_5e-0_2", "0", "-0", "-0/3", "0e5", "0e99999", "1", "1/1",
+    "10e-1", "0.1e1", "1e-300",
+])
+def test_delta_text_reads_as_fraction_reads_it(text):
+    f = Fraction(text)
+    assert _parse_delta(text) == Rational(f.numerator, f.denominator)
+
+
+def _digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
+@pytest.mark.parametrize("text, why", [
+    ("1e-1000000", "has more than"),
+    ("1e-99999999999999999999", "has more than"),
+    ("1e99999999999999999999", "has more than"),
+    ("0e-99999", "has more than"),
+    ("1" * 100_000, "has more than"),
+    ("1/" + "7" * 100_000, "has more than"),
+    ("0." + "0" * 100_000 + "1", "has more than"),
+    ("1e400", "must lie in [0, 1]"),
+    ("-0.5", "must lie in [0, 1]"),
+    ("3/2", "must lie in [0, 1]"),
+    ("1/0", "has a zero denominator"),
+    ("1e", "is neither a fraction a/b nor a decimal"),
+    ("1/2.0", "is neither a fraction a/b nor a decimal"),
+    ("nan", "is neither a fraction a/b nor a decimal"),
+], ids=lambda v: v[:24])
+def test_cover_refuses_a_bad_delta_quoting_its_text(capsys, text, why):
+    # refused from the text alone, before the progression is read: the
+    # message quotes the text cut to 40 characters, never the value
+    code, out, err = run(capsys, "cover", "--x", "100", "--q", "7", "--b", "3",
+                         "--delta", text)
+    shown = repr(text if len(text) <= 40 else text[:40] + "...")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"invalid parameters: delta {shown} {why}")
+    assert err.count("\n") == 1 and len(err) < 150
+
+
+def test_delta_digit_limit_is_the_interpreters():
+    limit = _digit_limit()
+    fits = [f"1e-{limit - 1}", "0." + "0" * (limit - 2) + "1", "1/" + "1" * limit]
+    for text in fits:
+        assert _parse_delta(text).den >= 10 ** (limit - 2)
+    for text in (f"1e-{limit}", "0." + "0" * (limit - 1) + "1", "1/" + "1" * (limit + 1)):
+        with pytest.raises(DomainError, match=f"has more than {limit} digits"):
+            _parse_delta(text)
+
+
+def test_delta_past_the_limit_builds_no_power_of_ten():
+    # Fraction("1e-1000000") builds a 415 KB 10**1000000 first
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError):
+            _parse_delta("1e-1000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50_000
 
 
 def test_cover_bad_progression_exit(capsys):

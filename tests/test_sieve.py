@@ -915,6 +915,61 @@ def test_gap_reader_gate_on_random_blocks(monkeypatch, read):
     _random_gap_reader_runs()
 
 
+# Gate tests: a first segment "." + "x" * (k - 1) + "." sets the record
+# 3k + k % 2, a step of k positions from position 0, so a later gap beats
+# it only across a run of k struck positions (a step of k + 1, at least
+# 3k + 2); a run of k - 1 gives at most 3k + 1 and leaves the record.
+# From k = 15 on, the gate first looks for (k - 7) // 8 words of eight
+# struck flags in a block whose size is a multiple of 8.
+GATE_READ = 256
+
+
+def _gate_blocks(k, run, offset):
+    """Blocks holding one run of run struck entries from index 8 + offset:
+    a full _READ block, short ones of a size a multiple of 8 and not, and
+    a segment of a full block and a short last one."""
+    def block(size):
+        head = 8 + offset
+        return "." * head + "x" * run + "." * (size - head - run)
+    short = 8 + offset + run + 1
+    short8 = short + -short % 8 + 8
+    return [[block(GATE_READ)], [block(short)], [block(short8)],
+            [block(GATE_READ) + block(short + (short % 8 == 0))]]
+
+
+@pytest.mark.parametrize("k", [14, 15, 16, 17, 73])
+def test_word_gate_at_runs_of_k_and_k_minus_one(monkeypatch, k):
+    monkeypatch.setattr(sieve, "_READ", GATE_READ)
+    record = (3 * k + k % 2, 1, 1 + 3 * k + k % 2)
+    for offset in range(8):
+        for run in (k - 1, k):
+            for texts in _gate_blocks(k, run, offset):
+                best = _assert_gap_reader_agrees(
+                    _stream(0, ["." + "x" * (k - 1) + "."] + texts))
+                assert (best == record) == (run == k - 1), (k, run, offset)
+
+
+def _longest_run(struck):
+    """The length of the longest run of True entries, counted one by one."""
+    best = length = 0
+    for flag in struck.tolist():
+        length = length + 1 if flag else 0
+        best = max(best, length)
+    return best
+
+
+def test_run_test_matches_a_count_of_runs():
+    # sizes a multiple of 8, tested on words first, and not; a run of 200
+    # in 4096 entries takes the word test of its word column too
+    rng = np.random.default_rng(88)
+    for size in (8, 64, 65, 256, 1000, 1024, 4096):
+        for density in (0.5, 0.9, 0.97, 0.995, 1.0):
+            struck = rng.random(size) < density
+            longest = _longest_run(struck)
+            for k in (1, 7, 8, 14, 15, 16, 23, 24, 73, 200, longest, longest + 1):
+                if k >= 1:
+                    assert sieve._has_run(struck, k) == (k <= longest), (size, density, k)
+
 def _prime_gap_oracle(x):
     """(gap, lo, hi) of the first maximal prime gap up to x, from a bytearray sieve."""
     flags = bytearray([1]) * (x + 1)
@@ -1066,6 +1121,90 @@ def test_segment_kernel_rough_window_past_int64(segment):
         segment(span)
         assert _kernel_rows(2, 1, k_lo, k_lo + 150, base, roots, []) == want
 
+
+# The primes 5 to 17 strike the line with period 2*5*7*11*13*17 positions,
+# which the kernel tiles into each segment of a line whose primes start
+# with them; windows start on either side of a period's end, segments are
+# shorter and longer than it.
+PERIOD = 170_170
+PERIOD_STARTS = [PERIOD - 1, 0, 1]
+
+
+def test_presieve_period_is_the_line_struck_by_5_to_17():
+    assert sieve._PERIOD.size == PERIOD and not sieve._PERIOD.flags.writeable
+    want = [any((3 * j + 1 + (j & 1)) % p == 0 for p in (5, 7, 11, 13, 17))
+            for j in range(PERIOD)]
+    assert sieve._PERIOD.tolist() == want
+
+
+@pytest.mark.parametrize("r", [0, 1, 5000, PERIOD - 1])
+def test_tile_repeats_the_period_from_any_entry(r):
+    # the period's tail alone, exactly to its end, one entry past it, and
+    # several whole periods
+    for n in (1, 17, PERIOD - r, PERIOD - r + 1, PERIOD, 3 * PERIOD + 7):
+        want = np.resize(np.roll(sieve._PERIOD, -r), n)
+        assert np.array_equal(sieve._tile(sieve._PERIOD, r, n), want), n
+
+
+def test_strike_from_given_flags_sets_them_too():
+    rng = np.random.default_rng(17)
+    for y in (0, 37, 1023, 20000):
+        moduli = rng.integers(1, 3 * y + 3, 40)
+        residues = rng.integers(0, 10**6, 40)
+        start = rng.random(y + 1) < 0.3
+        got = sieve._strike(y, residues, moduli, start.copy())
+        assert np.array_equal(got, start | _slice_strike(y, residues, moduli))
+
+
+def _unpresieved_line(lo, hi, primes, spare):
+    """_line's segments with every prime striking, 5 to 17 too, and no
+    period: the kernel before the period."""
+    primes = np.array(primes, dtype=np.int64)
+    roots = np.concatenate([primes // 3, 5 * primes // 3])
+    return sieve._segments(1, 0, sieve._position(lo), sieve._position(hi + 1),
+                           np.concatenate([2 * primes] * 2), roots,
+                           primes // 3 if spare else primes[:0])
+
+
+@pytest.mark.parametrize("size", [4099, PERIOD - 1, PERIOD + 1, 1 << 20])
+def test_presieved_line_matches_the_unpresieved_kernel(segment, size):
+    segment(size)
+    for r in PERIOD_STARTS:
+        for m in (0, 5, 2**62 // PERIOD):
+            lo = sieve._term(m * PERIOD + r)
+            hi = lo + 3 * 2 * PERIOD + 11
+            prime_sieve = small_primes_up_to(math.isqrt(min(hi, 10**8)))[2:]
+            for primes, spare in ((prime_sieve, True), (prime_sieve, False),
+                                  (KERNEL_PRIMES[2:7], False), (KERNEL_PRIMES[2:6], False),
+                                  (KERNEL_PRIMES[2:8], True)):
+                got = list(sieve._line(lo, hi, np.array(primes, dtype=np.int64), spare))
+                want = list(_unpresieved_line(lo, hi, primes, spare))
+                assert [start for start, _ in got] == [start for start, _ in want]
+                for (_, a), (_, b) in zip(got, want):
+                    assert np.array_equal(a, b), (size, r, m, primes[-1], spare)
+
+
+@pytest.mark.parametrize("size", [65_536, 262_144])
+def test_presieved_scans_match_oracles_at_period_ends(rough_gap_oracle, segment, size):
+    # windows from the position k == -1, 0 and 1 (mod the period): prime
+    # lists against Eratosthenes, rough scans for u = 13 (no period), 17
+    # (the period alone) and 19 (the period and 19) against the window
+    # oracle, prime gaps with x at those positions against the gap oracle
+    segment(size)
+    oracle = small_primes_up_to(4 * 510_510 + 600_000)
+    for r in PERIOD_STARTS:
+        for m in (0, 3):
+            k = m * PERIOD + r
+            lo = sieve._term(k) - 2
+            hi = lo + 590_000
+            want = oracle[bisect.bisect_right(oracle, lo):bisect.bisect_right(oracle, hi)]
+            assert primes_in_range(lo, hi) == want, (size, r, m)
+            for u in (13, 17, 19):
+                rec = rough_gap_scan(u, lo, hi)
+                assert (rec.gap, rec.lo, rec.hi) == rough_gap_oracle(u, lo, hi), (u, lo)
+        x = sieve._term(PERIOD + r)
+        rec = max_prime_gap(x)
+        assert (rec.gap, rec.lo, rec.hi) == _prime_gap_oracle(x), x
 
 def _slice_strike(y, residues, moduli):
     """The strike before sparse moduli were listed: one slice per modulus
