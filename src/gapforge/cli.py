@@ -34,7 +34,7 @@ from .errors import (
     ResourceLimit,
 )
 from .jacobsthal import jacobsthal_exact
-from .model import Rational, certificate_from_text, certificate_to_json
+from .model import CrtWitness, Rational, certificate_from_text, certificate_to_json
 from .sieve import least_prime_ap, max_prime_gap, prime_count_ap, scan_deficits
 
 EXIT_OK = 0
@@ -166,7 +166,7 @@ def _cmd_cover(args, cfg) -> int:
         print(f"matching {cert.survivors_after_greedy} survivors at u={cert.u}: "
               "the sufficient condition |N'| <= u/(5 ln u) fails, proceeding on "
               "the actual prime supply", file=sys.stderr)
-    witness = witness_of_verified(cert)[0] if args.witness else None
+    witness = CrtWitness(*witness_of_verified(cert)[:2]) if args.witness else None
     if args.out or args.format == "json":
         text = certificate_to_json(cert, witness)
     if args.out:
@@ -198,10 +198,11 @@ def _cmd_verify(args, cfg) -> int:
     if args.witness:
         if report.ok:
             try:
-                w = witness_of_verified(cert)[0]
+                # P is multiplied only to compare it with a stored one
+                T, P, _ = witness_of_verified(cert, product=stored is not None)
                 report.add("witness_validates", True, f"T covers all {cert.y + 1} offsets")
                 if stored is not None:
-                    same = stored.T == w.T and stored.P == w.P
+                    same = stored.T == T and stored.P == P
                     report.add(
                         "witness_matches_stored",
                         same,

@@ -517,12 +517,14 @@ def crt_witness(
     """Concrete T with T + n divisible by a class prime for all n in [0, y].
 
     Verifies the certificate once, raising InvalidCertificate on any failure,
-    then builds T with witness_of_verified: the classes that kill b mod q
-    solve as the one congruence q*T == b (mod P_S), a small CRT combines
-    the others, and P_S must divide q*T - b before T is returned.
+    then builds T and its period P with witness_of_verified: the classes
+    that kill b mod q solve as the one congruence q*T == b (mod P_S), a
+    small CRT combines the others, and P_S must divide q*T - b before T is
+    returned.
     """
     _require_verified(cert, _PrimeTable(config or DEFAULT))
-    return witness_of_verified(cert)[0]
+    T, P, _ = witness_of_verified(cert)
+    return CrtWitness(T=T, P=P)
 
 
 def _require_verified(
@@ -538,10 +540,10 @@ def _require_verified(
 
 
 def witness_of_verified(
-    cert: CoveringCertificate,
-) -> tuple[CrtWitness, np.ndarray]:
-    """The CRT witness of a verified certificate, and T mod each class prime
-    as a column of the class primes' dtype.
+    cert: CoveringCertificate, *, product: bool = True
+) -> tuple[int, Optional[int], np.ndarray]:
+    """The CRT witness T of a verified certificate, its period P, and T mod
+    each class prime as a column of the class primes' dtype.
 
     The certificate must have passed verify_certificate.  T solves
     T == -a_p (mod p) over every class.  A class with p not dividing q and
@@ -550,10 +552,16 @@ def witness_of_verified(
     their product from one product tree.  It is solved by one inverse mod
     q and one exact division by q, with no tree division.  _crt combines
     only the other classes, the rest: one division of P_S by q*P_R, with
-    P_R the rest's product, gives P_S and T_S mod each rest prime, and the
-    steps k_p = (-a_p - T_S) / P_S mod p make T = T_S + P_S*k.  A T of 0 is
+    P_R the rest's product, gives V == P_S (mod q*P_R), whose residues V_p
+    give each rest prime's T_S mod p, and the steps
+    k_p = (-a_p - T_S) / P_S mod p make T = T_S + P_S*k.  A T of 0 is
     shifted up by one period so the witness run sits strictly inside the
-    positive integers.  _covered_residues then checks T.
+    positive integers.  _covered_residues then checks T, whatever it was
+    built from.
+
+    P = P_S*P_R is multiplied only when product is set, and is None
+    otherwise: the gap bound and a witness check with nothing to compare
+    read T alone.
     """
     q, b = cert.q, cert.b
     p, a = cert.classes.p, cert.classes.a
@@ -565,21 +573,31 @@ def witness_of_verified(
     # q divides b + k*P_S; the quotient W is b/q mod P_S, and T_S = W mod P_S
     k = -b * pow(P_S % q, -1, q) % q
     m, T = divmod((b + k * P_S) // q, P_S)
-    P = P_S
     if rest_p.size:
         # V == P_S (mod q*P_R), so W == ((b + k*V) mod q*P_R)/q and
-        # T = W - m*P_S == W - m*V (mod P_R)
+        # T_S = W - m*P_S == W - m*V (mod P_R).  For p not dividing q that
+        # is T_R = (b + k*V_p)/q - m*V_p mod p, from V's residues V_p, with
+        # b, k and m reduced mod p so that every int64 product stays below
+        # 2**62; for p dividing q it needs W itself
         qP_R = q * tree[-1][0]
         V = _divmod(P_S, qP_R)[1]
-        inverses = _prime_inverses(_tree_mod(V, tree), tree[0])
-        T_R = (b + k * V) % qP_R // q - m * V
-        steps = (-rest_a - _tree_mod(T_R, tree)) % rest_p * inverses % rest_p
-        combined = _crt(tree, steps)
-        T += P_S * combined.T
-        P *= combined.P
-    if T == 0:
-        T += P
-    return CrtWitness(T=T, P=P), _covered_residues(cert, shared, P_S, tree, T)
+        V_p = _tree_mod(V, tree)
+        q_p = _mod(q, rest_p)
+        divides = q_p == 0
+        q_p[divides] = 1
+        # one batch inverts q*V_p: times q it is V_p**-1, times V_p q**-1
+        inverse = _prime_inverses(q_p * V_p % rest_p, rest_p)
+        T_R = (_mod(b, rest_p) + _mod(k, rest_p) * V_p) % rest_p
+        T_R = (T_R * (V_p * inverse % rest_p) - _mod(m, rest_p) * V_p) % rest_p
+        if divides.any():
+            whole = (b + k * V) % qP_R // q - m * V
+            T_R[divides] = [whole % d for d in rest_p[divides].tolist()]
+        steps = (-rest_a - T_R) % rest_p * (q_p * inverse % rest_p) % rest_p
+        T += P_S * _crt(tree, steps).T
+    # a T of 0 takes P even when the caller reads only T
+    P = P_S * tree[-1][0] if product or not T else None
+    T = T or P
+    return T, P if product else None, _covered_residues(cert, shared, P_S, tree, T)
 
 
 def _covered_residues(

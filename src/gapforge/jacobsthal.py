@@ -213,16 +213,16 @@ def jacobsthal_bound_from_certificate(
     table = _PrimeTable(config or DEFAULT)
     covering._require_verified(cert, table, keep=True)
     primes = _prime_array(cert.u, table)
-    w, residues = covering.witness_of_verified(cert)
+    T, _, residues = covering.witness_of_verified(cert, product=False)
     classed = cert.classes.p.astype(np.int64)
     # the verified class primes are distinct primes <= u, so each one's
     # sorted place in the table is its own
     unclassed = np.delete(primes, np.searchsorted(primes, classed))
     rems = np.concatenate([residues.astype(np.int64),
-                           np.array(multi_mod(w.T, unclassed), dtype=np.int64)])
+                           np.array(multi_mod(T, unclassed), dtype=np.int64)])
     mods = np.concatenate([classed, unclassed])
-    lo = w.T + _flank(rems, mods, -1, -1)
-    hi = w.T + _flank(rems, mods, cert.y + 1, 1)
+    lo = T + _flank(rems, mods, -1, -1)
+    hi = T + _flank(rems, mods, cert.y + 1, 1)
     return JacobsthalValue(
         u=cert.u,
         value=cert.y + 2,

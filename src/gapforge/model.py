@@ -309,13 +309,9 @@ def certificate_to_dict(
     """Certificate as a JSON-ready dict with the stable field order."""
     head, tail = _certificate_fields(cert, witness)
     t = cert.classes
-    classes = [{"p": p, "a": a, "kind": kind}
-               for p, a, kind in zip(t.p.tolist(), t.a.tolist(), _kind_texts(t))]
+    classes = [{"p": p, "a": a, "kind": KINDS[k]}
+               for p, a, k in zip(t.p.tolist(), t.a.tolist(), t.kind.tolist())]
     return {**head, "classes": classes, **tail}
-
-
-def _kind_texts(t: ClassTable) -> list[str]:
-    return [KINDS[k] for k in t.kind.tolist()]
 
 
 def _certificate_fields(
@@ -353,25 +349,28 @@ def certificate_to_json(
     The text is json.dumps(certificate_to_dict(cert, witness), indent=2)
     plus a newline.  An indent sends json.dumps to its pure-Python encoder,
     so the class records, nearly all of the text, are formatted here
-    directly; the few other fields still go through json.dumps.
+    directly, each from its kind's template in _KIND_RECORDS, which already
+    holds the kind's text and takes p and a; the few other fields still go
+    through json.dumps, and the pieces are joined once.
     """
     head, tail = _certificate_fields(cert, witness)
     # both dicts are non-empty: drop head's closing "\n}" and tail's "{\n"
-    text = json.dumps(head, indent=2)[:-2] + ',\n  "classes": '
+    pieces = [json.dumps(head, indent=2)[:-2], ',\n  "classes": ']
     t = cert.classes
     if len(t):
-        # one %-format of every record at once, the fields interleaved
-        fields = [None] * (3 * len(t))
-        fields[0::3], fields[1::3] = t.p.tolist(), t.a.tolist()
-        fields[2::3] = _kind_texts(t)
-        records = ",\n".join([_CLASS_RECORD] * len(t)) % tuple(fields)
-        text += "[\n" + records + "\n  ]"
+        # one %-format of every record at once, p and a interleaved
+        fields = [None] * (2 * len(t))
+        fields[0::2], fields[1::2] = t.p.tolist(), t.a.tolist()
+        records = ",\n".join(map(_KIND_RECORDS.__getitem__, t.kind.tolist()))
+        pieces += ["[\n", records % tuple(fields), "\n  ]"]
     else:
-        text += "[]"
-    return text + ",\n" + json.dumps(tail, indent=2)[2:] + "\n"
+        pieces.append("[]")
+    pieces += [",\n", json.dumps(tail, indent=2)[2:], "\n"]
+    return "".join(pieces)
 
 
 _CLASS_RECORD = '    {\n      "p": %d,\n      "a": %d,\n      "kind": "%s"\n    }'
+_KIND_RECORDS = [_CLASS_RECORD.replace("%s", kind) for kind in KINDS]
 
 
 def _json_int(value) -> int:

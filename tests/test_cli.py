@@ -405,6 +405,26 @@ def test_verify_witness_refuses_a_stored_T_of_other_than_digits(tmp_path, capsys
     assert err == f"cannot load certificate: expected a decimal digit string, got {T!r}\n"
 
 
+@pytest.mark.parametrize("field", [None, "T", "P"])
+def test_verify_witness_refuses_a_stored_witness_that_differs(tmp_path, capsys, field):
+    path = tmp_path / "cert.json"
+    code, _, err = run(capsys, "cover", "--x", "10000", "--q", "101", "--b", "100",
+                       "--witness", "--out", str(path))
+    assert code == 0, err
+    if field is not None:  # the last digit of the stored T or P changed
+        obj = json.loads(path.read_text())
+        digits = obj["witness"][field]
+        obj["witness"][field] = digits[:-1] + str((int(digits[-1]) + 1) % 10)
+        path.write_text(json.dumps(obj, indent=2) + "\n")
+    code, out, err = run(capsys, "verify", str(path), "--witness")
+    assert err == ""
+    assert "[PASS] witness_validates" in out
+    if field is None:
+        assert code == 0 and "[PASS] witness_matches_stored" in out
+    else:
+        assert code == 5 and "[FAIL] witness_matches_stored" in out
+
+
 def _hostile_anchor_certificate(tmp_path, capsys, fault):
     """The valid certificate of (1e7, 10007, 3), then one field broken."""
     good = tmp_path / "anchor.json"

@@ -282,6 +282,19 @@ def test_certificate_writer_matches_indented_dumps():
             assert certificate_to_json(cert, witness) == _indented(cert, witness)
     w = crt_witness(built)
     assert certificate_to_json(built, w) == _indented(built, w)
+    # each record takes its kind's template: kinds out of order, object
+    # columns past 2**31 and negative residues come out as json.dumps writes them
+    for table in (
+        ClassTable([2, 3, 5, 7, 11, 13], [1, 0, 4, 2, 3, 12],
+                   [MATCHED, FORCED, GREEDY, FORCED, MATCHED, GREEDY]),
+        ClassTable([3, 2**31 + 11, 5, 2**61 - 1], [1, 2**31 + 10, 0, 2**40],
+                   [FORCED, MATCHED, GREEDY, MATCHED]),
+        ClassTable([2, 3, 5, 7], [-1, -3, 0, -2**31], [GREEDY, FORCED, MATCHED, FORCED]),
+    ):
+        cert = replace(built, classes=table)
+        assert table.p.dtype == (object if table.p.max() >= 2**31 else np.int64)
+        for witness in (None, w):
+            assert certificate_to_json(cert, witness) == _indented(cert, witness)
 
 
 def test_int_to_decimal_matches_str():

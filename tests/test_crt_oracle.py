@@ -76,11 +76,13 @@ def _shared_count(cert):
 
 def _assert_matches_oracle(cert):
     T, P = _naive_crt(_pairs(cert))
-    w, residues = witness_of_verified(cert)
-    assert (w.T, w.P) == (T or P, P)
+    got_T, got_P, residues = witness_of_verified(cert)
+    assert (got_T, got_P) == (T or P, P)
     # T mod each class prime, as a column of the class primes' dtype
     assert residues.dtype == cert.classes.p.dtype
-    assert residues.tolist() == [w.T % p for p, _ in _pairs(cert)]
+    assert residues.tolist() == [got_T % p for p, _ in _pairs(cert)]
+    # without product the same T, and no P
+    assert witness_of_verified(cert, product=False)[:2] == (got_T, None)
 
 
 def _rewritten(cert, q, b):
