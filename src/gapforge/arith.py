@@ -12,8 +12,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import COLUMN_LIMIT, CrtWitness
-
 
 def _eratosthenes(n: int) -> np.ndarray:
     """The primes below n as a read-only int64 column, by plain Eratosthenes."""
@@ -51,6 +49,12 @@ _MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 # is_prime is a proof below this bound and nothing at or above it.
 PROVEN_LIMIT = 2**64
+
+# Moduli and residues are held in int64 while every value lies in
+# [-COLUMN_LIMIT, COLUMN_LIMIT), where a product of two stays below 2**62:
+# _WORDS packs two such moduli a word, _prime_inverses batches them in
+# numpy, and the class columns of model hold to the same rule.
+COLUMN_LIMIT = 2**31
 
 # _divmod hands a division to the builtin once the divisor or the quotient
 # has at most this many bits; tree levels whose nodes are that small skip it.
@@ -343,11 +347,12 @@ def multi_mod(value: int, mods: Sequence[int]) -> list[int]:
     return _tree_mod(value, _product_tree(mods)).tolist()
 
 
-def _crt(tree: list, residues: np.ndarray) -> CrtWitness:
+def _crt(tree: list, residues: np.ndarray) -> int:
     """T in [0, P) with T == residues[i] (mod primes[i]), primes distinct.
 
     tree is the product tree of the primes, whose moduli they are, and
-    residues is a column with residues[i] in [0, primes[i]).  The tree
+    whose root is P, their product; residues is a column with residues[i]
+    in [0, primes[i]).  The tree
     serves both passes, with no big-integer inverse, and callers may reuse
     it to reduce by the same primes.  Downwards, each node N = L*R hands its
     children the scaled remainders c_L = c_N*R mod L and c_R = c_N*L mod R
@@ -381,4 +386,4 @@ def _crt(tree: list, residues: np.ndarray) -> CrtWitness:
             else values[i]
             for i in range(0, len(level), 2)
         ]
-    return CrtWitness(T=values[0] % P, P=P)
+    return values[0] % P

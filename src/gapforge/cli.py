@@ -14,12 +14,12 @@ import argparse
 import csv
 import functools
 import json
-import math
 import re
 import sys
 
 from . import config as config_mod
 from .covering import (
+    _condition_holds,
     build_certificate,
     scenario_bound,
     verify_certificate,
@@ -34,7 +34,7 @@ from .errors import (
     ResourceLimit,
 )
 from .jacobsthal import jacobsthal_exact
-from .model import CrtWitness, Rational, certificate_from_text, certificate_to_json
+from .model import CrtWitness, Rational, _digit_limit, certificate_from_text, certificate_to_json
 from .sieve import least_prime_ap, max_prime_gap, prime_count_ap, scan_deficits
 
 EXIT_OK = 0
@@ -136,8 +136,7 @@ def _parse_delta(text: str) -> Rational:
     m = _DELTA.fullmatch(text)
     if m is None:
         raise DomainError(f"delta {shown} is neither a fraction a/b nor a decimal")
-    # 0 means no limit, and Python before 3.10.7 has none: 4300, the default
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    limit = _digit_limit()
     num, den, frac, exp = (
         (m[g] or "").replace("_", "") for g in ("num", "den", "frac", "exp"))
     if m["den"] is None:  # num.frac * 10**exp
@@ -162,7 +161,7 @@ def _cmd_cover(args, cfg) -> int:
     override = _parse_delta(args.delta) if args.delta is not None else None
     # build_certificate has verified cert before returning it
     cert = build_certificate(args.x, args.q, args.b, override, config=cfg)
-    if cert.survivors_after_greedy * 5 * math.log(cert.u) > cert.u:
+    if not _condition_holds(cert.survivors_after_greedy, cert.u):
         print(f"matching {cert.survivors_after_greedy} survivors at u={cert.u}: "
               "the sufficient condition |N'| <= u/(5 ln u) fails, proceeding on "
               "the actual prime supply", file=sys.stderr)

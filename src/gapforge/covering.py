@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .arith import (
+    COLUMN_LIMIT,
     PROVEN_LIMIT,
     _crt,
     _divmod,
@@ -29,7 +30,6 @@ from .arith import (
 )
 from .config import DEFAULT, Config
 from .errors import (
-    BadProgression,
     DomainError,
     GapforgeError,
     InsufficientPrimes,
@@ -38,7 +38,6 @@ from .errors import (
     ResourceLimit,
 )
 from .model import (
-    COLUMN_LIMIT,
     FORCED,
     GREEDY,
     KINDS,
@@ -59,9 +58,8 @@ from .sieve import (
     _PrimeTable,
     _progression_roots,
     _strike,
+    _validate_count,
 )
-
-_U64_MAX = 2**64 - 1
 
 
 def _ratio_ok(u: int, lhs_factor: int, log_factor: int) -> bool:
@@ -95,6 +93,11 @@ def _ratio_ok(u: int, lhs_factor: int, log_factor: int) -> bool:
         prec *= 2
 
 
+def _condition_holds(n: int, u: int) -> bool:
+    """The sufficient condition n <= u/(5 ln u) on |N'| = n, decided exactly."""
+    return _ratio_ok(u, 1, 5 * n)
+
+
 def compute_u(x: int, q: int, delta: Rational) -> int:
     """Least integer u with u^2 > 4x and u / ln(u) >= 10 * delta * x / q.
 
@@ -114,7 +117,7 @@ def compute_u(x: int, q: int, delta: Rational) -> int:
     hi = max(4, u_sq)
     while not _ratio_ok(hi, lhs_factor, log_factor):
         hi *= 2
-        if hi > 2 * _U64_MAX:
+        if hi >= 2 * PROVEN_LIMIT:
             raise Overflow("u exceeds the 64-bit range")
     lo = 3
     while lo < hi:
@@ -123,8 +126,9 @@ def compute_u(x: int, q: int, delta: Rational) -> int:
             hi = mid
         else:
             lo = mid + 1
+    # u's primes are proven by is_prime, so u stays below PROVEN_LIMIT
     u = max(u_sq, lo)
-    if u > _U64_MAX:
+    if u >= PROVEN_LIMIT:
         raise Overflow("u exceeds the 64-bit range")
     return u
 
@@ -255,8 +259,8 @@ def _match(remaining, u: int, table: _PrimeTable) -> ClassTable:
         return ClassTable([], [], MATCHED)
     fresh = _prime_range(u // 2, u, table)
     if remaining.size > fresh.size:
-        holds = remaining.size * 5 * math.log(u) <= u
-        raise InsufficientPrimes(remaining.size, fresh.size, holds)
+        raise InsufficientPrimes(remaining.size, fresh.size,
+                                 _condition_holds(remaining.size, u))
     fresh = fresh[: remaining.size]
     return ClassTable(fresh, remaining % fresh, MATCHED)
 
@@ -272,10 +276,7 @@ def _construct(
     greedy_cover and the matching, every prime from the one table.  The
     roots the count solved, or solved if given, are not solved again.
     """
-    if not 0 < b < q < x:
-        raise BadProgression(f"need 0 < b < q < x, got b={b}, q={q}, x={x}")
-    if math.gcd(b, q) != 1:
-        raise BadProgression(f"gcd({b}, {q}) > 1")
+    _validate_count(x, q, b)
     if delta is None:
         stats, solved = _prime_count_ap(x, q, b, table)
         delta = stats.delta
@@ -593,7 +594,7 @@ def witness_of_verified(
             whole = (b + k * V) % qP_R // q - m * V
             T_R[divides] = [whole % d for d in rest_p[divides].tolist()]
         steps = (-rest_a - T_R) % rest_p * (q_p * inverse % rest_p) % rest_p
-        T += P_S * _crt(tree, steps).T
+        T += P_S * _crt(tree, steps)
     # a T of 0 takes P even when the caller reads only T
     P = P_S * tree[-1][0] if product or not T else None
     T = T or P

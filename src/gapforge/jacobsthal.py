@@ -18,7 +18,7 @@ from . import covering
 from .arith import multi_mod, primorial
 from .config import DEFAULT, Config
 from .errors import PeriodTooLarge
-from .model import CoveringCertificate, GapRecord, JacobsthalValue, Rational
+from .model import CoveringCertificate, GapRecord, JacobsthalValue
 from .sieve import _prime_array, _PrimeTable, _strike
 
 # offsets in the first window of the flank search; each later window doubles
@@ -228,5 +228,5 @@ def jacobsthal_bound_from_certificate(
         value=cert.y + 2,
         witness=GapRecord(hi - lo, lo, hi),
         exact=False,
-        gap_lower_rational=Rational(cert.x - cert.b, cert.q),
+        gap_lower_rational=cert.bound_rational(),
     )

@@ -4,8 +4,8 @@ Arbitrary-precision integers (CRT witnesses, primorials) are plain Python
 ints; they serialize as decimal strings so consumers in other languages can
 parse them losslessly.  Those strings may run past the interpreter's
 int/str conversion limit (4300 digits by default), so they are converted in
-chunks of at most ``_DIGIT_CHUNK`` digits.  Everything else is 64-bit scale
-and serializes as a JSON number.
+pieces of at most ``_DIGIT_CHUNK`` digits, fewer under a lower limit.
+Everything else is 64-bit scale and serializes as a JSON number.
 """
 
 from __future__ import annotations
@@ -15,13 +15,22 @@ import functools
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Optional
 
 import numpy as np
 
+from .arith import COLUMN_LIMIT, _divmod
+
 _DIGIT_CHUNK = 4000  # digits per int/str conversion, under the 4300 default
+
+
+def _digit_limit() -> int:
+    """The interpreter's int/str digit limit now; 4300, the default, where
+    it sets none (0, or a Python before 3.10.7)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
 def _int_to_decimal(n: int) -> str:
@@ -31,15 +40,14 @@ def _int_to_decimal(n: int) -> str:
     division, so the conversion costs a few Karatsuba products per level
     rather than CPython's quadratic int-to-str.
     """
-    from .arith import _divmod  # arith imports this module
-
-    powers = [10**_DIGIT_CHUNK]  # powers[i] = 10 ** (_DIGIT_CHUNK * 2**i)
+    piece = min(_DIGIT_CHUNK, _digit_limit())
+    powers = [10**piece]  # powers[i] = 10 ** (piece * 2**i)
     while powers[-1] <= n:
         powers.append(powers[-1] * powers[-1])
 
     def padded(m: int, i: int) -> str:  # m < powers[i], zero-padded
         if i == 0:
-            return str(m).rjust(_DIGIT_CHUNK, "0")
+            return str(m).rjust(piece, "0")
         hi, lo = _divmod(m, powers[i - 1])
         return padded(hi, i - 1) + padded(lo, i - 1)
 
@@ -56,9 +64,9 @@ def _decimal_to_int(text: str, max_digits: int) -> int:
 
 
 def _parse_digits(text: str) -> int:
-    if len(text) <= _DIGIT_CHUNK:
+    width = min(_DIGIT_CHUNK, _digit_limit())
+    if len(text) <= width:
         return int(text)
-    width = _DIGIT_CHUNK
     while 2 * width < len(text):
         width *= 2
     # text[:-width] is at most width digits long, so the split halves it
@@ -113,14 +121,11 @@ KINDS = ("forced", "greedy", "matched")
 FORCED, GREEDY, MATCHED = range(len(KINDS))
 _KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
 
-# p and a are int64 columns when every value lies in [-2**31, 2**31), where
-# a product of two residues stays below 2**62; otherwise both are object
-# columns of Python ints, which the same numpy expressions serve
-COLUMN_LIMIT = 2**31
-
 
 def _columns(p, a) -> tuple[np.ndarray, np.ndarray]:
-    """p and a as two columns of one dtype, int64 where every value fits."""
+    """p and a as two columns of one dtype: int64 where every value lies
+    within COLUMN_LIMIT, otherwise object columns of Python ints, which the
+    same numpy expressions serve."""
     try:
         p64, a64 = np.asarray(p, dtype=np.int64), np.asarray(a, dtype=np.int64)
         if not p64.size or (
@@ -388,6 +393,8 @@ def _json_ints(values: list) -> list:
 
 def _class_table(classes: list) -> ClassTable:
     """The table of a certificate's "classes" list, each value checked."""
+    if type(classes) is not list:
+        raise ValueError(f'expected "classes" to be a JSON list, got {classes!r:.40}')
     p, a, kinds = (list(map(itemgetter(key), classes)) for key in ("p", "a", "kind"))
     try:
         codes = list(map(_KIND_CODE.__getitem__, kinds))

@@ -44,6 +44,7 @@ import numpy as np
 from .arith import (
     _SMALL_PRIMES,
     _SMALL_TOP,
+    COLUMN_LIMIT,
     PROVEN_LIMIT,
     _inverses_of,
     _prime_inverses,
@@ -53,7 +54,7 @@ from .arith import (
 )
 from .config import DEFAULT, Config
 from .errors import BadProgression, DomainError, EmptyRange, ResourceLimit
-from .model import COLUMN_LIMIT, GapRecord, ProgressionStats, Rational
+from .model import GapRecord, ProgressionStats, Rational
 
 
 # _strike lists the points of the moduli in (y // _SPARSE, y] rather than
@@ -613,9 +614,7 @@ def _prime_count_ap(
     and their roots, a prefix of any longer solve for the same q and b,
     and phi is totient(q), which delta and that solve share.
     """
-    _validate_progression(q, b)
-    if not q < x:
-        raise BadProgression(f"need q < x, got q={q}, x={x}")
+    _validate_count(x, q, b)
     terms = (x - b) // q + 1
     _check_window(terms, table.cfg, "progression sieve")
     root = math.isqrt(x)
@@ -750,3 +749,10 @@ def _validate_progression(q: int, b: int) -> None:
         raise BadProgression(f"need 0 < b < q, got b={b}, q={q}")
     if math.gcd(b, q) != 1:
         raise BadProgression(f"gcd({b}, {q}) = {math.gcd(b, q)} > 1")
+
+
+def _validate_count(x: int, q: int, b: int) -> None:
+    """_validate_progression, and q < x, as a count up to x needs."""
+    _validate_progression(q, b)
+    if not q < x:
+        raise BadProgression(f"need q < x, got q={q}, x={x}")

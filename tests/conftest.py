@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from gapforge import sieve
@@ -37,3 +39,18 @@ def segment(monkeypatch):
     def set_segment(n):
         monkeypatch.setattr(sieve, "_SEGMENT", n)
     return set_segment
+
+
+@pytest.fixture
+def lowest_digit_limit():
+    """Runs the test at 640, the lowest int/str digit limit the interpreter
+    accepts, and restores the limit afterwards; skipped where the
+    interpreter has no limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str digit limit")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)

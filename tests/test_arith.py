@@ -175,21 +175,18 @@ def test_arith_refuses_arguments_out_of_range():
 
 
 def _crt_of(classes):
-    """_crt of the (p, a) pairs: T == -a (mod p) for each pair."""
+    """_crt of the (p, a) pairs, T == -a (mod p) for each pair, and the
+    product P of the primes, the root of their tree."""
     tree = _product_tree([p for p, _ in classes])
-    return _crt(tree, np.array([-a % p for p, a in classes], dtype=tree[0].dtype))
+    return _crt(tree, np.array([-a % p for p, a in classes], dtype=tree[0].dtype)), tree[-1][0]
 
 
 def test_crt_combine_examples():
-    w = _crt_of([(2, 0)])
-    assert (w.T, w.P) == (0, 2)
-    w = _crt_of([(2, 0), (3, 1)])
-    assert (w.T, w.P) == (2, 6)
-    w = _crt_of([(3, 0), (5, 3)])
-    assert (w.T, w.P) == (12, 15)
+    assert _crt_of([(2, 0)]) == (0, 2)
+    assert _crt_of([(2, 0), (3, 1)]) == (2, 6)
+    assert _crt_of([(3, 0), (5, 3)]) == (12, 15)
     largest = 2**64 - 59  # the largest prime below 2**64, a leaf of its own
-    w = _crt_of([(largest, 5)])
-    assert (w.T, w.P) == (largest - 5, largest)
+    assert _crt_of([(largest, 5)]) == (largest - 5, largest)
 
 
 def test_crt_combine_recheck_property():
@@ -198,11 +195,11 @@ def test_crt_combine_recheck_property():
     for _ in range(200):
         chosen = rng.sample(primes, rng.randrange(1, 12))
         classes = [(p, rng.randrange(p)) for p in chosen]
-        w = _crt_of(classes)
-        assert 0 <= w.T < w.P
-        assert w.P == math.prod(p for p, _ in classes)
+        T, P = _crt_of(classes)
+        assert 0 <= T < P
+        assert P == math.prod(p for p, _ in classes)
         for p, a in classes:
-            assert (w.T + a) % p == 0
+            assert (T + a) % p == 0
 
 
 def test_crt_combine_many_classes():
@@ -210,10 +207,10 @@ def test_crt_combine_many_classes():
     primes = small_primes_up_to(20_000)
     rng = random.Random(5)
     classes = [(p, rng.randrange(p)) for p in primes]
-    w = _crt_of(classes)
+    T, _ = _crt_of(classes)
     for p, a in classes[:50] + classes[-50:]:
-        assert (w.T + a) % p == 0
-    assert multi_mod(w.T, [p for p, _ in classes]) == [
+        assert (T + a) % p == 0
+    assert multi_mod(T, [p for p, _ in classes]) == [
         (-a) % p for p, a in classes
     ]
 
@@ -314,16 +311,16 @@ def test_crt_tree_levels_past_the_cutoff():
     primes = rng.sample(small_primes_up_to(200_000)[1000:], 1200)
     residues = [rng.randrange(p) for p in primes]
     tree = _product_tree(primes)
-    w = _crt(tree, np.array(residues))
+    got = _crt(tree, np.array(residues))
     assert tree[-2][0].bit_length() > CUTOFF
-    assert w.P == math.prod(primes)
+    assert tree[-1][0] == math.prod(primes)
     T, P = 0, 1
     for p, r in zip(primes, residues):  # incremental oracle
         T += P * ((r - T) * pow(P, -1, p) % p)
         P *= p
-    assert w.T == T
-    assert multi_mod(w.T, primes) == residues
-    assert arith._tree_mod(w.T, tree).tolist() == residues
+    assert got == T
+    assert multi_mod(got, primes) == residues
+    assert arith._tree_mod(got, tree).tolist() == residues
 
 
 # least strong pseudoprime to bases 2, 7 and 61: the end of their proven range

@@ -13,7 +13,7 @@ import pytest
 import gapforge as gf
 from gapforge import cli, covering, model
 from gapforge.cli import _parse_delta, main
-from gapforge.errors import DomainError
+from gapforge.errors import DomainError, InsufficientPrimes
 from gapforge.model import Rational, certificate_to_dict
 
 
@@ -208,6 +208,10 @@ def test_delta_digit_limit_is_the_interpreters():
             _parse_delta(text)
 
 
+def test_delta_digit_limit_at_the_lowest_limit(lowest_digit_limit):
+    test_delta_digit_limit_is_the_interpreters()
+
+
 def test_delta_past_the_limit_builds_no_power_of_ten():
     # Fraction("1e-1000000") builds a 415 KB 10**1000000 first
     tracemalloc.start()
@@ -246,6 +250,27 @@ def test_cover_warns_when_the_sufficient_condition_fails():
     assert (code, out) == (0, "J(42643) ≥ 2020000/101\n")
     assert err == ("matching 1453 survivors at u=42643: the sufficient condition "
                    "|N'| <= u/(5 ln u) fails, proceeding on the actual prime supply\n")
+
+
+def test_cover_warning_and_the_matching_read_one_predicate(capsys, monkeypatch):
+    # the inputs of the test above: the predicate fails at |N'| = 1453 and
+    # u = 42643, a refused matching there reports it, and cover warns
+    # exactly when it fails
+    u = 42643
+    assert not covering._condition_holds(1453, u)
+    fresh = len(gf.primes_in_range(u // 2, u))
+    with pytest.raises(InsufficientPrimes) as exc:
+        covering.match_large_primes(list(range(fresh + 1)), u)
+    assert exc.value.condition_holds is covering._condition_holds(fresh + 1, u) is False
+    asked = []
+    for holds in (False, True):
+        monkeypatch.setattr(cli, "_condition_holds",
+                            lambda n, u, holds=holds: asked.append((n, u)) or holds)
+        code, out, err = run(capsys, "cover", "--x", "2020003", "--q", "101", "--b", "3",
+                             "--delta", "1/50")
+        assert (code, out) == (0, "J(42643) ≥ 2020000/101\n")
+        assert (err == "") is holds
+    assert asked == [(1453, u)] * 2
 
 
 def test_import_loads_no_logging():
@@ -389,6 +414,24 @@ def test_verify_refuses_non_integer_fields(tmp_path, capsys, change, shown):
     code, out, err = run(capsys, "verify", str(path), "--strict")
     assert code == 6 and out == ""
     assert err == f"cannot load certificate: expected a JSON integer, got {shown}\n"
+
+
+@pytest.mark.parametrize("classes", [{}, "", "ab", {"p": 1}, 5, None],
+                         ids=["object", "empty_string", "string", "record", "number", "null"])
+def test_verify_refuses_classes_that_are_not_a_list(tmp_path, capsys, classes):
+    # {} and "" once loaded as an empty table, which failed covers_range
+    # (exit 5), and the others raised whatever iterating them raised
+    path = tmp_path / "cert.json"
+    code, _, err = run(capsys, "cover", "--x", "10000", "--q", "101", "--b", "100",
+                       "--out", str(path))
+    assert code == 0, err
+    obj = json.loads(path.read_text())
+    obj["classes"] = classes
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", str(path), "--strict")
+    assert (code, out) == (6, "")
+    assert err == ('cannot load certificate: expected "classes" to be a JSON list, '
+                   f"got {classes!r}\n")
 
 
 @pytest.mark.parametrize("T", ["-1", "12a", "1e5", 5])

@@ -174,6 +174,19 @@ def test_best_residue_tie_break():
     assert best_residue([1, 4, 7, 8], 3) == (1, 3)
 
 
+def test_sufficient_condition_matches_a_decimal_oracle():
+    # n = floor(u / (5 ln u)), taken at 60 digits, meets |N'| <= u/(5 ln u)
+    # and n + 1 does not, for every u up to 20,000
+    wrong = []
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for u in range(3, 20_001):
+            n = int(Decimal(u) / (5 * Decimal(u).ln()))
+            if not covering._condition_holds(n, u) or covering._condition_holds(n + 1, u):
+                wrong.append(u)
+    assert wrong == []
+
+
 def test_match_large_primes_examples():
     assert match_large_primes([], 20) == ClassTable([], [], MATCHED)
     assert match_large_primes(np.array([3, 8]), 20) == ClassTable([11, 13], [3, 8], MATCHED)

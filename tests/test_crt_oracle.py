@@ -51,8 +51,8 @@ def test_crt_combine_matches_naive_oracle(size):
     rng = random.Random(size)
     chosen = rng.sample(PRIMES, size)
     classes = [(p, rng.randrange(p)) for p in chosen]
-    w = _crt(_product_tree(chosen), np.array([-a % p for p, a in classes]))
-    assert (w.T, w.P) == _naive_crt(classes)
+    tree = _product_tree(chosen)
+    assert (_crt(tree, np.array([-a % p for p, a in classes])), tree[-1][0]) == _naive_crt(classes)
 
 
 @pytest.mark.parametrize("x, q, b", [(10**3, 7, 2), (10**4, 101, 100),
@@ -218,9 +218,9 @@ def test_packed_trees_match_unpacked_oracle(edge, size):
     assert multi_mod(value, primes) == _unpacked_tree_mod(value, unpacked) == want
     assert multi_mod(value, tree[0]) == want
     residues = [rng.randrange(p) for p in primes]
-    w = _crt(tree, np.array(residues, dtype=tree[0].dtype))
-    assert (w.T, w.P) == _unpacked_crt(unpacked, residues)
-    assert (w.T, w.P) == _naive_crt([(p, -r % p) for p, r in zip(primes, residues)])
+    got = _crt(tree, np.array(residues, dtype=tree[0].dtype)), tree[-1][0]
+    assert got == _unpacked_crt(unpacked, residues)
+    assert got == _naive_crt([(p, -r % p) for p, r in zip(primes, residues)])
 
 
 def _with_classes(cert, pairs, q, b):

@@ -4,6 +4,8 @@ The digests were taken when the package still held one ResidueClass object
 per class; a certificate or report that changes by one byte fails here.
 They cover the small example, a 12,930-class certificate under an assumed
 deficit, and a measured one whose witness runs past the 4300-digit limit.
+Each case runs again at the lowest int/str digit limit, 640, and must give
+the same bytes.
 """
 
 import hashlib
@@ -48,3 +50,11 @@ def test_golden_certificate_report_and_bound(tmp_path, capsys, argv, certificate
     cert, _ = certificate_from_dict(json.loads(path.read_text()))
     val = jacobsthal_bound_from_certificate(cert)
     assert (val.value, val.witness.gap) == bound
+
+
+@pytest.mark.parametrize("argv, certificate, report, bound", GOLDEN,
+                         ids=["1e4", "h4", "1e7"])
+def test_golden_at_the_lowest_digit_limit(tmp_path, capsys, lowest_digit_limit, argv,
+                                          certificate, report, bound):
+    test_golden_certificate_report_and_bound(tmp_path, capsys, argv, certificate,
+                                             report, bound)
