@@ -28,7 +28,7 @@ from .arith import (
     _tree_mod,
     factorize,
 )
-from .config import DEFAULT, Config
+from .config import Config
 from .errors import (
     DomainError,
     GapforgeError,
@@ -50,15 +50,15 @@ from .model import (
     VerificationReport,
 )
 from .sieve import (
-    _first_non_prime,
+    _context,
     _mod,
     _prime_array,
-    _prime_count_ap,
     _prime_range,
     _PrimeTable,
-    _progression_roots,
     _strike,
     _validate_count,
+    first_non_prime,
+    prime_count_ap,
 )
 
 
@@ -153,40 +153,26 @@ def forced_classes(
     """The unique class killing the progression mod p, for each p <= u/2, p not dividing q.
 
     a_p solves q * a_p + b == 0 (mod p).  Raises ResourceLimit, before it
-    allocates, when the primes up to u/2 exceed the memory budget.
+    allocates, when the primes up to u/2 exceed the memory budget.  Given
+    the caller's table, it solves only the primes past those whose roots
+    the table holds for the same q and b.
     """
-    return _forced(u, q, b, _PrimeTable(config or DEFAULT))
-
-
-def _forced(
-    u: int, q: int, b: int, table: _PrimeTable,
-    solved: Optional[tuple[int, np.ndarray, np.ndarray, int]] = None,
-) -> ClassTable:
-    """forced_classes on the table's primes.
-
-    solved, if given, is (k, primes, roots, phi) of the same q and b over
-    the first k primes of the table's column, as _prime_count_ap returns
-    it; only the primes past those are solved, with its totient phi of q.
-    """
+    table = _context(config)
     if u < 3:
         raise ValueError("need u >= 3")
     if math.gcd(b, q) != 1:
         raise ValueError(f"need gcd(b, q) = 1, got gcd = {math.gcd(b, q)}")
-    primes = _prime_array(u // 2, table)
-    k, done, roots, phi = solved or (0, primes[:0], primes[:0], None)
-    more, more_roots = _progression_roots(primes[k:], q, b, phi)
-    return ClassTable(np.concatenate([done, more]),
-                      np.concatenate([roots, more_roots]), FORCED)
+    _prime_array(u // 2, table)  # the budget check, before the roots list any prime
+    return ClassTable(*table.roots(u // 2, q, b), FORCED)
 
 
 def sieve_survivors(
     y: int, forced: ClassTable, *, config: Optional[Config] = None
 ) -> np.ndarray:
     """Ascending n in [0, y] avoiding every forced class, as an int64 column."""
-    cfg = config or DEFAULT
     if y < 0:
         raise ValueError("need y >= 0")
-    if y + 1 > cfg.memory_budget:
+    if y + 1 > _context(config).cfg.memory_budget:
         raise ResourceLimit(f"survivor sieve over [0, {y}] exceeds the memory budget")
     repeat = _first_repeat(forced.p)
     if repeat is not None:
@@ -249,15 +235,10 @@ def match_large_primes(
     at it.  Raises InsufficientPrimes when the fresh primes run out,
     reporting whether the sufficient condition |N'| <= u / (5 ln u) held.
     """
-    return _match(remaining, u, _PrimeTable(config or DEFAULT))
-
-
-def _match(remaining, u: int, table: _PrimeTable) -> ClassTable:
-    """match_large_primes on the table's primes."""
     remaining = _ascending(remaining, "remaining survivors")
     if not remaining.size:
         return ClassTable([], [], MATCHED)
-    fresh = _prime_range(u // 2, u, table)
+    fresh = _prime_range(u // 2, u, _context(config))
     if remaining.size > fresh.size:
         raise InsufficientPrimes(remaining.size, fresh.size,
                                  _condition_holds(remaining.size, u))
@@ -266,27 +247,24 @@ def _match(remaining, u: int, table: _PrimeTable) -> ClassTable:
 
 
 def _construct(
-    x: int, q: int, b: int, delta: Optional[Rational], table: _PrimeTable,
-    solved: Optional[tuple[int, np.ndarray, np.ndarray, int]] = None,
+    x: int, q: int, b: int, delta: Optional[Rational], table: _PrimeTable
 ) -> CoveringCertificate:
     """The construction for (x, q, b), unverified; a delta of None is measured.
 
     Checks the progression, measures delta exactly from the primes if it is
-    not given, then runs compute_u, the forced classes, sieve_survivors,
-    greedy_cover and the matching, every prime from the one table.  The
-    roots the count solved, or solved if given, are not solved again.
+    not given, then runs compute_u, forced_classes, sieve_survivors,
+    greedy_cover and match_large_primes, every prime and root from the one
+    table: the forced classes solve no root the count solved.
     """
     _validate_count(x, q, b)
     if delta is None:
-        stats, solved = _prime_count_ap(x, q, b, table)
-        delta = stats.delta
+        delta = prime_count_ap(x, q, b, config=table).delta
     u = compute_u(x, q, delta)
     y = (x - b) // q
-    # u*u > 4x, so u // 2 >= isqrt(x): solved is a prefix of the forced roots
-    forced = _forced(u, q, b, table, solved)
-    survivors = sieve_survivors(y, forced, config=table.cfg)
+    forced = forced_classes(u, q, b, config=table)
+    survivors = sieve_survivors(y, forced, config=table)
     greedy, remaining = greedy_cover(survivors, q, u)
-    matched = _match(remaining, u, table)
+    matched = match_large_primes(remaining, u, config=table)
     return CoveringCertificate(
         x=x,
         q=q,
@@ -319,7 +297,7 @@ def build_certificate(
     Deterministic: identical arguments give byte-identical certificates.
     One prime table serves the count, the construction and the check.
     """
-    table = _PrimeTable(config or DEFAULT)
+    table = _context(config)
     cert = _construct(x, q, b, delta_override, table)
     _require_verified(cert, table)
     return cert
@@ -338,30 +316,20 @@ def verify_certificate(
     classes (as a set), both survivor counts, and the greedy and matched
     classes (as lists); a rebuild that raises is one pipeline_re_run
     failure.  Any tampering with a pipeline-produced certificate shows up.
-    One prime table serves the primality proof, the count and the rebuild,
-    which solves no root the count solved.
+    One prime table, the caller's when config is one, serves the primality
+    proof, the count and the rebuild, which solves no root the count
+    solved; it lets its primes go once they have proven the class primes,
+    before the coverage check allocates, or when strict after the rebuild.
     """
-    return _verify(cert, strict, _PrimeTable(config or DEFAULT))
-
-
-def _verify(
-    cert: CoveringCertificate, strict: bool, table: _PrimeTable, keep: bool = False
-) -> VerificationReport:
-    """verify_certificate on the table's primes.
-
-    Unless strict, or keep says the caller lists more primes from the table
-    afterwards, the table lets its primes go once they have proven the
-    class primes, before the coverage check allocates.
-    """
-    cfg = table.cfg
+    table = _context(config)
     report = VerificationReport()
     classes = cert.classes
     p, a, kind = classes.p, classes.a, classes.kind
     distinct = _first_repeat(p) is None
     report.add("class_primes_distinct", distinct, "" if distinct else "a modulus repeats")
     # one sieve of the verifier's own proves the moduli when it fits the budget
-    bad_prime = _first_non_prime(p, table)
-    if not (strict or keep):
+    bad_prime = first_non_prime(p, config=table)
+    if not strict:
         table.release()
     if bad_prime is None:
         prime_detail = ""
@@ -407,7 +375,7 @@ def _verify(
     report.add("u_exceeds_2sqrt", u_ok, "" if u_ok else f"u^2 <= 4x at u={cert.u}")
     if cert.y < 0:
         report.add("covers_range", False, f"y={cert.y} is negative")
-    elif cert.y + 1 > cfg.memory_budget:
+    elif cert.y + 1 > table.cfg.memory_budget:
         report.add("covers_range", False, "coverage check exceeds the memory budget")
     else:
         gap = _first(~_strike(cert.y, a, p))
@@ -432,16 +400,15 @@ def _verify(
         if bad_cong is None
         else f"q*a+b != 0 mod {forced.p[bad_cong]} for a={forced.a[bad_cong]}",
     )
-    solved = None
     try:
-        stats, solved = _prime_count_ap(cert.x, cert.q, cert.b, table)
+        stats = prime_count_ap(cert.x, cert.q, cert.b, config=table)
         hypothesis = (
             stats.delta <= cert.delta, f"measured {stats.delta}, recorded {cert.delta}"
         )
     except (GapforgeError, ValueError) as exc:
         hypothesis = (False, str(exc))
     try:
-        rebuilt = _construct(cert.x, cert.q, cert.b, cert.delta, table, solved)
+        rebuilt = _construct(cert.x, cert.q, cert.b, cert.delta, table)
     except (GapforgeError, ValueError) as exc:
         report.add("delta_hypothesis", *hypothesis)
         report.add("pipeline_re_run", False, str(exc))
@@ -523,17 +490,15 @@ def crt_witness(
     small CRT combines the others, and P_S must divide q*T - b before T is
     returned.
     """
-    _require_verified(cert, _PrimeTable(config or DEFAULT))
+    _require_verified(cert, config)
     T, P, _ = witness_of_verified(cert)
     return CrtWitness(T=T, P=P)
 
 
-def _require_verified(
-    cert: CoveringCertificate, table: _PrimeTable, keep: bool = False
-) -> None:
-    """Run verify_certificate once on the table's primes and raise
-    InvalidCertificate on any failure; keep as for _verify."""
-    report = _verify(cert, False, table, keep)
+def _require_verified(cert: CoveringCertificate, config) -> None:
+    """Run verify_certificate once, config as for it, and raise
+    InvalidCertificate on any failure."""
+    report = verify_certificate(cert, config=config)
     if not report.ok:
         raise InvalidCertificate(
             "; ".join(f"{e.check}: {e.detail}" for e in report.failures)

@@ -16,10 +16,10 @@ import numpy as np
 
 from . import covering
 from .arith import multi_mod, primorial
-from .config import DEFAULT, Config
+from .config import Config
 from .errors import PeriodTooLarge
 from .model import CoveringCertificate, GapRecord, JacobsthalValue
-from .sieve import _prime_array, _PrimeTable, _strike
+from .sieve import _context, _prime_array, _strike
 
 # offsets in the first window of the flank search; each later window doubles
 _FLANK_WINDOW = 1 << 10
@@ -45,10 +45,10 @@ def jacobsthal_exact(u: int, *, config: Optional[Config] = None) -> JacobsthalVa
     sieving anything near u, and with ResourceLimit when the primes up to u
     exceed the memory budget.
     """
-    cfg = config or DEFAULT
+    table = _context(config)
     if u < 2:
         raise ValueError("need u >= 2")
-    cap = cfg.scan_limit
+    cap = table.cfg.scan_limit
     # primorial(n) >= 2**pi(n), and the k-th prime is below k*k for k >= 2,
     # so primorial((cap.bit_length() + 1)**2) already exceeds 2 * cap: a
     # larger u is refused without sieving up to u
@@ -66,7 +66,7 @@ def jacobsthal_exact(u: int, *, config: Optional[Config] = None) -> JacobsthalVa
             f"window is over {cap} integers"
         )
     # a refusal names the rough gap scan, whose window rule J(u) keeps
-    primes = _prime_array(u, _PrimeTable(cfg), "rough gap scan").tolist()
+    primes = _prime_array(u, table, "rough gap scan").tolist()
     gap, masks = _least_uncoverable(primes)
     lo = _first_gap(primes, masks, gap)
     return JacobsthalValue(
@@ -205,14 +205,14 @@ def jacobsthal_bound_from_certificate(
     failure.  The class primes' residues of T come from the witness's own
     validated reduction; one remainder pass reduces T by the primes <= u
     that carry no class, picked by a sorted lookup, and each flank is found
-    by striking windows of offsets with both (_flank).  Raises ResourceLimit
-    when the primes up to u exceed the memory budget.
+    by striking windows of offsets with both (_flank).  Raises ResourceLimit,
+    before it verifies, when the primes up to u exceed the memory budget.
     """
-    # the verifier's primality proof lists the primes up to the largest
-    # class prime, and the bound's list only extends it to u
-    table = _PrimeTable(config or DEFAULT)
-    covering._require_verified(cert, table, keep=True)
-    primes = _prime_array(cert.u, table)
+    # the primes up to u come first, so the verifier's primality proof
+    # lists none past them; a negative u lists none and fails verification
+    table = _context(config)
+    primes = _prime_array(max(cert.u, 0), table)
+    covering._require_verified(cert, table)
     T, _, residues = covering.witness_of_verified(cert, product=False)
     classed = cert.classes.p.astype(np.int64)
     # the verified class primes are distinct primes <= u, so each one's

@@ -18,20 +18,25 @@ single flags.  rough_gap_scan(2, ...) needs no sieve: the 2-rough
 integers are the odd ones, every gap 2.  The primes below 2**16 are
 arith's constant column _SMALL_PRIMES: the kernel takes its base primes
 from it for any window below 2**32, and _primes, which runs the kernel on
-every window, is the one producer of other prime columns.  A public
-call lists its primes in one _PrimeTable, which starts from that column
-and grows by _primes over the new range only, so it sieves each prime
-once and sieves nothing up to 2**16 - 1; every request to it
+every window, is the one producer of other prime columns.  The deficit
+scan reads no column: it writes the wheel segments into one flag per
+integer coprime to 6, about x / 3 bytes for the primes up to x under the
+x + 1-byte rule, and counts each modulus's residues by column sums of
+those flags.  Memory stays bounded by the segment length _SEGMENT, and
+results are independent of it, which the test suite checks explicitly.
+
+A command runs in one _PrimeTable, its context: each stage takes it
+through its config argument, which may instead be a Config or None, for
+which the stage builds a table of its own.  The table holds the Config,
+the primes listed so far, and the roots of q*k + b == 0 solved so far for
+the command's progression, with totient(q).  The primes start as
+_SMALL_PRIMES and grow by _primes over the new range only, so a command
+sieves each prime once and nothing up to 2**16 - 1; every request
 (_prime_array, _prime_range) makes its own budget check, and the column
-sits outside any budget, like the code.  The exact count's roots of
-q*k + b == 0 are a prefix of the covering module's forced classes, whose
-solve extends them with the count's totient of q; _progression_roots takes
-q**-1 mod p by reciprocity for q below 2**31.  The deficit scan reads no
-column: it writes the wheel segments into one flag per integer coprime to
-6, about x / 3 bytes for the primes up to x under the x + 1-byte rule, and
-counts each modulus's residues by column sums of those flags.  Memory stays
-bounded by the segment length _SEGMENT, and results are independent of it,
-which the test suite checks explicitly.
+sits outside any budget, like the code.  The roots grow the same way: the
+exact count solves the base primes up to isqrt(x), and the forced classes
+only the primes past them.  _progression_roots takes q**-1 mod p by
+reciprocity for q below 2**31.
 """
 
 from __future__ import annotations
@@ -312,7 +317,8 @@ def _primes(lo: int, hi: int, cfg: Config) -> np.ndarray:
 
 
 class _PrimeTable:
-    """The primes one public call has asked for, as one ascending column.
+    """One command's context: its Config, the primes it has listed, and the
+    roots of q*k + b == 0 it has solved for its progression.
 
     column holds every prime up to top, the largest bound asked for so
     far; it starts as _SMALL_PRIMES, so a request up to _SMALL_TOP is a
@@ -320,12 +326,17 @@ class _PrimeTable:
     by _primes, so no prime is sieved twice; its base primes come from
     _SMALL_PRIMES while n < 2**32, which no table within a 4 GiB budget
     reaches.  The table checks no budget; each request makes its own checks
-    first (_prime_array, _prime_range).  A public function builds one and
-    lets it go when it returns, so the only primes two calls share are the
-    immutable _SMALL_PRIMES.
+    first (_prime_array, _prime_range).  The roots grow the same way:
+    solved is ((q, b), phi, done, kept, roots) for one progression, kept
+    being those of the column's first done primes that do not divide q,
+    and phi totient(q) once a count has given it; a longer request solves
+    only the primes past those done.
+    A stage given a Config builds a table and lets it go when it returns;
+    a stage given the caller's table shares it, so the only primes two
+    commands share are the immutable _SMALL_PRIMES.
     """
 
-    __slots__ = ("cfg", "column", "top")
+    __slots__ = ("cfg", "column", "top", "solved")
 
     def __init__(self, cfg: Config):
         self.cfg = cfg
@@ -340,9 +351,34 @@ class _PrimeTable:
         return self.column[: np.searchsorted(self.column, n, side="right")]
 
     def release(self) -> None:
-        """Let the sieved primes go; the column is _SMALL_PRIMES again."""
-        self.column = _SMALL_PRIMES
-        self.top = _SMALL_TOP
+        """Let the sieved primes and the roots go; the column is _SMALL_PRIMES again."""
+        self.column, self.top, self.solved = _SMALL_PRIMES, _SMALL_TOP, None
+
+    def roots(
+        self, n: int, q: int, b: int, phi: Optional[int] = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The primes <= n not dividing q, and the root k of q*k + b == 0 mod
+        each: _progression_roots solves only the primes past those solved
+        for (q, b) before, with phi, totient(q), given now or before."""
+        primes = self.upto(n)
+        if self.solved is None or self.solved[0] != (q, b):
+            self.solved = (q, b), None, 0, primes[:0], primes[:0]
+        _, known, done, kept, roots = self.solved
+        phi = phi or known
+        if primes.size > done:
+            more, more_roots = _progression_roots(primes[done:], q, b, phi)
+            done = primes.size
+            kept = np.concatenate([kept, more])
+            roots = np.concatenate([roots, more_roots])
+        self.solved = (q, b), phi, done, kept, roots
+        end = np.searchsorted(kept, n, side="right")
+        return kept[:end], roots[:end]
+
+
+def _context(config) -> _PrimeTable:
+    """A stage's config argument as a table: the caller's table itself, or
+    a new one for a Config, or for None, DEFAULT."""
+    return config if isinstance(config, _PrimeTable) else _PrimeTable(config or DEFAULT)
 
 
 def _progression_roots(
@@ -537,7 +573,7 @@ def _residue_counts(flags: np.ndarray, q: int) -> np.ndarray:
 
 def primes_up_to(n: int, *, config: Optional[Config] = None) -> list[int]:
     """All primes <= n, ascending."""
-    return _prime_array(n, _PrimeTable(config or DEFAULT)).tolist()
+    return _prime_array(n, _context(config)).tolist()
 
 
 def primes_in_range(lo: int, hi: int, *, config: Optional[Config] = None) -> list[int]:
@@ -560,11 +596,7 @@ def first_non_prime(
     value; otherwise each goes through is_prime, which is a proof below
     2**64.  At and above 2**64 nothing is tested.
     """
-    return _first_non_prime(values, _PrimeTable(config or DEFAULT))
-
-
-def _first_non_prime(values: Sequence[int], table: _PrimeTable) -> Optional[int]:
-    """first_non_prime, taking its primes from the table."""
+    table = _context(config)
     if not isinstance(values, np.ndarray):
         values = np.array(values, dtype=object)
     testable = (values >= 2) & (values < PROVEN_LIMIT)
@@ -592,8 +624,9 @@ def prime_count_ap(
     Sieves only the terms n = b + k*q, 0 <= k <= (x - b) // q, in segments
     of _SEGMENT terms, so the work is O(x/q) plus one strike per
     sieving prime and segment.  Each prime p <= sqrt(x) not dividing q hits
-    the progression exactly at k == -b/q (mod p); the roots come in one
-    batch and the segment kernel strikes them from k = 0, sparing the terms
+    the progression exactly at k == -b/q (mod p); the roots come from the
+    table, which keeps them for the forced classes of the same command, and
+    the segment kernel strikes them from k = 0, sparing the terms
     that are base primes themselves, n = p: any other term p*m with
     1 < m < p has a prime factor below p, which does not divide q and
     strikes it anyway.  n = 1 (b = 1) survives and is taken off the count.
@@ -601,26 +634,14 @@ def prime_count_ap(
     exceed the segmented-scan limit or the base primes up to isqrt(x) the
     memory budget.
     """
-    return _prime_count_ap(x, q, b, _PrimeTable(config or DEFAULT))[0]
-
-
-def _prime_count_ap(
-    x: int, q: int, b: int, table: _PrimeTable
-) -> tuple[ProgressionStats, tuple[int, np.ndarray, np.ndarray]]:
-    """prime_count_ap on the table's primes, and the roots it solved.
-
-    These come as (k, primes, roots, phi): the first k primes of the
-    table's column, those up to isqrt(x), give the primes not dividing q
-    and their roots, a prefix of any longer solve for the same q and b,
-    and phi is totient(q), which delta and that solve share.
-    """
+    table = _context(config)
     _validate_count(x, q, b)
     terms = (x - b) // q + 1
     _check_window(terms, table.cfg, "progression sieve")
     root = math.isqrt(x)
     base = _prime_array(root, table, "progression sieve")
     phi = totient(q)
-    primes, roots = _progression_roots(base, q, b, phi)
+    primes, roots = table.roots(root, q, b, phi)
     # the k of the terms that are base primes: n % q == n % reach for every
     # n <= root, and past q > root only n = b, at k = 0, is that small
     reach = min(q, root + 1)
@@ -628,9 +649,7 @@ def _prime_count_ap(
     segments = _segments(q, b, 0, terms, primes, roots, own)
     # n = 1 (b = 1, k = 0) has no prime factor, so it survives every strike
     count = sum(s.size - int(np.count_nonzero(s)) for _, s in segments) - (b == 1)
-    delta = Rational(count * phi, x)
-    stats = ProgressionStats(q=q, b=b, x=x, count=count, delta=delta)
-    return stats, (base.size, primes, roots, phi)
+    return ProgressionStats(q=q, b=b, x=x, count=count, delta=Rational(count * phi, x))
 
 
 def max_prime_gap(x: int, *, config: Optional[Config] = None) -> GapRecord:
@@ -677,13 +696,13 @@ def rough_gap_scan(
     rough integers, and ResourceLimit when the window or the sieve of the
     primes up to u exceeds the budget, for u = 2 too.
     """
-    cfg = config or DEFAULT
+    table = _context(config)
     if u < 2:
         raise ValueError("need u >= 2")
     if lo >= hi:
         raise ValueError("need lo < hi")
-    _check_window(hi - lo, cfg, "rough gap scan")
-    primes = _prime_array(u, _PrimeTable(cfg), "rough gap scan")
+    _check_window(hi - lo, table.cfg, "rough gap scan")
+    primes = _prime_array(u, table, "rough gap scan")
     if u == 2:  # the odd integers, from the least one >= lo
         first = lo | 1
         best, found = GapRecord(2, first, first + 2), 1 + (first + 2 <= hi)

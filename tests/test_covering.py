@@ -9,6 +9,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+import gapforge
 from gapforge import arith, cli, covering, jacobsthal, sieve
 from gapforge.arith import is_prime
 from gapforge.config import Config
@@ -427,6 +428,40 @@ def test_strict_report_pins_each_tampered_field():
     assert _strict_failures(cert, classes=reordered) == set()
 
 
+def _entry(report, check):
+    return next(e for e in report.entries if e.check == check)
+
+
+def test_verify_passes_a_class_prime_equal_to_u():
+    cert = build_certificate(10**4, 101, 100)
+    top = int(cert.classes.p.max())
+    assert _entry(verify_certificate(replace(cert, u=top)), "class_primes_at_most_u").passed
+
+
+def test_verify_fails_u_squared_equal_to_4x():
+    cert = build_certificate(10**4, 101, 100)
+    entry = _entry(verify_certificate(replace(cert, u=566, x=566 * 566 // 4)),
+                   "u_exceeds_2sqrt")
+    assert (entry.passed, entry.detail) == (False, "u^2 <= 4x at u=566")
+
+
+def test_verify_covers_within_a_budget_of_y_plus_one_bytes():
+    cert = build_certificate(10**4, 101, 100)
+    report = verify_certificate(cert, config=Config(memory_budget=cert.y + 1))
+    assert _entry(report, "covers_range").passed and report.ok
+
+
+def test_verify_places_a_forced_class_at_half_u_by_q():
+    # p = u/2 is not above u/2, so the forced class is misplaced because p | q
+    cert = CoveringCertificate(
+        x=40, q=21, b=1, delta=Rational(0), u=14, y=1,
+        classes=ClassTable([7], [0], FORCED),
+        survivors_initial=0, survivors_after_greedy=0,
+    )
+    entry = _entry(verify_certificate(cert), "kind_placement")
+    assert (entry.passed, entry.detail) == (False, "forced p=7 divides q")
+
+
 def test_verify_never_raises_on_garbage():
     cert = CoveringCertificate(
         x=10, q=0, b=3, delta=Rational(0), u=2, y=5,
@@ -633,8 +668,7 @@ def test_cover_and_strict_verify_sieve_and_solve_each_prime_once(
         return progression_roots(primes, *args)
 
     monkeypatch.setattr(sieve, "_wheel_primes", recording_wheel_primes)
-    for module in (sieve, covering):
-        monkeypatch.setattr(module, "_progression_roots", recording_roots)
+    monkeypatch.setattr(sieve, "_progression_roots", recording_roots)
     path = tmp_path / "cert.json"
     argv = ["cover", "--x", str(x), "--q", str(q), "--b", str(b), "--out", str(path)]
     for command in (argv + (["--delta", delta] if delta else []),
@@ -656,6 +690,72 @@ def test_cover_and_strict_verify_sieve_and_solve_each_prime_once(
     rational = None if delta is None else Rational(*map(int, delta.split("/")))
     staged = _staged_certificate(x, q, b, rational)
     assert certificate_to_json(staged) == path.read_text()
+
+
+@pytest.mark.parametrize("x, q, b", [
+    # u // 2 = isqrt(x): the forced classes solve no root past the count's
+    (10**7, 10007, 3),
+    # u // 2 > isqrt(x): they solve the primes past the count's
+    (10**6, 678, 581),
+])
+def test_measured_cover_and_strict_verify_solve_each_root_once(
+    tmp_path, monkeypatch, x, q, b
+):
+    # the table keeps the count's roots: the forced classes solve only the
+    # primes past isqrt(x), and one totient of q serves both solves
+    solved, phis = [], collections.Counter()
+    progression_roots, totient = sieve._progression_roots, arith.totient
+
+    def recording_roots(primes, *args):
+        solved.append(primes.tolist())
+        return progression_roots(primes, *args)
+
+    def counting_totient(n):
+        phis[n] += 1
+        return totient(n)
+
+    monkeypatch.setattr(sieve, "_progression_roots", recording_roots)
+    for module in (arith, sieve):
+        monkeypatch.setattr(module, "totient", counting_totient)
+    path = tmp_path / "cert.json"
+    root = math.isqrt(x)
+    for command in (["cover", "--x", str(x), "--q", str(q), "--b", str(b),
+                     "--out", str(path)],
+                    ["verify", str(path), "--strict"]):
+        solved.clear()
+        phis.clear()
+        assert cli.main(command) == 0, command
+        cert, _ = certificate_from_dict(json.loads(path.read_text()))
+        forced = [p for p in primes_up_to(cert.u // 2) if p > root]
+        assert solved == [primes_up_to(root)] + ([forced] if forced else []), command
+        assert phis == {q: 1}, command
+
+
+def test_cover_and_strict_verify_reach_each_stage_by_its_public_name(tmp_path, monkeypatch):
+    # each stage is wrapped in every gapforge module that binds it, as the
+    # benchmark's tracer wraps them, so a call by another name goes uncounted
+    calls = collections.Counter()
+    stages = {"prime_count_ap": sieve, "forced_classes": covering,
+              "match_large_primes": covering, "verify_certificate": covering}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name, module in stages.items():
+        original = getattr(module, name)
+        for bound in (gapforge, cli, covering, jacobsthal, sieve):
+            if getattr(bound, name, None) is original:
+                monkeypatch.setattr(bound, name, counting(name, original))
+    path = tmp_path / "cert.json"
+    for command in (["cover", "--x", "1000000", "--q", "678", "--b", "581",
+                     "--out", str(path)],
+                    ["verify", str(path), "--strict"]):
+        calls.clear()
+        assert cli.main(command) == 0, command
+        assert calls == dict.fromkeys(stages, 1), command
 
 
 @pytest.mark.parametrize("x, q, b, delta", [

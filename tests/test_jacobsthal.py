@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -383,3 +384,9 @@ def test_bound_refuses_primes_past_budget():
         assert verify_certificate(cert, config=config).ok
         with pytest.raises(ResourceLimit):
             jacobsthal_bound_from_certificate(cert, config=config)
+        # the primes up to u are listed before the certificate is verified,
+        # so one that fails verification is refused for its size first
+        broken = replace(cert, classes=cert.classes.select(np.arange(len(cert.classes)) > 0))
+        assert not verify_certificate(broken, config=config).ok
+        with pytest.raises(ResourceLimit):
+            jacobsthal_bound_from_certificate(broken, config=config)

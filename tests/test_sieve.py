@@ -1320,6 +1320,32 @@ def test_progression_roots_by_reciprocity_take_no_fermat_batch(monkeypatch):
     assert (kept.tolist(), roots.tolist()) == _roots_oracle(primes, 10007, 3)
 
 
+def test_table_roots_solve_each_prime_once_per_progression(monkeypatch):
+    # whatever the order of the requests, a table solves each prime once
+    # for its progression, and starts afresh for another one or once released
+    solved = []
+    progression_roots = sieve._progression_roots
+
+    def recording_roots(primes, *args):
+        solved.extend(primes.tolist())
+        return progression_roots(primes, *args)
+
+    monkeypatch.setattr(sieve, "_progression_roots", recording_roots)
+    table = sieve._PrimeTable(Config())
+    for q, b in ((10007, 3), (678, 581)):
+        solved.clear()
+        for n in (100, 3000, 50, 70000, 3000, 70000):
+            kept, roots = table.roots(n, q, b)
+            want = _roots_oracle(small_primes_up_to(n), q, b)
+            assert (kept.tolist(), roots.tolist()) == want, (q, b, n)
+        assert solved == small_primes_up_to(70000), (q, b)
+    table.release()
+    solved.clear()
+    assert table.roots(100, 678, 581)[0].tolist() == _roots_oracle(
+        small_primes_up_to(100), 678, 581)[0]
+    assert solved == small_primes_up_to(100)
+
+
 @pytest.mark.parametrize("q", [2**31, 2**31 + 1, (2**64 - 59) * (2**64 - 83)])
 def test_progression_roots_past_int32_q_take_the_fallback(monkeypatch, q):
     # q outside (0, 2**31) goes to _prime_inverses, and never to totient:

@@ -1,10 +1,10 @@
 """Each witness path verifies a certificate once and proves its class primes
 with one sieve table, never with is_prime.
 
-covering._verify, which every verification runs (verify_certificate and
-the private checks of build_certificate and the gap bound alike), is_prime
-and the prime-table request sieve._prime_array are replaced, in every
-gapforge module that binds them, by wrappers that record their calls.
+covering.verify_certificate, which every verification runs (the verify
+command and the checks of build_certificate and the gap bound alike),
+is_prime and the prime-table request sieve._prime_array are replaced, in
+every gapforge module that binds them, by wrappers that record their calls.
 """
 
 import collections
@@ -33,7 +33,7 @@ MODULES = (arith, cli, covering, jacobsthal, sieve)
 @pytest.fixture
 def counts(monkeypatch):
     calls = {"verify": 0, "is_prime": collections.Counter(), "tables": []}
-    verify, is_prime = covering._verify, arith.is_prime
+    verify, is_prime = covering.verify_certificate, arith.is_prime
     prime_array = sieve._prime_array
 
     def counting_verify(*args, **kwargs):
@@ -49,7 +49,7 @@ def counts(monkeypatch):
         return prime_array(n, cfg, *what)
 
     for name, original, wrapper in (
-        ("_verify", verify, counting_verify),
+        ("verify_certificate", verify, counting_verify),
         ("is_prime", is_prime, counting_is_prime),
         ("_prime_array", prime_array, recording_prime_array),
     ):
@@ -77,8 +77,8 @@ def _top(cert):
 def _assert_one_proof(calls, tables):
     """One verification, no is_prime call, and exactly these prime tables.
 
-    The verifier's own table runs up to the largest class prime; it is the
-    one primality proof of the class primes.
+    The verifier's table runs up to the largest class prime; it is the one
+    primality proof of the class primes.
     """
     assert calls["verify"] == 1
     assert calls["is_prime"] == collections.Counter()
@@ -113,8 +113,9 @@ def test_bound_from_certificate_checks_once(counts):
     cert = build_certificate(X, Q, B)
     _reset(counts)
     jacobsthal_bound_from_certificate(cert)
-    # the verifier's table, then the bound's one list of the primes up to u
-    _assert_one_proof(counts, [_top(cert), cert.u])
+    # the bound's one list of the primes up to u, then the verifier's proof
+    # from the same table, which sieves nothing more
+    _assert_one_proof(counts, [cert.u, _top(cert)])
 
 
 def test_crt_witness_still_verifies():
