@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from decimal import Decimal, localcontext
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -57,6 +57,7 @@ from .sieve import (
     _PrimeTable,
     _strike,
     _validate_count,
+    _validate_progression,
     first_non_prime,
     prime_count_ap,
 )
@@ -152,16 +153,16 @@ def forced_classes(
 ) -> ClassTable:
     """The unique class killing the progression mod p, for each p <= u/2, p not dividing q.
 
-    a_p solves q * a_p + b == 0 (mod p).  Raises ResourceLimit, before it
-    allocates, when the primes up to u/2 exceed the memory budget.  Given
-    the caller's table, it solves only the primes past those whose roots
-    the table holds for the same q and b.
+    a_p solves q * a_p + b == 0 (mod p).  Raises BadProgression as the
+    count does, and ResourceLimit, before it allocates, when the primes up
+    to u/2 exceed the memory budget.  Given the caller's table, it solves
+    only the primes past those whose roots the table holds for the same q
+    and b.
     """
     table = _context(config)
     if u < 3:
         raise ValueError("need u >= 3")
-    if math.gcd(b, q) != 1:
-        raise ValueError(f"need gcd(b, q) = 1, got gcd = {math.gcd(b, q)}")
+    _validate_progression(q, b)
     _prime_array(u // 2, table)  # the budget check, before the roots list any prime
     return ClassTable(*table.roots(u // 2, q, b), FORCED)
 
@@ -303,6 +304,12 @@ def build_certificate(
     return cert
 
 
+def _first_failure(mask: np.ndarray, detail: Callable[[int], str]) -> str:
+    """detail(i) at the first True index i of mask, or "" when there is none."""
+    i = _first(mask)
+    return "" if i is None else detail(i)
+
+
 def verify_certificate(
     cert: CoveringCertificate, strict: bool = False, *, config: Optional[Config] = None
 ) -> VerificationReport:
@@ -323,83 +330,64 @@ def verify_certificate(
     """
     table = _context(config)
     report = VerificationReport()
+
+    def check(name: str, failure: str) -> None:
+        report.add(name, not failure, failure)
+
     classes = cert.classes
     p, a, kind = classes.p, classes.a, classes.kind
-    distinct = _first_repeat(p) is None
-    report.add("class_primes_distinct", distinct, "" if distinct else "a modulus repeats")
+    check("class_primes_distinct", "" if _first_repeat(p) is None else "a modulus repeats")
     # one sieve of the verifier's own proves the moduli when it fits the budget
     bad_prime = first_non_prime(p, config=table)
     if not strict:
         table.release()
-    if bad_prime is None:
-        prime_detail = ""
-    elif bad_prime >= PROVEN_LIMIT:
-        prime_detail = (
-            f"p={bad_prime} is at or above 2**64, where primality is unproven"
-        )
-    else:
-        prime_detail = f"p={bad_prime} is not prime"
-    report.add("class_primes_prime", bad_prime is None, prime_detail)
-    over = _first(p > cert.u)
-    report.add(
-        "class_primes_at_most_u",
-        over is None,
-        "" if over is None else f"p={p[over]} exceeds u={cert.u}",
-    )
-    bad_res = _first((a < 0) | (a >= p))
-    report.add(
-        "residues_in_range",
-        bad_res is None,
-        "" if bad_res is None else f"a={a[bad_res]} outside [0, {p[bad_res]})",
-    )
+    check("class_primes_prime", "" if bad_prime is None else f"p={bad_prime} " + (
+        "is at or above 2**64, where primality is unproven"
+        if bad_prime >= PROVEN_LIMIT else "is not prime"))
+    check("class_primes_at_most_u",
+          _first_failure(p > cert.u, lambda i: f"p={p[i]} exceeds u={cert.u}"))
+    check("residues_in_range",
+          _first_failure((a < 0) | (a >= p), lambda i: f"a={a[i]} outside [0, {p[i]})"))
     # p below 2 divides nothing: 1 stands in for it wherever p divides
     low = p < 2
     divisor = np.where(low, 1, p)
     above = 2 * divisor > cert.u
     divides_q = _mod(cert.q, divisor) == 0
-    misplaced = low | np.where(
-        kind == MATCHED,
-        ~above,
-        above | np.where(kind == GREEDY, ~divides_q, divides_q),
+    is_forced, is_greedy, is_matched = (kind == code for code in (FORCED, GREEDY, MATCHED))
+    # a misplaced class is told by the first rule it breaks
+    placement = (
+        (low, "{kind} p={p} is below 2"),
+        (is_matched & ~above, "matched p={p} is not above u/2"),
+        (~is_matched & above, "{kind} p={p} is above u/2"),
+        (is_greedy & ~divides_q, "greedy p={p} does not divide q"),
+        (is_forced & divides_q, "forced p={p} divides q"),
     )
-    at = _first(misplaced)
-    placement = "" if at is None else _placement(int(p[at]), int(kind[at]), cert.u)
-    report.add("kind_placement", not placement, placement)
-    y_ok = cert.q > 0 and cert.y == (cert.x - cert.b) // cert.q
-    report.add(
-        "y_matches",
-        y_ok,
-        "" if y_ok else f"y={cert.y} but floor((x-b)/q) disagrees",
-    )
-    u_ok = cert.u * cert.u > 4 * cert.x
-    report.add("u_exceeds_2sqrt", u_ok, "" if u_ok else f"u^2 <= 4x at u={cert.u}")
+    check("kind_placement", _first_failure(
+        np.logical_or.reduce([broken for broken, _ in placement]),
+        lambda i: next(text for broken, text in placement if broken[i]).format(
+            kind=KINDS[kind[i]], p=p[i]),
+    ))
+    check("y_matches",
+          "" if cert.q > 0 and cert.y == (cert.x - cert.b) // cert.q
+          else f"y={cert.y} but floor((x-b)/q) disagrees")
+    check("u_exceeds_2sqrt",
+          "" if cert.u * cert.u > 4 * cert.x else f"u^2 <= 4x at u={cert.u}")
     if cert.y < 0:
-        report.add("covers_range", False, f"y={cert.y} is negative")
+        check("covers_range", f"y={cert.y} is negative")
     elif cert.y + 1 > table.cfg.memory_budget:
-        report.add("covers_range", False, "coverage check exceeds the memory budget")
+        check("covers_range", "coverage check exceeds the memory budget")
     else:
-        gap = _first(~_strike(cert.y, a, p))
-        report.add(
-            "covers_range",
-            gap is None,
-            "" if gap is None else f"n={gap} is covered by no class",
-        )
+        check("covers_range", _first_failure(
+            ~_strike(cert.y, a, p), "n={} is covered by no class".format))
 
     if not strict:
         return report
 
-    is_forced = kind == FORCED
     forced = classes.select(is_forced)
-    bad_cong = _first(
-        low[is_forced] | (_kills(cert.q, cert.b, forced.a, divisor[is_forced]) != 0)
-    )
-    report.add(
-        "forced_congruence",
-        bad_cong is None,
-        ""
-        if bad_cong is None
-        else f"q*a+b != 0 mod {forced.p[bad_cong]} for a={forced.a[bad_cong]}",
-    )
+    check("forced_congruence", _first_failure(
+        low[is_forced] | (_kills(cert.q, cert.b, forced.a, divisor[is_forced]) != 0),
+        lambda i: f"q*a+b != 0 mod {forced.p[i]} for a={forced.a[i]}",
+    ))
     try:
         stats = prime_count_ap(cert.x, cert.q, cert.b, config=table)
         hypothesis = (
@@ -411,22 +399,17 @@ def verify_certificate(
         rebuilt = _construct(cert.x, cert.q, cert.b, cert.delta, table)
     except (GapforgeError, ValueError) as exc:
         report.add("delta_hypothesis", *hypothesis)
+        # a failure whatever the exception's text
         report.add("pipeline_re_run", False, str(exc))
         return report
     table.release()  # the rebuild took the last primes
     redone = rebuilt.classes
-    same = _same_pairs(forced, redone.select(redone.kind == FORCED))
-    report.add(
-        "forced_classes_match",
-        same,
-        "" if same else "forced classes differ from re-derivation",
-    )
+    check("forced_classes_match",
+          "" if _same_pairs(forced, redone.select(redone.kind == FORCED))
+          else "forced classes differ from re-derivation")
     report.add("delta_hypothesis", *hypothesis)
-    report.add(
-        "u_matches_recompute",
-        rebuilt.u == cert.u,
-        "" if rebuilt.u == cert.u else f"recomputed u={rebuilt.u}, recorded {cert.u}",
-    )
+    check("u_matches_recompute",
+          "" if rebuilt.u == cert.u else f"recomputed u={rebuilt.u}, recorded {cert.u}")
     counts = (rebuilt.survivors_initial, rebuilt.survivors_after_greedy)
     recorded = (cert.survivors_initial, cert.survivors_after_greedy)
     report.add(
@@ -435,14 +418,10 @@ def verify_certificate(
         f"|N|={counts[0]} recorded {recorded[0]}; "
         f"|N'|={counts[1]} recorded {recorded[1]}",
     )
-    for code, check in ((GREEDY, "greedy_classes_match"),
-                        (MATCHED, "matched_classes_match")):
-        same = classes.select(kind == code) == redone.select(redone.kind == code)
-        report.add(
-            check,
-            same,
-            "" if same else f"{KINDS[code]} classes differ from deterministic re-run",
-        )
+    for code in (GREEDY, MATCHED):
+        check(f"{KINDS[code]}_classes_match",
+              "" if classes.select(kind == code) == redone.select(redone.kind == code)
+              else f"{KINDS[code]} classes differ from deterministic re-run")
     return report
 
 
@@ -464,19 +443,6 @@ def _same_pairs(one: ClassTable, other: ClassTable) -> bool:
         return keys[np.append(True, keys[1:] != keys[:-1])[: keys.size]]
 
     return bool(np.array_equal(pair_set(one), pair_set(other)))
-
-
-def _placement(p: int, kind: int, u: int) -> str:
-    """Why the kind_placement check flagged the class of prime p and kind code kind."""
-    if p < 2:
-        return f"{KINDS[kind]} p={p} is below 2"
-    if kind == MATCHED:
-        return f"matched p={p} is not above u/2"
-    if 2 * p > u:
-        return f"{KINDS[kind]} p={p} is above u/2"
-    if kind == GREEDY:
-        return f"greedy p={p} does not divide q"
-    return f"forced p={p} divides q"
 
 
 def crt_witness(
@@ -588,9 +554,10 @@ def _covered_residues(
     residues = -a % p
     rest = ~shared
     residues[rest] = _tree_mod(T, tree)[: np.count_nonzero(rest)]
-    miss = _first(~_strike(cert.y, -residues, p))
-    if miss is not None:
-        raise InvalidCertificate(f"gcd(T+{miss}, P) = 1; witness is not covered")
+    miss = _first_failure(~_strike(cert.y, -residues, p),
+                          "gcd(T+{}, P) = 1; witness is not covered".format)
+    if miss:
+        raise InvalidCertificate(miss)
     return residues
 
 

@@ -13,7 +13,7 @@ import pytest
 import gapforge as gf
 from gapforge import cli, covering, model
 from gapforge.cli import _parse_delta, main
-from gapforge.errors import DomainError, InsufficientPrimes
+from gapforge.errors import DomainError, InsufficientPrimes, InvalidCertificate
 from gapforge.model import Rational, certificate_to_dict
 
 
@@ -466,6 +466,31 @@ def test_verify_witness_refuses_a_stored_witness_that_differs(tmp_path, capsys, 
         assert code == 0 and "[PASS] witness_matches_stored" in out
     else:
         assert code == 5 and "[FAIL] witness_matches_stored" in out
+
+
+def test_verify_reports_a_witness_that_fails_its_own_check(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "cert.json"
+    code, _, err = run(capsys, "cover", "--x", "10000", "--q", "101", "--b", "100",
+                       "--out", str(path))
+    assert code == 0, err
+
+    def uncovered(cert, product):
+        raise InvalidCertificate("gcd(T+7, P) = 1; witness is not covered")
+
+    monkeypatch.setattr(cli, "witness_of_verified", uncovered)
+    code, out, err = run(capsys, "verify", str(path), "--witness")
+    assert (code, err) == (5, "")
+    assert out.splitlines()[-1] == (
+        "[FAIL] witness_validates: gcd(T+7, P) = 1; witness is not covered")
+
+
+def test_cover_of_a_certificate_that_fails_its_own_check_exits_5(capsys, monkeypatch):
+    def refused(*args, **kwargs):
+        raise InvalidCertificate("covers_range: n=3 is covered by no class")
+
+    monkeypatch.setattr(cli, "build_certificate", refused)
+    assert run(capsys, "cover", "--x", "10000", "--q", "101", "--b", "100") == (
+        5, "", "certificate invalid: covers_range: n=3 is covered by no class\n")
 
 
 def _hostile_anchor_certificate(tmp_path, capsys, fault):

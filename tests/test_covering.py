@@ -140,7 +140,7 @@ def test_sieve_survivors_limits():
 def test_forced_classes_and_survivors_refuse_bad_arguments():
     with pytest.raises(ValueError, match="^need u >= 3$"):
         forced_classes(2, 4, 3)
-    with pytest.raises(ValueError, match=r"^need gcd\(b, q\) = 1, got gcd = 2$"):
+    with pytest.raises(BadProgression, match=r"^gcd\(2, 4\) = 2 > 1$"):
         forced_classes(10, 4, 2)
     with pytest.raises(ValueError, match="^need y >= 0$"):
         sieve_survivors(-1, NO_CLASSES)
