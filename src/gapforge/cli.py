@@ -390,6 +390,9 @@ def main(argv=None) -> int:
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except MemoryError as exc:  # numpy's _ArrayMemoryError too
+        print(f"resource limit: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_RESOURCE
     except PeriodTooLarge as exc:
         print(f"period too large: {exc}", file=sys.stderr)
         return EXIT_PERIOD

@@ -141,15 +141,19 @@ def _columns(p, a) -> tuple[np.ndarray, np.ndarray]:
 class ClassTable:
     """Residue classes a mod p as three parallel columns: p, a and kind.
 
-    kind holds codes into KINDS; one code stands for every class.  A table
-    equals another table with the same columns.
+    kind holds codes into KINDS; one code stands for every class.  A code
+    outside range(len(KINDS)) raises ValueError.  A table equals another
+    table with the same columns.
     """
 
     __slots__ = ("p", "a", "kind")
 
     def __init__(self, p, a, kind):
         self.p, self.a = _columns(p, a)
-        kind = np.asarray(kind, dtype=np.int8)
+        kind = np.asarray(kind)
+        if kind.size and not 0 <= kind.min() <= kind.max() < len(KINDS):
+            raise ValueError(f"class kind codes must lie in [0, {len(KINDS)})")
+        kind = kind.astype(np.int8, copy=False)
         self.kind = np.full(len(self.p), kind) if kind.ndim == 0 else kind
         if not len(self.p) == len(self.a) == len(self.kind):
             raise ValueError("class columns differ in length")

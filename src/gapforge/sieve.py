@@ -19,11 +19,13 @@ integers are the odd ones, every gap 2.  The primes below 2**16 are
 arith's constant column _SMALL_PRIMES: the kernel takes its base primes
 from it for any window below 2**32, and _primes, which runs the kernel on
 every window, is the one producer of other prime columns.  The deficit
-scan reads no column: it writes the wheel segments into one flag per
-integer coprime to 6, about x / 3 bytes for the primes up to x under the
-x + 1-byte rule, and counts each modulus's residues by column sums of
-those flags.  Memory stays bounded by the segment length _SEGMENT, and
-results are independent of it, which the test suite checks explicitly.
+scan reads no column either: it sums each wheel segment's flags onto one
+column per modulus, a period of its residues, as the kernel yields the
+segment, and a line of one segment it sieves once and holds for every
+modulus.  The kernel fills one buffer in place for every segment, so a
+consumer holds one segment at a time and reads each before asking for the
+next.  Memory stays bounded by the segment length _SEGMENT, and results
+are independent of it, which the test suite checks explicitly.
 
 A command runs in one _PrimeTable, its context: each stage takes it
 through its config argument, which may instead be a Config or None, for
@@ -92,11 +94,12 @@ _SEGMENT = 1 << 20
 _READ = 1 << 16
 
 
-# _residue_counts sums rows of at least _ROW flag bytes.  Per modulus, q in
-# [200, 270): at x = 9.9e6 1.8-1.9 ms at 64 bytes, 0.56-0.58 at 1024,
-# 0.44-0.46 at 2048 and 0.41-0.42 at 16384; at x = 9.9e5 0.057 ms at 2048
-# and 0.087 at 16384 (numpy 2.4, 2-core x86 host).  A short row costs a
-# numpy inner loop of its own, a long one more columns to fold.
+# _fold sums a segment's flags as rows of at least _ROW bytes.  Per
+# modulus, q in [200, 270), measured on the x / 3 flags up to x as one
+# column: at x = 9.9e6 1.8-1.9 ms at 64 bytes, 0.56-0.58 at 1024, 0.44-0.46
+# at 2048 and 0.41-0.42 at 16384; at x = 9.9e5 0.057 ms at 2048 and 0.087 at
+# 16384 (numpy 2.4, 2-core x86 host).  A short row costs a numpy inner loop
+# of its own, a long one more columns to fold.
 _ROW = 2048
 
 # What one row of scan_deficits costs until the scan command has printed it:
@@ -202,27 +205,33 @@ def _segments(
     or when period, a constant flag column, is set at k mod its size,
     unless k is listed in spared.  Yields (first term, struck) per segment
     of up to _SEGMENT terms, struck[i] telling whether the segment's i-th
-    term is struck.  k and the first term stay Python ints, so windows past
-    2**63 are exact.
+    term is struck.  struck is a view of one buffer, tiled from period or
+    cleared for each segment in turn, so it holds only until the next
+    segment is asked for.  k and the first term stay Python ints, so
+    windows past 2**63 are exact.
     """
+    buffer = np.empty(min(_SEGMENT, max(k_hi - k_lo, 0)), dtype=bool)
     for k in range(k_lo, k_hi, _SEGMENT):
         stop = min(k + _SEGMENT, k_hi)  # exclusive
-        flags = None if period is None else _tile(period, k % period.size, stop - k)
-        struck = _strike(stop - 1 - k, roots - _mod(k, primes), primes, flags)
+        struck = buffer[: stop - k]
+        if period is None:
+            struck.fill(False)
+        else:
+            _tile(period, k % period.size, struck)
+        _strike(stop - 1 - k, roots - _mod(k, primes), primes, struck)
         hit = spared[(spared >= k) & (spared < stop)]
         if hit.size:  # so k < 2**63, and hit - k stays int64
             struck[hit - k] = False
         yield b + k * q, struck
 
 
-def _tile(period: np.ndarray, r: int, n: int) -> np.ndarray:
-    """n flags repeating period from its entry r: one copy per period."""
-    flags = np.empty(n, dtype=bool)
+def _tile(period: np.ndarray, r: int, flags: np.ndarray) -> None:
+    """Fill flags with period repeated from its entry r: one copy per period."""
+    n = flags.size
     head = period[r : r + n]
     flags[: head.size] = head
     for at in range(head.size, n, period.size):
         flags[at : at + period.size] = period[: n - at]
-    return flags
 
 
 def _position(n):
@@ -512,22 +521,6 @@ def _prime_range(lo: int, hi: int, table: _PrimeTable) -> np.ndarray:
     return primes[np.searchsorted(primes, lo, side="right"):]
 
 
-def _prime_flags(n: int, cfg: Config) -> np.ndarray:
-    """flags[j] tells whether 3j + 1 + (j & 1) is a prime <= n, for the
-    positions j of the wheel's integers up to n.
-
-    Each _wheel_primes segment is written into place, so besides the n // 3
-    or so bytes of flags only one segment is held.  n + 1 must fit the
-    memory budget, with the refusal of _prime_array; the window check of
-    _primes is not repeated, since it needs n past 8 times the budget.
-    """
-    _check_table(n, cfg, "prime list")
-    flags = np.zeros(_position(n + 1), dtype=bool)
-    for start, struck in _wheel_primes(5, n, cfg):
-        np.logical_not(struck, out=flags[start : start + struck.size])
-    return flags
-
-
 def _units(q: int) -> np.ndarray:
     """The units mod q, ascending: each prime factor of q strikes its multiples once."""
     unit = np.ones(q, dtype=bool)
@@ -536,39 +529,94 @@ def _units(q: int) -> np.ndarray:
     return np.flatnonzero(unit)
 
 
-def _residue_counts(flags: np.ndarray, q: int) -> np.ndarray:
-    """The number of primes p <= x with p == r (mod q), for each r in [0, q).
+def _residue_counts(
+    x: int, moduli: Sequence[int], cfg: Config
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(q, counts) for each q >= 2 of moduli in turn, counts[r] the number
+    of primes p <= x with p == r (mod q).
 
-    flags are _prime_flags(x) for some x >= 3, and q >= 2.  The integer at
-    position c, 3c + 1 + (c & 1), mod q depends only on c mod period =
-    2q / gcd(q, 6), so the flags are summed as rows of a whole number of
-    periods, at least _ROW bytes: each block of 255 rows in uint8, which
-    cannot overflow since each flag is 0 or 1, the blocks' sums in int64,
-    and then the ragged tail.  Flags that fill no whole row are all tail,
-    laid on the fewest periods that hold them.  Folding the row's columns
-    onto one period gives the count at each column c, which np.bincount
-    adds to its residue, shared by several c; the primes 2 and 3 add one
-    each.
+    The integer at position j of the line, 3j + 1 + (j & 1), mod q depends
+    only on j mod period = 2q / gcd(q, 6).  Each segment's prime flags
+    (_prime_segments) go onto one int64 column of period entries per
+    modulus (_fold); at the end np.bincount adds each entry to its residue,
+    and the primes 2 and 3 add one each.  The moduli go in batches whose
+    columns take no more than the x / 3 bytes of one flag per position, or
+    of one modulus.  A line of one segment, x / 3 bytes at most, is sieved
+    once and held for every batch; a longer one is never held, and each
+    batch folds every segment as one kernel pass yields it.  x + 1 must fit the memory budget, with the refusal of
+    _prime_array, as when the scan held that flag column; the window check
+    of _primes is not repeated, since it needs x past 8 times the budget.
     """
-    period = 2 * q // math.gcd(q, 6)
+    _check_table(x, cfg, "prime list")
+    end = _position(x + 1)  # the positions [1, end) hold 5, 7, ..., x
+    line = list(_prime_segments(x, cfg)) if end - 1 <= _SEGMENT else None
+    for batch in _batches(moduli, end):
+        primes = [np.zeros(2 * q // math.gcd(q, 6), dtype=np.int64) for q in batch]
+        for start, flags in _prime_segments(x, cfg) if line is None else line:
+            bits = flags.view(np.uint8)
+            for column in primes:
+                _fold(bits, start, column)
+        for q, column in zip(batch, primes):
+            residues = np.arange(1, 3 * column.size, 3)  # 3j + 1, then _term(j)
+            residues |= 1
+            residues %= q
+            # the float weights hold every count exactly, far below 2**53
+            counts = np.bincount(residues, weights=column, minlength=q).astype(np.int64)
+            counts[2 % q] += x >= 2
+            counts[3 % q] += x >= 3
+            yield q, counts
+
+
+def _prime_segments(x: int, cfg: Config) -> Iterator[tuple[int, np.ndarray]]:
+    """The _wheel_primes segments up to x, each flag turned in place to
+    tell whether its integer is prime."""
+    for start, struck in _wheel_primes(5, x, cfg):
+        yield start, np.logical_not(struck, out=struck)
+
+
+def _batches(moduli: Sequence[int], room: int) -> Iterator[list[int]]:
+    """moduli in order, in runs whose period columns take at most room
+    bytes, 8 an entry, or of one modulus."""
+    batch, held = [], 0
+    for q in moduli:
+        size = 16 * q // math.gcd(q, 6)
+        if batch and held + size > room:
+            yield batch
+            batch, held = [], 0
+        batch.append(q)
+        held += size
+    if batch:
+        yield batch
+
+
+def _fold(bits: np.ndarray, start: int, column: np.ndarray) -> None:
+    """Add bits, the flags of the line's positions from start on, to
+    column, whose entry c counts the flags at the positions == c mod its
+    size, the period.
+
+    bits are summed as rows of a whole number of periods, at least _ROW
+    bytes: each block of 255 rows in uint8, which cannot overflow since
+    each flag is 0 or 1, the blocks' sums in int64, and then the ragged
+    tail.  The row goes at start's offset into a run of whole periods, so
+    each period's entry c is that of the positions == c, and the periods
+    sum onto column.  bits that lie within one period, as for a modulus
+    near x, go straight onto their entries.
+    """
+    period = column.size
+    at = start % period
+    if at + bits.size <= period:
+        column[at : at + bits.size] += bits
+        return
     width = period * -(-_ROW // period)
-    bits = flags.view(np.uint8)
     rows = bits.size // width
-    if not rows:  # no whole row: the tail alone, on as few periods as hold it
-        width = period * -(-bits.size // period)
     body = bits[: rows * width].reshape(rows, width)
-    cols = np.zeros(width, dtype=np.int64)
+    run = np.zeros(width + period, dtype=np.int64)
+    row = run[at : at + width]
     for i in range(0, rows, 255):
-        cols += body[i : i + 255].sum(axis=0, dtype=np.uint8)
+        row += body[i : i + 255].sum(axis=0, dtype=np.uint8)
     tail = bits[rows * width :]
-    cols[: tail.size] += tail
-    # the float weights hold every count exactly, far below 2**53
-    counts = np.bincount(_term(np.arange(period)) % q,
-                         weights=cols.reshape(-1, period).sum(axis=0), minlength=q)
-    counts = counts.astype(np.int64)
-    counts[2 % q] += 1
-    counts[3 % q] += 1
-    return counts
+    row[: tail.size] += tail
+    column += run.reshape(-1, period).sum(axis=0)
 
 
 def primes_up_to(n: int, *, config: Optional[Config] = None) -> list[int]:
@@ -720,28 +768,29 @@ def scan_deficits(
 ) -> list[ProgressionStats]:
     """The progressions b mod q, qmin <= q <= qmax, q < x, with the fewest primes.
 
-    Every unit b mod q is a row, empty progressions included.  The counts
-    of every q come from one set of _prime_flags up to x, x / 3 bytes
-    under the x + 1-byte rule of a prime table.  Rows rank by
-    delta = count * phi(q) / x, then q, then b; x is the same for every row,
-    so the exact integer count * phi(q) orders them as delta does.  Returns
-    the first top rows.  Within one modulus the order is that of (count, b),
-    so a stable argsort picks each modulus's top units before any row is
-    built, and the merged selections are cut back to top whenever they pass
-    2 * top: at most 3 * top rows are held.  Raises ValueError for a
-    negative top, and ResourceLimit, with no rows, as soon as the rows held
-    would pass the memory budget at _ROW_BYTES each.
+    Every unit b mod q is a row, empty progressions included.  The counts of
+    each q come from _residue_counts, which holds one kernel segment and one
+    batch of moduli's period columns, and a flag per integer up to x only
+    where that is one segment; x + 1 must fit the memory budget, the rule of
+    a prime table.  Rows rank by delta = count * phi(q) / x, then q, then b;
+    x is the same for every row, so the exact integer count * phi(q) orders
+    them as delta does.  Returns the first top rows.  Within one modulus the
+    order is that of (count, b), so a stable argsort picks each modulus's
+    top units before any row is built, and the merged selections are cut
+    back to top whenever they pass 2 * top: at most 3 * top rows are held.
+    Raises ValueError for a negative top, and ResourceLimit, with no rows,
+    as soon as the rows held would pass the memory budget at _ROW_BYTES
+    each.
     """
     if top < 0:
         raise ValueError(f"need top >= 0, got {top}")
     cfg = config or DEFAULT
     ranking = []
     if qmin <= qmax and qmin < x:
-        flags = _prime_flags(x, cfg)
-        for q in range(max(2, qmin), min(qmax, x - 1) + 1):
+        moduli = range(max(2, qmin), min(qmax, x - 1) + 1)
+        for q, counts in _residue_counts(x, moduli, cfg):
             units = _units(q)
             phi = units.size
-            counts = _residue_counts(flags, q)
             units = units[np.argsort(counts[units], kind="stable")[:top]]
             held = len(ranking) + units.size
             if held * _ROW_BYTES > cfg.memory_budget:

@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import gapforge as gf
@@ -491,6 +492,27 @@ def test_cover_of_a_certificate_that_fails_its_own_check_exits_5(capsys, monkeyp
     monkeypatch.setattr(cli, "build_certificate", refused)
     assert run(capsys, "cover", "--x", "10000", "--q", "101", "--b", "100") == (
         5, "", "certificate invalid: covers_range: n=3 is covered by no class\n")
+
+
+@pytest.mark.parametrize("error", [MemoryError(), np.zeros])
+def test_memory_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch, error):
+    # a budget larger than the host holds ends in a MemoryError, numpy's
+    # _ArrayMemoryError included, which is a resource limit and no traceback
+    path = tmp_path / "c.json"
+    assert run(capsys, "cover", "--x", "10000", "--q", "101", "--b", "100",
+               "--out", str(path))[0] == 0
+
+    def exhausted(*args, **kwargs):
+        if isinstance(error, MemoryError):
+            raise error
+        error(2**62, dtype=bool)  # past any host
+
+    monkeypatch.setattr(cli, "verify_certificate", exhausted)
+    code, out, err = run(capsys, "verify", str(path), "--strict")
+    assert (code, out) == (2, "")
+    assert err.startswith("resource limit: ") and err.count("\n") == 1, err
+    if isinstance(error, MemoryError):
+        assert err == "resource limit: out of memory\n"
 
 
 def _hostile_anchor_certificate(tmp_path, capsys, fault):

@@ -113,6 +113,22 @@ def _triples(table):
     return list(zip(table.p.tolist(), table.a.tolist(), table.kind.tolist()))
 
 
+def test_class_table_refuses_kind_codes_outside_kinds():
+    # a table built in code with the last class's code 5 used to reach
+    # verify_certificate and raise IndexError from the kind names
+    cert = build_certificate(10**4, 101, 100)
+    bad = cert.classes.kind.tolist()
+    for code in (5, 3, -1, 300):
+        bad[-1] = code
+        with pytest.raises(ValueError, match=r"^class kind codes must lie in \[0, 3\)$"):
+            ClassTable(cert.classes.p, cert.classes.a, bad)
+    with pytest.raises(ValueError, match="^class kind codes"):
+        ClassTable([2, 3], [0, 1], 3)
+    for code in (FORCED, GREEDY, MATCHED):
+        assert ClassTable([2, 3], [0, 1], code).kind.tolist() == [code, code]
+    assert ClassTable([], [], []).kind.dtype == np.int8
+
+
 def test_forced_classes_examples():
     assert forced_classes(10, 4, 3) == ClassTable([3, 5], [0, 3], FORCED)
     assert forced_classes(5, 3, 2) == ClassTable([2], [0], FORCED)

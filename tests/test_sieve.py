@@ -1,6 +1,7 @@
 import bisect
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -39,7 +40,7 @@ def test_prime_tables_refuse_negative_n():
     with pytest.raises(ValueError, match="^n must be non-negative$"):
         primes_up_to(-1)
     with pytest.raises(ValueError, match="^n must be non-negative$"):
-        sieve._prime_flags(-1, Config())
+        next(sieve._residue_counts(-1, [5], Config()))
 
 
 def test_primes_in_range_examples():
@@ -748,35 +749,104 @@ def test_scan_deficits_budget_and_domain():
     assert scan_deficits(10**6, 50, 10, 10, config=TINY) == []
 
 
+def _line_cuts(segment, x):
+    """Yields twice: first with the line up to x one segment, which the
+    scan holds while every modulus folds it, then with the kernel cutting
+    it into seven segments or so, of an odd length, so that their starts
+    fall at many offsets of each period and the last one is short."""
+    assert sieve._position(x + 1) - 1 <= sieve._SEGMENT
+    yield "held"
+    segment(max(3, sieve._position(x + 1) // 7 | 1))
+    yield "streamed"
+
+
 @pytest.mark.parametrize("x", [3, 4, 5, 63, 64, 65, 1000, 99991, 10**6 + 1,
                                3 * 10**6 + 1])
-def test_residue_counts_match_prime_column_oracle(x):
-    # the flags of x < 3 * _ROW fill no whole row, those up to 10**6 + 1
-    # fewer than 255 rows, and those of 3 * 10**6 + 1 a block of 255 rows
-    # and a short one for small q; periods run from 2 (q = 2, 3, 6) to 1198
+def test_residue_counts_match_prime_column_oracle(x, segment):
+    # held, the line of x < 3 * _ROW fills no whole row, those up to
+    # 10**6 + 1 fewer than 255 rows, and that of 3 * 10**6 + 1 a block of
+    # 255 rows and a short one for small q; streamed, the segments of
+    # x < 21 * _ROW fill none; periods run from 2 (q = 2, 3, 6) to 1198
     # (q = 599), and most tails are not a whole row
     cfg = Config()
-    flags = sieve._prime_flags(x, cfg)
     primes = sieve._prime_array(x, sieve._PrimeTable(cfg))
-    for q in range(2, 601):
-        want = np.bincount(primes % q, minlength=q)
-        assert sieve._residue_counts(flags, q).tolist() == want.tolist(), (x, q)
+    moduli = range(2, 601)
+    for cut in _line_cuts(segment, x):
+        got = list(sieve._residue_counts(x, moduli, cfg))
+        assert [q for q, _ in got] == list(moduli)
+        for q, counts in got:
+            want = np.bincount(primes % q, minlength=q)
+            assert counts.tolist() == want.tolist(), (cut, x, q)
 
 
 @pytest.mark.parametrize("x", [10**4 + r for r in range(6)] + [3 * 10**5 + r for r in range(6)])
-def test_residue_counts_for_each_gcd_with_six(x):
+def test_residue_counts_for_each_gcd_with_six(x, segment):
     # x of every residue mod 6, and q of each gcd with 6, which sets the
     # period 2q / gcd(q, 6) the flags fold on
     cfg = Config()
-    flags = sieve._prime_flags(x, cfg)
     primes = sieve._prime_array(x, sieve._PrimeTable(cfg))
     moduli = {1: (5, 7, 25, 35, 211), 2: (2, 4, 8, 10, 212),
               3: (3, 9, 15, 21, 213), 6: (6, 12, 30, 210, 1002)}
-    for g, qs in moduli.items():
-        for q in qs:
-            assert math.gcd(q, 6) == g
-            want = np.bincount(primes % q, minlength=q)
-            assert sieve._residue_counts(flags, q).tolist() == want.tolist(), (x, q)
+    for cut in _line_cuts(segment, x):
+        for g, qs in moduli.items():
+            for q, counts in sieve._residue_counts(x, qs, cfg):
+                assert math.gcd(q, 6) == g
+                want = np.bincount(primes % q, minlength=q)
+                assert counts.tolist() == want.tolist(), (cut, x, q)
+
+
+def test_residue_count_batches_fit_the_column():
+    # each batch's period columns, 8 bytes an entry, fit the room, or the
+    # batch is one modulus, and the next modulus would not fit in; the
+    # batches keep the moduli's order
+    size = lambda q: 16 * q // math.gcd(q, 6)  # noqa: E731
+    rng = random.Random(33)
+    for room in (1, 100, 3334, 10**5):
+        moduli = sorted(rng.sample(range(2, 10**4), 300))
+        batches = list(sieve._batches(moduli, room))
+        assert [q for batch in batches for q in batch] == moduli
+        for batch in batches:
+            assert sum(map(size, batch)) <= room or len(batch) == 1, (room, batch)
+        for batch, after in zip(batches, batches[1:]):
+            assert sum(map(size, batch)) + size(after[0]) > room, (room, batch)
+
+
+def test_scan_is_one_kernel_pass_at_the_benchmark_sizes(monkeypatch, segment):
+    # the columns of these moduli fit in x / 3 bytes, and a line of one
+    # segment is held for every batch; a wide range of moduli over a line
+    # of several segments runs one pass per batch, with the same rows
+    passes = []
+    wheel_primes = sieve._wheel_primes
+
+    def counting_wheel_primes(*args):
+        passes.append(args[:2])
+        return wheel_primes(*args)
+
+    monkeypatch.setattr(sieve, "_wheel_primes", counting_wheel_primes)
+    for x, qmin, qmax in ((10**7, 205, 214), (10**6, 200, 259), (10**8, 1000, 1001),
+                          (10**4, 2, 3000)):
+        passes.clear()
+        rows = scan_deficits(x, qmin, qmax, 10)
+        assert passes == [(5, x)], (x, qmin, qmax)
+    segment(1001)  # the line up to 10**4 is four segments
+    passes.clear()
+    assert scan_deficits(10**4, 2, 3000, 10) == rows
+    assert len(passes) > 100
+
+
+def test_scan_and_gaps_hold_one_live_segment():
+    # numpy reports its buffers to tracemalloc; the line up to 10**7 is
+    # four segments, and two of them alive at once would pass the bound
+    x = 10**7
+    assert sieve._position(x + 1) > 3 * sieve._SEGMENT
+    for run in (lambda: scan_deficits(x, 1000, 1001, 3), lambda: max_prime_gap(x)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * sieve._SEGMENT, peak
 
 
 def test_scan_deficits_matches_prime_column_oracle():
@@ -1143,7 +1213,9 @@ def test_tile_repeats_the_period_from_any_entry(r):
     # several whole periods
     for n in (1, 17, PERIOD - r, PERIOD - r + 1, PERIOD, 3 * PERIOD + 7):
         want = np.resize(np.roll(sieve._PERIOD, -r), n)
-        assert np.array_equal(sieve._tile(sieve._PERIOD, r, n), want), n
+        flags = np.ones(n, dtype=bool)
+        sieve._tile(sieve._PERIOD, r, flags)
+        assert np.array_equal(flags, want), n
 
 
 def test_strike_from_given_flags_sets_them_too():
@@ -1177,8 +1249,12 @@ def test_presieved_line_matches_the_unpresieved_kernel(segment, size):
             for primes, spare in ((prime_sieve, True), (prime_sieve, False),
                                   (KERNEL_PRIMES[2:7], False), (KERNEL_PRIMES[2:6], False),
                                   (KERNEL_PRIMES[2:8], True)):
-                got = list(sieve._line(lo, hi, np.array(primes, dtype=np.int64), spare))
-                want = list(_unpresieved_line(lo, hi, primes, spare))
+                # each segment is copied as it is yielded: the kernel fills
+                # one buffer for all of them
+                got = [(start, struck.copy()) for start, struck in
+                       sieve._line(lo, hi, np.array(primes, dtype=np.int64), spare)]
+                want = [(start, struck.copy()) for start, struck in
+                        _unpresieved_line(lo, hi, primes, spare)]
                 assert [start for start, _ in got] == [start for start, _ in want]
                 for (_, a), (_, b) in zip(got, want):
                     assert np.array_equal(a, b), (size, r, m, primes[-1], spare)
@@ -1367,10 +1443,13 @@ def test_units_match_gcd_mask():
         assert np.array_equal(sieve._units(q), want), q
 
 
-def _row_sum_residue_counts(flags, q):
-    """_residue_counts as it was before flags too short for a row skipped
-    the row sums: every row of at least _ROW bytes, however few flags; the
-    columns of one period added to their residues by np.add.at."""
+def _row_sum_residue_counts(flags, q, x):
+    """The residue counts of the primes up to x from flags, one per
+    integer coprime to 6 up to x, flags[j] telling whether the integer at
+    position j is prime, as the scan summed them before it streamed the
+    segments and before flags too short for a row skipped the row sums:
+    every row of at least _ROW bytes, however few flags; the columns of one
+    period added to their residues by np.add.at."""
     period = 2 * q // math.gcd(q, 6)
     width = period * -(-sieve._ROW // period)
     bits = flags.view(np.uint8)
@@ -1385,16 +1464,19 @@ def _row_sum_residue_counts(flags, q):
     c = np.arange(period)
     np.add.at(counts, (6 * (c // 2) + np.where(c % 2, 5, 1)) % q,
               cols.reshape(-1, period).sum(axis=0))
-    counts[2 % q] += 1
-    counts[3 % q] += 1
+    counts[2 % q] += x >= 2
+    counts[3 % q] += x >= 3
     return counts
 
 
 @pytest.mark.parametrize("x", [2, 3, 100, 1000, 4095, 4096, 4097, 6143, 6144,
                                6145, 10**5 + 1])
-def test_residue_counts_match_row_sum_oracle(x):
-    # below x = 3 * _ROW the flags fill no row of any q
-    flags = sieve._prime_flags(x, Config())
-    for q in range(2, 1200):
-        assert np.array_equal(sieve._residue_counts(flags, q),
-                              _row_sum_residue_counts(flags, q)), (x, q)
+def test_residue_counts_match_row_sum_oracle(x, segment):
+    # held, the line below x = 3 * _ROW fills no row of any q; the prime
+    # flags come from the plain Eratosthenes, the integer p at position p // 3
+    flags = np.zeros(x // 3 + 1, dtype=bool)
+    flags[[p // 3 for p in small_primes_up_to(x)[2:]]] = True
+    moduli = range(2, 1200)
+    for cut in _line_cuts(segment, x):
+        for q, counts in sieve._residue_counts(x, moduli, Config()):
+            assert np.array_equal(counts, _row_sum_residue_counts(flags, q, x)), (cut, x, q)
