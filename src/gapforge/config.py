@@ -10,7 +10,8 @@ segmented scans only allocate one segment at a time and are instead capped at
 That cap also bounds exact J(u), though its covering search scans nothing:
 the half-period window of its period must fit it, so the default budget
 admits J(29) and refuses J(31).  ``scan`` counts each row it holds at about
-a kilobyte of the budget.
+a kilobyte of the budget, and keeps the rule of a prime table for its
+``x``: it refuses ``x + 1 > memory_budget`` as the prime list of x.
 """
 
 import os

@@ -11,10 +11,8 @@ Everything else is 64-bit scale and serializes as a JSON number.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
-import re
 import sys
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -359,12 +357,11 @@ def certificate_to_json(
     plus a newline.  An indent sends json.dumps to its pure-Python encoder,
     so the class records, nearly all of the text, are formatted here
     directly, each from its kind's template in _KIND_RECORDS, which already
-    holds the kind's text and takes p and a; the few other fields still go
-    through json.dumps, and the pieces are joined once.
+    holds the kind's text and takes p and a; the few other fields are
+    _frame's, through json.dumps, and the pieces are joined once.
     """
-    head, tail = _certificate_fields(cert, witness)
-    # both dicts are non-empty: drop head's closing "\n}" and tail's "{\n"
-    pieces = [json.dumps(head, indent=2)[:-2], ',\n  "classes": ']
+    before, after = _frame(*_certificate_fields(cert, witness))
+    pieces = [before]
     t = cert.classes
     if len(t):
         # one %-format of every record at once, p and a interleaved
@@ -374,8 +371,20 @@ def certificate_to_json(
         pieces += ["[\n", records % tuple(fields), "\n  ]"]
     else:
         pieces.append("[]")
-    pieces += [",\n", json.dumps(tail, indent=2)[2:], "\n"]
+    pieces.append(after)
     return "".join(pieces)
+
+
+_CLASSES = ',\n  "classes": '
+
+
+def _frame(head: dict, tail: dict) -> tuple[str, str]:
+    """certificate_to_json's text before the class records and after them,
+    around the fields before "classes" and those after it."""
+    # the writer's dicts are non-empty: drop head's closing "\n}" and
+    # tail's "{\n"
+    return (json.dumps(head, indent=2)[:-2] + _CLASSES,
+            ",\n" + json.dumps(tail, indent=2)[2:] + "\n")
 
 
 _CLASS_RECORD = '    {\n      "p": %d,\n      "a": %d,\n      "kind": "%s"\n    }'
@@ -451,11 +460,11 @@ def _certificate(
 def certificate_from_text(text: str) -> tuple[CoveringCertificate, Optional[CrtWitness]]:
     """Parse certificate JSON text; returns (certificate, stored witness or None).
 
-    Text in the layout certificate_to_json writes has its class records read
-    straight into the table's columns, with no Python object per record;
-    any other text is certificate_from_dict(json.loads(text)).  Both give
-    the same certificate, and both raise the same exceptions with the same
-    messages.
+    Text that is the writer's frame around class records in the writer's
+    layout has its records read straight into the table's columns, with no
+    Python object per record; any other text is
+    certificate_from_dict(json.loads(text)).  Both give the same
+    certificate, and both raise the same exceptions with the same messages.
     """
     fields = _canonical_fields(text)
     if fields is None:
@@ -466,54 +475,38 @@ def certificate_from_text(text: str) -> tuple[CoveringCertificate, Optional[CrtW
 def _canonical_fields(text: str) -> Optional[tuple[dict, ClassTable]]:
     """The certificate dict without its class records, and their table.
 
-    None unless text is byte for byte in certificate_to_json's layout, with
-    integers of at most _INT_DIGITS digits.  The head and the tail are
-    matched by patterns, the records by _class_records.
+    The head, the text before the first _CLASSES, and the tail, from the
+    last "],\n  ", are read by json.  None unless _frame gives them back as
+    the text around the records, the tail holds no "classes" and
+    _class_records reads the records.  text is then the head's fields,
+    "classes" and the tail's, so json reads it as the head's fields updated
+    by the tail's, with the records as "classes".
     """
     if not text.isascii():
         return None
-    head_layout, tail_layout = _layout()
-    head = head_layout.match(text)
-    # the tail holds no "]", so the last "]," closes the class records
-    stop = text.rfind("],\n  ") + 1
-    tail = tail_layout.fullmatch(text, stop) if head and stop > head.end() else None
-    table = None if tail is None else _class_records(text, head.end(), stop)
-    if table is None:
+    cut = text.find(_CLASSES)
+    start, stop = cut + len(_CLASSES), text.rfind("],\n  ") + 1
+    if cut < 0 or stop <= start:
         return None
-    x, q, b, num, den, u, y, initial, after_greedy = map(int, head.groups())
-    obj = {"x": x, "q": q, "b": b, "delta": {"num": num, "den": den}, "u": u, "y": y,
-           "survivors_initial": initial, "survivors_after_greedy": after_greedy}
-    if tail[1] is not None:
-        obj["witness"] = {"T": tail[1], "P": tail[2]}
-    return obj, table
+    try:
+        # the head ends in the "}" added and the tail starts with the "{",
+        # so each reads as a dict or not at all
+        head = json.loads(text[:cut] + "}")
+        tail = json.loads("{" + text[stop + 1:])
+    except (ValueError, RecursionError):
+        return None
+    # json keeps a repeated key's last value: a "classes" in the tail
+    # would replace the records
+    if "classes" in tail or _frame(head, tail) != (text[:start], text[stop:]):
+        return None
+    table = _class_records(text, start, stop)
+    return None if table is None else ({**head, **tail}, table)
 
 
-# Every integer the columns read has at most 16 digits, two words of eight
-# bytes.  Longer ones, which the columns could not hold as int64 anyway, go
-# through json.
+# Every record value the columns read has at most 16 digits, two words of
+# eight bytes.  Longer ones, which the columns could not hold as int64
+# anyway, go through json.
 _INT_DIGITS = 16
-
-
-@functools.cache
-def _layout() -> tuple[re.Pattern, re.Pattern]:
-    """Patterns of certificate_to_json's text before the class records and
-    after them.
-
-    The head's groups are its nine integers in order; the tail's are the
-    witness's T and P, None without a witness.  Compiled on first use, so
-    that importing the package pays nothing for them.
-    """
-    integer = "(0|-?[1-9][0-9]{0,%d})" % (_INT_DIGITS - 1)  # as json.dumps writes it
-    head = re.compile(
-        r'\{\n  "x": I,\n  "q": I,\n  "b": I,\n'
-        r'  "delta": \{\n    "num": I,\n    "den": I\n  \},\n'
-        r'  "u": I,\n  "y": I,\n  "survivors_initial": I,\n'
-        r'  "survivors_after_greedy": I,\n  "classes": '.replace("I", integer))
-    tail = re.compile(
-        r',\n(?:  "witness": \{\n    "T": "([0-9]+)",\n    "P": "([0-9]+)"\n  \},\n)?'
-        r'  "bound": \{\n    "jacobsthal_u": I,\n    "gap_lower_rational": \{\n'
-        r'      "num": I,\n      "den": I\n    \}\n  \}\n\}\n'.replace("I", "(?:%s)" % integer))
-    return head, tail
 
 
 # The records are "[\n" + the _CLASS_RECORDs joined by ",\n" + "\n  ]".
@@ -533,6 +526,8 @@ _SKIP = np.array([len(t) - _WIDTH for t in _AFTER_A])
 _AFTER_A_ROWS = np.array([np.frombuffer(t[-_WIDTH:].encode(), np.uint8) for t in _AFTER_A])
 # where the kind's first letter, which names it, lies in every _AFTER_A[k]
 _KIND_LETTER_AT = _AFTER_A[0].index(KINDS[0])
+# no read ends more than _REACH bytes past the comma it starts from
+_REACH = max(map(len, _AFTER_A))
 # a little-endian word of eight bytes holds its first byte lowest:
 # _LAST_BYTES[k] keeps a word's last k bytes; _ZEROS is eight "0"s,
 # _SIXES eight 6s and _HIGH_HALVES the high four bits of each byte
@@ -548,8 +543,9 @@ def _class_records(text: str, start: int, stop: int) -> Optional[ClassTable]:
     None unless every record is in certificate_to_json's layout.  Every
     byte is checked: one scan finds the commas, each of which starts a
     fixed text, and every byte from one fixed text to the next must be
-    part of a value.  The scan reads one byte copy of text, and the tail,
-    matched before, keeps every read within it.
+    part of a value.  The scan reads one byte copy of text, and text
+    whose last comma before stop lies within _REACH bytes of its end,
+    where a read could pass it, is refused.
     """
     if stop - start == 2 and text[start] == "[":
         return ClassTable([], [], [])
@@ -559,6 +555,8 @@ def _class_records(text: str, start: int, stop: int) -> Optional[ClassTable]:
     if rest or not text.startswith(_FIRST, start):
         return None
     commas += start
+    if commas[-1] + _REACH > len(buf):
+        return None
     p_end, a_end, next_record = commas[0::3], commas[1::3], commas[2::3]
     # each kind's code from the letter it starts with, any other letter 0;
     # the reads below check the whole kind.  The codes are set by masks in

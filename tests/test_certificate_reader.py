@@ -1,13 +1,14 @@
 """certificate_from_text against its oracle, certificate_from_dict(json.loads(text)).
 
-Text in certificate_to_json's layout has its class records read straight
-into the columns; any other text goes through json.  Whatever the text,
-the reader must give the oracle's fields, an equal class table with the
-same dtypes and an equal witness, or raise the oracle's exception type
-with the oracle's message.  The inputs are the acceptance grid's
-certificates, with and without a witness, certificates of 0 and 1 classes,
-and mutants of canonical text, each applied to the head, to the first,
-a middle and the last record, or to the whole text.
+Text that is the writer's frame, around class records in the writer's
+layout, has its records read straight into the columns; any other text
+goes through json.  Whatever the text, the reader must give the oracle's
+fields, an equal class table with the same dtypes and an equal witness,
+or raise the oracle's exception type with the oracle's message.  The
+inputs are the acceptance grid's certificates, with and without a
+witness, certificates of 0 and 1 classes, and mutants of canonical text,
+each applied to the head, to the first, a middle and the last record, to
+the tail, or to the whole text.
 """
 
 import dataclasses
@@ -199,6 +200,24 @@ MUTANTS = {
     "inserted_byte": [_at(r'"matched"', lambda m: '"matched"x', i) for i in (0, 1, -1)]
     + [_at(r'"matched"', lambda m: '"matched" ', i) for i in (0, 1, -1)]
     + [_at(r'"forced"\n', lambda m: '"forced"\n\n', i) for i in (0, 1, -1)],
+    "extra_key": [_head(r'  "u": ', '  "note": "extra",\n  "u": '),
+                  _head(r'  "bound": ', '  "note": 7,\n  "bound": '),
+                  TEXT[:-3] + ',\n  "note": null\n}\n'],
+    # json reads the last "classes": after the tail's, none; after the
+    # head's, the records
+    "classes_key": [TEXT[:-3] + ',\n  "classes": []\n}\n',
+                    TEXT.replace("{\n", '{\n  "classes": [],\n', 1)],
+    # json reads the tail's value
+    "repeated_key": [_head(r'  "bound": ', '  "y": 97,\n  "bound": '),
+                     _head(r'  "u": ', '  "witness": 5,\n  "u": ')],
+    # the last "],\n  " is the tail's, not the records'
+    "tail_list": [_head(r'  "bound": ', '  "note": [],\n  "bound": '),
+                  _head(r'  "bound": ', '  "note": [\n    1\n  ],\n  "bound": '),
+                  _head(r'  "bound": ', '  "note": [\n    {\n      "p": 2,\n      "a": 0,\n'
+                        '      "kind": "forced"\n    }\n  ],\n  "bound": ')],
+    # records cut short before the shortest tail: no read may pass the end
+    "short_tail": [TEXT[:TEXT.index("[\n")] + '[\n    {\n      "p": 2,\n      "a": 0,]'
+                   + ',\n  "": 0\n}\n'],
     "structure": [TEXT.replace("[\n", "[ \n", 1), TEXT.replace("\n  ],", "\n],"),
                   TEXT.replace("    },", "  },", 1), TEXT.replace("},\n    {", "},{", 1),
                   TEXT.replace("},\n    {", "}\n    {", 1),
@@ -224,14 +243,17 @@ def test_mutants_read_as_json_does(name):
 
 
 def test_the_columns_read_what_the_writer_can_write():
-    # negative values, values of up to 16 digits, a bad delta and any
-    # witness digits stay on the column path; a 17th digit, -0 and whatever
-    # json reads but the writer never writes go through json
-    for name in ("negative", "wide_values", "bad_delta"):
-        assert all(map(_is_canonical, MUTANTS[name])), name
-    assert all(map(_is_canonical, MUTANTS["witness"][:4]))
-    for name in set(MUTANTS) - {"negative", "wide_values", "bad_delta", "witness"}:
-        assert not any(map(_is_canonical, MUTANTS[name])), name
+    # the columns read any head and tail that json reads and the writer's
+    # frame gives back, around records of up to 16-digit values: negative
+    # values, a bad delta, any witness, extra, reordered and repeated keys
+    # outside the records, and a float or a 19-digit x in the head.  A 17th
+    # digit in a record, -0 and whatever else json reads but the writer
+    # never writes go through json
+    every = {"negative", "wide_values", "bad_delta", "witness", "extra_key", "repeated_key"}
+    some = {"reordered_key": [1, 2], "19_digits": [9], "float": [6], "classes_key": [1]}
+    for name, texts in MUTANTS.items():
+        read = [i for i, text in enumerate(texts) if _is_canonical(text)]
+        assert read == (list(range(len(texts))) if name in every else some.get(name, [])), name
 
 
 def test_deep_nesting_raises_recursion_error_as_json_does():
